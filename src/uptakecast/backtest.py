@@ -10,8 +10,9 @@ never aborts a sweep.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -168,53 +169,98 @@ def derive_month_seed(seed: int, month: MonthStamp) -> int:
     return int(np.random.SeedSequence([seed, month.to_index()]).generate_state(1)[0])
 
 
-def _predict_web_models(
-    Q_hist: web.QueryPanel,
-    E_hist: TimeSeries,
-    target_row: np.ndarray,
+def aligned_history(
+    E: UptakeSeries, Q: web.QueryPanel, cfg: BacktestConfig
+) -> tuple[web.QueryPanel, TimeSeries]:
+    """Panel and uptake over their shared months, cut at ``cfg.end_month``."""
+    panel, series = web.align_panel(Q, E.series)
+    if cfg.end_month is not None and cfg.end_month < series.end:
+        series = series.slice(series.start, cfg.end_month)
+        panel = panel.slice(panel.start, cfg.end_month)
+    return panel, series
+
+
+def _fit_each(fits: Mapping[str, Callable[[], Any]], naive: float) -> tuple[dict, dict[str, str]]:
+    """Call every fit in order; a model failure yields ``naive`` and a note."""
+    values: dict[str, Any] = {}
+    notes: dict[str, str] = {}
+    for method, fit in fits.items():
+        try:
+            values[method] = fit()
+        except FIT_ERRORS as err:
+            values[method] = naive
+            notes[method] = f"fallback=naive ({type(err).__name__}: {err})"
+    return values, notes
+
+
+def level0_step(
+    hist: TimeSeries,
+    panel_hist: web.QueryPanel,
+    row: np.ndarray,
     cfg: BacktestConfig,
     month_seed: int,
-) -> tuple[dict[str, float], np.ndarray | None, dict[str, str]]:
-    """Fit O, L and the bagged members on the history; predict the target row.
+    wm_state: web.WmState | None,
+) -> tuple[dict[str, float], dict[str, str], np.ndarray | None, web.WmState | None]:
+    """Fit every level-0 model on the history and forecast the month after it.
 
-    Returns method->prediction, the member predictions (for the WM update),
-    and method->diagnostic for any fallback taken.
+    The clinical models extrapolate ``hist``; the web models, fitted on
+    ``panel_hist``, score the frequency ``row``. Returns method->prediction,
+    method->note for each model that fell back to naive, the bagged member
+    predictions (None when bagging failed) and the weighted-majority state
+    the WM prediction used; the caller updates that state once the month's
+    actual value is known.
     """
-    preds: dict[str, float] = {}
-    notes: dict[str, str] = {}
-    fallback = float(E_hist.values[-1])
+    lags = cfg.ar_lags
 
-    try:
-        ols = web.fit_web_ols(Q_hist, E_hist)
-        preds["O"] = web.predict_web(ols, target_row)
-    except FIT_ERRORS as err:
-        preds["O"] = fallback
-        notes["O"] = f"fallback=naive ({type(err).__name__}: {err})"
+    def ar():
+        return clinical.predict_ar(clinical.fit_ar(hist, lags), hist.values[-lags:][::-1])
 
-    try:
-        lam = web.select_lambda_cv(Q_hist, E_hist, k=3)
-        lasso = web.fit_lasso(Q_hist, E_hist, lam)
-        preds["L"] = web.predict_web(lasso, target_row)
-    except FIT_ERRORS as err:
-        preds["L"] = fallback
-        notes["L"] = f"fallback=naive ({type(err).__name__}: {err})"
+    def arima():
+        orders = cfg.arima_orders
+        if orders == "auto":
+            orders = clinical.select_arima_orders(hist)
+        return clinical.predict_arima(clinical.fit_arima(hist, *orders), hist)
 
-    member_preds: np.ndarray | None = None
-    try:
+    def lasso():
+        lam = web.select_lambda_cv(panel_hist, hist, k=3)
+        return web.predict_web(web.fit_lasso(panel_hist, hist, lam), row)
+
+    def bagged_members():
         bag = web.fit_bagging(
-            Q_hist,
-            E_hist,
+            panel_hist,
+            hist,
             n_subsets=cfg.bagging_subsets,
             subset_size=cfg.bagging_subset_size,
             seed=month_seed,
             row_bagging=cfg.row_bagging,
         )
-        member_preds = web.member_predictions(bag, target_row)
-        preds["B"] = float(member_preds.mean())
-    except FIT_ERRORS as err:
-        preds["B"] = fallback
-        notes["B"] = f"fallback=naive ({type(err).__name__}: {err})"
-    return preds, member_preds, notes
+        return web.member_predictions(bag, row)
+
+    naive = float(hist.values[-1])
+    preds, notes = _fit_each(
+        {
+            "HW": lambda: clinical.predict_hw(
+                clinical.fit_holt_winters(hist, cfg.hw_season_length)
+            ),
+            cfg.ar_method: ar,
+            "ARIMA": arima,
+            "O": lambda: web.predict_web(web.fit_web_ols(panel_hist, hist), row),
+            "L": lasso,
+            "B": bagged_members,
+        },
+        naive,
+    )
+    preds[NAIVE] = naive
+    # B's fit returns the member predictions; B is their mean and WM weighs them.
+    members = None if "B" in notes else preds["B"]
+    if members is None:
+        preds["WM"], notes["WM"] = naive, notes["B"]
+    else:
+        preds["B"] = float(members.mean())
+        if wm_state is None:
+            wm_state = web.wm_init(members.size, cfg.wm_eta, cfg.wm_epsilon)
+        preds["WM"] = web.wm_predict(wm_state, members)
+    return preds, notes, members, wm_state
 
 
 def run_level0_backtest(
@@ -230,11 +276,7 @@ def run_level0_backtest(
     majority weights thread through the months in order, updated only after
     each month's actual value is revealed.
     """
-    series = E.series
-    panel, series = web.align_panel(Q, series)
-    if cfg.end_month is not None and cfg.end_month < series.end:
-        series = series.slice(series.start, cfg.end_month)
-        panel = panel.slice(panel.start, cfg.end_month)
+    panel, series = aligned_history(E, Q, cfg)
     T = len(series)
     warm = cfg.level0_warmup_months
     if T < warm + 1:
@@ -246,55 +288,18 @@ def run_level0_backtest(
 
     for k in range(warm, T):
         month = series.start.plus(k)
-        train_start, train_end = series.start, series.start.plus(k - 1)
-        hist = TimeSeries(series.start, values[:k])
-        panel_hist = panel.slice(train_start, train_end)
-        target_row = panel.matrix[k]
-        naive_val = float(values[k - 1])
-        actual = float(values[k])
-        month_preds: dict[str, float] = {NAIVE: naive_val}
-        notes: dict[str, str] = {}
-
-        try:
-            hw = clinical.fit_holt_winters(hist, cfg.hw_season_length)
-            month_preds["HW"] = clinical.predict_hw(hw)
-        except FIT_ERRORS as err:
-            month_preds["HW"] = naive_val
-            notes["HW"] = f"fallback=naive ({type(err).__name__}: {err})"
-
-        try:
-            ar = clinical.fit_ar(hist, cfg.ar_lags)
-            recent = values[k - cfg.ar_lags : k][::-1]
-            month_preds[cfg.ar_method] = clinical.predict_ar(ar, recent)
-        except FIT_ERRORS as err:
-            month_preds[cfg.ar_method] = naive_val
-            notes[cfg.ar_method] = f"fallback=naive ({type(err).__name__}: {err})"
-
-        try:
-            orders = cfg.arima_orders
-            if orders == "auto":
-                orders = clinical.select_arima_orders(hist)
-            arima = clinical.fit_arima(hist, *orders)
-            month_preds["ARIMA"] = clinical.predict_arima(arima, hist)
-        except FIT_ERRORS as err:
-            month_preds["ARIMA"] = naive_val
-            notes["ARIMA"] = f"fallback=naive ({type(err).__name__}: {err})"
-
-        web_preds, member_preds, web_notes = _predict_web_models(
-            panel_hist, hist, target_row, cfg, derive_month_seed(cfg.seed, month)
+        train_start, train_end = series.start, month.plus(-1)
+        preds, notes, members, wm_state = level0_step(
+            TimeSeries(train_start, values[:k]),
+            panel.slice(train_start, train_end),
+            panel.matrix[k],
+            cfg,
+            derive_month_seed(cfg.seed, month),
+            wm_state,
         )
-        month_preds.update(web_preds)
-        notes.update(web_notes)
-
-        if member_preds is not None:
-            if wm_state is None:
-                wm_state = web.wm_init(member_preds.size, cfg.wm_eta, cfg.wm_epsilon)
-            wm_val = web.wm_predict(wm_state, member_preds)
-            month_preds["WM"] = wm_val
-            wm_state = web.wm_update(wm_state, member_preds, wm_val, actual)
-        else:
-            month_preds["WM"] = month_preds["B"]
-            notes["WM"] = notes.get("B", "fallback=naive (no bagged members)")
+        actual = float(values[k])
+        if members is not None:
+            wm_state = web.wm_update(wm_state, members, preds["WM"], actual)
 
         for method in (NAIVE,) + cfg.clinical_methods() + WEB_METHODS:
             entries.append(
@@ -302,7 +307,7 @@ def run_level0_backtest(
                     vaccine=vaccine,
                     method=method,
                     month=month,
-                    predicted=float(month_preds[method]),
+                    predicted=float(preds[method]),
                     actual=actual,
                     train_start=train_start,
                     train_end=train_end,
@@ -312,6 +317,74 @@ def run_level0_backtest(
     if wm_state_sink is not None and wm_state is not None:
         wm_state_sink.append(wm_state)
     return PredictionLog(tuple(entries))
+
+
+def level0_streams(
+    log: PredictionLog, vaccine: str, cfg: BacktestConfig
+) -> dict[str, dict[MonthStamp, float]]:
+    """Level-0 prediction per method and month: the inputs of level 1."""
+    streams: dict[str, dict[MonthStamp, float]] = {
+        m: {} for m in (NAIVE,) + cfg.clinical_methods() + WEB_METHODS
+    }
+    for e in log.entries:
+        if e.vaccine == vaccine and e.method in streams:
+            streams[e.method][e.month] = e.predicted
+    return streams
+
+
+def level1_train_months(months: Sequence[MonthStamp], cfg: BacktestConfig) -> Sequence[MonthStamp]:
+    """The level-1 training months among the level-0 ``months`` before a target:
+    all of them (growing window), or the last ``cfg.level1_sliding``."""
+    if cfg.level1_sliding is None:
+        return months
+    return months[max(0, len(months) - cfg.level1_sliding) :]
+
+
+def _stack(meta: str, samples, e_c: float, e_w: float, cfg: BacktestConfig) -> float:
+    if meta == "OLS":
+        return stacking.predict_stack_ols(stacking.fit_stack_ols(samples), e_c, e_w)
+    model = stacking.fit_svr(
+        samples,
+        kernel="linear" if meta == "SVR-linear" else "gaussian",
+        C=cfg.svr_cost,
+        eps=cfg.svr_tube_eps,
+        gamma=cfg.svr_gamma,
+    )
+    return stacking.predict_svr(model, e_c, e_w)
+
+
+def level1_step(
+    streams: Mapping[str, Mapping[MonthStamp, float]],
+    series: TimeSeries,
+    train_months: Sequence[MonthStamp],
+    target_preds: Mapping[str, float],
+    cfg: BacktestConfig,
+) -> dict[str, tuple[float, str]]:
+    """Stack each (clinical, web) stream pair with each level-1 model.
+
+    Every model is fitted on the streams over ``train_months`` (targets from
+    ``series``) and combines the target month's level-0 predictions
+    ``target_preds``. Returns method->(prediction, note); a failing fit falls
+    back to the target month's naive prediction and says so in the note.
+    """
+    fits = {}
+    for clin in cfg.clinical_methods():
+        for wm in WEB_METHODS:
+            samples = [
+                stacking.StackSample(
+                    e_c=streams[clin][m],
+                    e_w=streams[wm][m],
+                    target=series.value_at(m),
+                    month=m,
+                )
+                for m in train_months
+            ]
+            for meta in META_MODELS:
+                fits[f"{meta}:{clin}+{wm}"] = functools.partial(
+                    _stack, meta, samples, target_preds[clin], target_preds[wm], cfg
+                )
+    values, notes = _fit_each(fits, target_preds[NAIVE])
+    return {method: (value, notes.get(method, "")) for method, value in values.items()}
 
 
 def run_level1_backtest(
@@ -328,19 +401,10 @@ def run_level1_backtest(
         if len(vaccines) != 1:
             raise ValueError("pass vaccine= when the log covers several vaccines")
         vaccine = vaccines[0]
-    clin_methods = cfg.clinical_methods()
-    stream_methods = clin_methods + WEB_METHODS
-
-    months = level0_log.months(NAIVE, vaccine)
-    preds_by_method = {
-        m: {
-            e.month: e.predicted
-            for e in level0_log.entries
-            if e.method == m and e.vaccine == vaccine
-        }
-        for m in stream_methods
-    }
-    months = tuple(t for t in months if all(t in preds_by_method[m] for m in stream_methods))
+    streams = level0_streams(level0_log, vaccine, cfg)
+    months = tuple(
+        t for t in level0_log.months(NAIVE, vaccine) if all(t in s for s in streams.values())
+    )
     warm = cfg.level1_warmup_months
     if len(months) < warm + 1:
         raise InsufficientHistory(
@@ -351,55 +415,23 @@ def run_level1_backtest(
     entries: list[LogEntry] = []
     for idx in range(warm, len(months)):
         t = months[idx]
-        lo = 0 if cfg.level1_sliding is None else max(0, idx - cfg.level1_sliding)
-        train_months = months[lo:idx]
-        actual = series.value_at(t)
-        naive_val = series.value_at(t.plus(-1))
-        for clin in clin_methods:
-            for wm in WEB_METHODS:
-                samples = [
-                    stacking.StackSample(
-                        e_c=preds_by_method[clin][m],
-                        e_w=preds_by_method[wm][m],
-                        target=series.value_at(m),
-                        month=m,
-                    )
-                    for m in train_months
-                ]
-                e_c_t = preds_by_method[clin][t]
-                e_w_t = preds_by_method[wm][t]
-                for meta in META_MODELS:
-                    method = f"{meta}:{clin}+{wm}"
-                    note = ""
-                    try:
-                        if meta == "OLS":
-                            model = stacking.fit_stack_ols(samples)
-                            value = stacking.predict_stack_ols(model, e_c_t, e_w_t)
-                        else:
-                            kernel = "linear" if meta == "SVR-linear" else "gaussian"
-                            model = stacking.fit_svr(
-                                samples,
-                                kernel=kernel,
-                                C=cfg.svr_cost,
-                                eps=cfg.svr_tube_eps,
-                                gamma=cfg.svr_gamma,
-                            )
-                            value = stacking.predict_svr(model, e_c_t, e_w_t)
-                    except FIT_ERRORS as err:
-                        value = naive_val
-                        note = f"fallback=naive ({type(err).__name__}: {err})"
-                    entries.append(
-                        LogEntry(
-                            vaccine=vaccine,
-                            method=method,
-                            month=t,
-                            predicted=float(value),
-                            actual=float(actual),
-                            train_start=train_months[0],
-                            train_end=train_months[-1],
-                            diagnostic=note,
-                        )
-                    )
+        train_months = level1_train_months(months[:idx], cfg)
+        actual = float(series.value_at(t))
+        target_preds = {m: s[t] for m, s in streams.items()}
+        stacked = level1_step(streams, series, train_months, target_preds, cfg)
+        for method, (value, note) in stacked.items():
+            entries.append(
+                LogEntry(
+                    vaccine=vaccine,
+                    method=method,
+                    month=t,
+                    predicted=float(value),
+                    actual=actual,
+                    train_start=train_months[0],
+                    train_end=train_months[-1],
+                    diagnostic=note,
+                )
+            )
     return PredictionLog(tuple(entries))
 
 

@@ -15,17 +15,20 @@ import sys
 import warnings
 from pathlib import Path
 
-from . import clinical, stacking, web
+from . import web
 from .backtest import (
     NAIVE,
-    WEB_METHODS,
     BacktestConfig,
     LogEntry,
     PredictionLog,
+    aligned_history,
     derive_month_seed,
+    level0_step,
+    level0_streams,
+    level1_step,
+    level1_train_months,
     run_full_experiment,
     run_level0_backtest,
-    run_level1_backtest,
     summarize,
 )
 from .errors import UptakecastError
@@ -219,82 +222,33 @@ def _cmd_predict(args) -> int:
     datasets, cfg = _load_experiment(args.config, args.vaccine, args.seed)
     name = args.vaccine[0]
     uptake, panel = datasets[name]
-    panel, series = web.align_panel(panel, uptake.series)
-    if cfg.end_month is not None and cfg.end_month < series.end:
-        series = series.slice(series.start, cfg.end_month)
-        panel = panel.slice(panel.start, cfg.end_month)
-    target = series.end.plus(1)
-
+    # The replay over the history yields the level-1 training streams and the
+    # weighted-majority weights carried into the next month.
     wm_sink: list[web.WmState] = []
-    log0 = run_level0_backtest(
-        UptakeSeries(series), panel, cfg, vaccine=name, wm_state_sink=wm_sink
-    )
-    preds: dict[str, float] = {NAIVE: float(series.values[-1])}
-    preds["HW"] = clinical.predict_hw(clinical.fit_holt_winters(series, cfg.hw_season_length))
-    ar = clinical.fit_ar(series, cfg.ar_lags)
-    preds[cfg.ar_method] = clinical.predict_ar(ar, series.values[-cfg.ar_lags :][::-1])
-    orders = cfg.arima_orders
-    if orders == "auto":
-        orders = clinical.select_arima_orders(series)
-    preds["ARIMA"] = clinical.predict_arima(clinical.fit_arima(series, *orders), series)
-
-    last_row = panel.matrix[-1]
+    log0 = run_level0_backtest(uptake, panel, cfg, vaccine=name, wm_state_sink=wm_sink)
+    panel, series = aligned_history(uptake, panel, cfg)
+    target = series.end.plus(1)
     # Query frequencies for the unobserved month are not available; the web
     # models score the most recent observed row, the standard nowcast input.
-    ols = web.fit_web_ols(panel, series)
-    preds["O"] = web.predict_web(ols, last_row)
-    lam = web.select_lambda_cv(panel, series)
-    preds["L"] = web.predict_web(web.fit_lasso(panel, series, lam), last_row)
-    bag = web.fit_bagging(
-        panel,
+    preds, notes, _, _ = level0_step(
         series,
-        n_subsets=cfg.bagging_subsets,
-        subset_size=cfg.bagging_subset_size,
-        seed=derive_month_seed(cfg.seed, target),
-        row_bagging=cfg.row_bagging,
+        panel,
+        panel.matrix[-1],
+        cfg,
+        derive_month_seed(cfg.seed, target),
+        wm_sink[-1] if wm_sink else None,
     )
-    member_preds = web.member_predictions(bag, last_row)
-    preds["B"] = float(member_preds.mean())
-    # Weights carried forward from the backtest replay over the history.
-    if wm_sink and wm_sink[-1].member_count == member_preds.size:
-        state = wm_sink[-1]
-    else:
-        state = web.wm_init(member_preds.size, cfg.wm_eta, cfg.wm_epsilon)
-    preds["WM"] = web.wm_predict(state, member_preds)
-
-    stream_months = log0.months(NAIVE, name)
-    by_method = {
-        method: {e.month: e.predicted for e in log0.entries if e.method == method}
-        for method in cfg.clinical_methods() + WEB_METHODS
-    }
-    for clin in cfg.clinical_methods():
-        for wm in WEB_METHODS:
-            samples = [
-                stacking.StackSample(
-                    e_c=by_method[clin][m],
-                    e_w=by_method[wm][m],
-                    target=series.value_at(m),
-                    month=m,
-                )
-                for m in stream_months
-            ]
-            for meta in ("OLS", "SVR-linear", "SVR-gaussian"):
-                method = f"{meta}:{clin}+{wm}"
-                if meta == "OLS":
-                    model = stacking.fit_stack_ols(samples)
-                    preds[method] = stacking.predict_stack_ols(model, preds[clin], preds[wm])
-                else:
-                    kernel = "linear" if meta == "SVR-linear" else "gaussian"
-                    svr = stacking.fit_svr(
-                        samples, kernel=kernel, C=cfg.svr_cost,
-                        eps=cfg.svr_tube_eps, gamma=cfg.svr_gamma,
-                    )
-                    preds[method] = stacking.predict_svr(svr, preds[clin], preds[wm])
+    train_months = level1_train_months(log0.months(NAIVE, name), cfg)
+    stacked = level1_step(level0_streams(log0, name, cfg), series, train_months, preds, cfg)
+    for method, (value, note) in stacked.items():
+        preds[method] = value
+        if note:
+            notes[method] = note
+    for method, note in notes.items():
+        print(f"{method} {target}: {note}", file=sys.stderr)
 
     lines = [f"next-month predictions for {name}, target {target}:"]
-    for method in cfg.method_order():
-        if method in preds:
-            lines.append(f"{method},{preds[method]!r}")
+    lines += [f"{method},{preds[method]!r}" for method in cfg.method_order()]
     _write_out("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,30 @@ class TestLevel0:
             abs(other.prediction("B", t, "V") - log.prediction("B", t, "V")) for t in months
         ]
         assert max(diffs) > 0
+
+    def test_per_cell_fallback(self, level0_run):
+        E, Q, log = level0_run
+        first = log.months(NAIVE, "V")[0]
+        # The 24-month warm-up is one month short of the 2*12+1 observations
+        # AR(12) needs, so the first AR12 cell is naive; nothing else falls back.
+        fallbacks = [e for e in log.entries if e.diagnostic]
+        assert [(e.method, e.month) for e in fallbacks] == [("AR12", first)]
+        assert fallbacks[0].diagnostic == (
+            "fallback=naive (SeriesTooShort: AR(12) needs at least 25 observations, got 24)"
+        )
+        assert fallbacks[0].predicted == log.prediction(NAIVE, first, "V")
+
+        # 13-query bagging subsets on a 12-query panel: only B and WM fall back.
+        narrow = run_level0_backtest(
+            E, Q, dataclasses.replace(CFG, bagging_subset_size=13), vaccine="V"
+        )
+        cells = {(e.method, e.month): e for e in log.entries}
+        for e in narrow.entries:
+            if e.method in ("B", "WM"):
+                assert e.predicted == narrow.prediction(NAIVE, e.month, "V")
+                assert e.diagnostic.startswith("fallback=naive (PanelTooNarrow: ")
+            else:
+                assert e == cells[(e.method, e.month)]
 
     def test_month_seed_independent_of_length(self):
         assert derive_month_seed(5, MonthStamp(2013, 4)) == derive_month_seed(

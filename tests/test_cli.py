@@ -1,10 +1,14 @@
+import configparser
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from uptakecast.cli import main, read_log_csv, write_log_csv
+from uptakecast.backtest import run_level0_backtest, run_level1_backtest
+from uptakecast.cli import _load_experiment, main, read_log_csv, write_log_csv
+from uptakecast.timeseries import TimeSeries, UptakeSeries
+from uptakecast.web import QueryPanel
 
 from conftest import synth_vaccine
 
@@ -193,6 +197,55 @@ class TestPredict:
         assert len(body) == 44
         values = np.array([float(v) for v in body.values()])
         assert np.all(np.isfinite(values))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"level1_sliding": "12"}, {"bagging_subset_size": "13"}],
+        ids=["defaults", "level1_sliding", "bagging_fallback"],
+    )
+    def test_matches_backtest_cell(self, experiment, tmp_path, capsys, overrides):
+        """predict equals the backtest's cell for the month after the last one.
+
+        The target month's query frequencies are unobserved, so predict's web
+        models deliberately score the last observed row instead. The backtest
+        therefore runs on the history extended by one month whose panel row
+        repeats the last observed row (its uptake value is never used).
+        """
+        parser = configparser.ConfigParser()
+        parser.optionxform = str
+        parser.read(experiment / "experiment.ini")
+        parser["backtest"].update(overrides)
+        config = tmp_path / "experiment.ini"
+        with open(config, "w") as fh:
+            parser.write(fh)
+
+        code = main(["predict", "--config", str(config), "--vaccine", "VAX-A"])
+        out, err = capsys.readouterr()
+        assert code == 0
+        header, *body = out.splitlines()
+        predicted = {m: float(v) for m, v in (line.rsplit(",", 1) for line in body)}
+
+        datasets, cfg = _load_experiment(str(config), ["VAX-A"], None)
+        uptake, panel = datasets["VAX-A"]
+        series = uptake.series
+        target = series.end.plus(1)
+        extended = UptakeSeries(
+            TimeSeries(series.start, np.append(series.values, series.values[-1]))
+        )
+        extended_panel = QueryPanel(
+            panel.start, panel.query_names, np.vstack([panel.matrix, panel.matrix[-1]])
+        )
+        log0 = run_level0_backtest(extended, extended_panel, cfg, vaccine="VAX-A")
+        log = log0.merge(run_level1_backtest(log0, extended, cfg, vaccine="VAX-A"))
+
+        assert header == f"next-month predictions for VAX-A, target {target}:"
+        assert list(predicted) == list(cfg.method_order())
+        for method, value in predicted.items():
+            assert value == log.prediction(method, target, "VAX-A"), method
+        if "bagging_subset_size" in overrides:
+            assert predicted["B"] == predicted["WM"] == predicted["Naive"]
+            for method in ("B", "WM"):
+                assert f"{method} {target}: fallback=naive (PanelTooNarrow: " in err
 
     def test_requires_single_vaccine(self, experiment, capsys):
         assert main(["predict", "--config", str(experiment / "experiment.ini")]) == 1
