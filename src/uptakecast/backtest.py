@@ -11,7 +11,7 @@ never aborts a sweep.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -57,6 +57,8 @@ class BacktestConfig:
         for name in ("level1_warmup_months", "ar_lags", "bagging_subset_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.level1_sliding is not None and self.level1_sliding < 1:
+            raise ValueError("level1_sliding must be positive")
         if self.arima_orders != "auto":
             p, d, q = self.arima_orders
             if min(p, d, q) < 0:
@@ -95,54 +97,49 @@ class LogEntry:
 
 @dataclass(frozen=True)
 class PredictionLog:
-    """Per (vaccine, method, month) predictions with training-window bounds."""
+    """Per (vaccine, method, month) predictions with training-window bounds.
+
+    ``cells`` indexes the entries as (vaccine, method) -> {month: entry}, keys
+    and months in entry order; every lookup reads it.
+    """
 
     entries: tuple[LogEntry, ...]
+    cells: dict[tuple[str, str], dict[MonthStamp, LogEntry]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        months: dict[tuple[str, str], list[int]] = {}
+        cells: dict[tuple[str, str], dict[MonthStamp, LogEntry]] = {}
         for e in self.entries:
-            months.setdefault((e.vaccine, e.method), []).append(e.month.to_index())
-        for (vaccine, method), idx in months.items():
-            if len(set(idx)) != len(idx):
-                raise ValueError(f"duplicate log entry for ({vaccine}, {method})")
-            lo, hi = min(idx), max(idx)
-            if hi - lo + 1 != len(idx):
+            cell = cells.setdefault((e.vaccine, e.method), {})
+            if e.month in cell:
+                raise ValueError(f"duplicate log entry for ({e.vaccine}, {e.method})")
+            cell[e.month] = e
+        for (vaccine, method), cell in cells.items():
+            idx = [m.to_index() for m in cell]
+            if max(idx) - min(idx) + 1 != len(idx):
                 raise ValueError(
                     f"({vaccine}, {method}) predictions are not consecutive months"
                 )
+        object.__setattr__(self, "cells", cells)
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def methods(self) -> tuple[str, ...]:
-        out: list[str] = []
-        for e in self.entries:
-            if e.method not in out:
-                out.append(e.method)
-        return tuple(out)
+        return tuple(dict.fromkeys(method for _, method in self.cells))
 
     def vaccines(self) -> tuple[str, ...]:
-        out: list[str] = []
-        for e in self.entries:
-            if e.vaccine not in out:
-                out.append(e.vaccine)
-        return tuple(out)
+        return tuple(dict.fromkeys(vaccine for vaccine, _ in self.cells))
 
-    def months(self, method: str, vaccine: str | None = None) -> tuple[MonthStamp, ...]:
-        return tuple(
-            e.month
-            for e in self.entries
-            if e.method == method and (vaccine is None or e.vaccine == vaccine)
-        )
+    def months(self, method: str, vaccine: str) -> tuple[MonthStamp, ...]:
+        return tuple(self.cells.get((vaccine, method), ()))
 
-    def prediction(self, method: str, month: MonthStamp, vaccine: str | None = None) -> float:
-        for e in self.entries:
-            if e.method == method and e.month == month and (
-                vaccine is None or e.vaccine == vaccine
-            ):
-                return e.predicted
-        raise KeyError((method, month, vaccine))
+    def prediction(self, method: str, month: MonthStamp, vaccine: str) -> float:
+        try:
+            return self.cells[(vaccine, method)][month].predicted
+        except KeyError:
+            raise KeyError((method, month, vaccine)) from None
 
     def merge(self, other: "PredictionLog") -> "PredictionLog":
         return PredictionLog(self.entries + other.entries)
@@ -323,13 +320,10 @@ def level0_streams(
     log: PredictionLog, vaccine: str, cfg: BacktestConfig
 ) -> dict[str, dict[MonthStamp, float]]:
     """Level-0 prediction per method and month: the inputs of level 1."""
-    streams: dict[str, dict[MonthStamp, float]] = {
-        m: {} for m in (NAIVE,) + cfg.clinical_methods() + WEB_METHODS
+    return {
+        m: {t: e.predicted for t, e in log.cells.get((vaccine, m), {}).items()}
+        for m in (NAIVE,) + cfg.clinical_methods() + WEB_METHODS
     }
-    for e in log.entries:
-        if e.vaccine == vaccine and e.method in streams:
-            streams[e.method][e.month] = e.predicted
-    return streams
 
 
 def level1_train_months(months: Sequence[MonthStamp], cfg: BacktestConfig) -> Sequence[MonthStamp]:
@@ -475,12 +469,9 @@ def summarize(
         raise EmptyLog("no months shared by every method and the actual series")
     window = sorted(common, key=lambda s: s.to_index())
 
-    by_method_month = {
-        (e.method, e.month): e for e in log.entries if e.vaccine == vaccine
-    }
     rmse_by_method: dict[str, float] = {}
     for m in methods:
-        pred = np.array([by_method_month[(m, t)].predicted for t in window])
+        pred = np.array([log.prediction(m, t, vaccine) for t in window])
         act = np.array([series.value_at(t) for t in window])
         rmse_by_method[m] = float(np.sqrt(np.mean((pred - act) ** 2)))
 

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .backtest import BacktestReport
+from .backtest import META_MODELS, BacktestReport
 from .errors import (
     DiagnosticWarning,
     GapError,
@@ -258,7 +258,7 @@ def emit_report(reports: Sequence[BacktestReport], format: str = "markdown") -> 
             cells = [_markdown_cell(rep, m) for m in single]
             lines.append(f"| {rep.vaccine} | " + " | ".join(cells) + " |")
         lines.append("")
-        for meta in ("OLS", "SVR-linear", "SVR-gaussian"):
+        for meta in META_MODELS:
             combos = [m for m in methods if m.startswith(meta + ":")]
             if not combos:
                 continue

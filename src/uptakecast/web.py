@@ -1,8 +1,9 @@
 """Level-0 forecasters over the query-frequency panel.
 
 Linear models (minimum-norm OLS and LASSO), bagging over random query
-subsets, and the multiplicative-weights expert ensemble. The LASSO solver is
-cyclic coordinate descent on standardized features; it runs batched over many
+subsets, and the multiplicative-weights expert ensemble. The LASSO solver
+follows the exact piecewise-linear path on standardized features and polishes
+each full-data fit with cyclic coordinate descent, batched over many
 independent problems at once so that the per-month bagging refits stay cheap.
 """
 
@@ -246,7 +247,7 @@ def lasso_lambda_max(Q: QueryPanel, E: TimeSeries) -> float:
 
 
 def fit_lasso(Q: QueryPanel, E: TimeSeries, lam: float) -> WebLinearModel:
-    """LASSO on standardized features by cyclic coordinate descent.
+    """LASSO on standardized features: the exact path, then a coordinate-descent polish.
 
     Minimizes (1/(2T)) * sum((E - mu - alphas . Qstd)^2) + lam * |alphas|_1
     with the intercept unpenalized; coefficients are returned on the
@@ -261,6 +262,8 @@ def fit_lasso(Q: QueryPanel, E: TimeSeries, lam: float) -> WebLinearModel:
     gram = Xs.T @ Xs / T
     cvec = Xs.T @ (y - y.mean()) / T
     warm = _lasso_path_alphas(gram, cvec, np.array([float(lam)]))
+    # The polish is load-bearing: on panels wider than they are tall the path
+    # can miss a drop and return a point that is not a LASSO solution.
     alpha = _cd_solve(gram[None], cvec[None], np.array([float(lam)]), warm)[0]
     return WebLinearModel(
         mu=float(y.mean()), alphas=alpha, feature_means=means, feature_scales=scales
@@ -433,6 +436,7 @@ def _fit_lasso_batch(X: np.ndarray, y: np.ndarray, lams: np.ndarray) -> list[Web
     warm = np.stack(
         [_lasso_path_alphas(gram[b], cvec[b], lams[b : b + 1])[0] for b in range(B)]
     )
+    # Polish as in fit_lasso: the path alone can miss a drop on wide panels.
     alphas = _cd_solve(gram, cvec, lams, warm)
     mu = float(y.mean())
     return [

@@ -56,6 +56,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             BacktestConfig(level0_warmup_months=20, hw_season_length=12)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("level1_warmup_months", 0),
+            ("ar_lags", 0),
+            ("bagging_subset_size", 0),
+            ("arima_orders", (1, -1, 1)),
+            ("level1_sliding", 0),
+            ("level1_sliding", -1),
+        ],
+    )
+    def test_field_guard(self, field, value):
+        with pytest.raises(ValueError):
+            BacktestConfig(**{field: value})
+
     def test_method_order_counts(self):
         cfg = BacktestConfig()
         order = cfg.method_order()
@@ -76,6 +91,9 @@ class TestPredictionLog:
         log = PredictionLog((e1,)).merge(PredictionLog((e2,)))
         assert log.methods() == (NAIVE, "HW")
         assert log.prediction("HW", JAN2011, "V") == 2.0
+        assert log.months("HW", "W") == ()
+        with pytest.raises(KeyError):
+            log.prediction("HW", JAN2011.plus(1), "V")
 
     def test_nonconsecutive_months_rejected(self):
         e1 = LogEntry("V", NAIVE, JAN2011, 1.0, 1.0, JAN2011, JAN2011)

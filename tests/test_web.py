@@ -27,7 +27,7 @@ from uptakecast.web import (
     wm_update,
 )
 
-from conftest import JAN2011, make_series
+from conftest import JAN2011, make_series, synth_vaccine
 from oracles import lasso_objective, ols_normal_equations
 
 RNG = np.random.default_rng(2024)
@@ -163,6 +163,37 @@ class TestLasso:
         model = fit_lasso(panel, E, 0.01)
         assert model.alphas[1] == 0.0
         assert np.isfinite(predict_web(model, Q[0]))
+
+    def test_kkt_where_the_exact_path_goes_wrong(self):
+        """The first 33 months of the criterion-10 vaccine with generator seed
+        1000 (58 queries, more than the rows) at its cross-validated lambda.
+
+        Here the homotopy in ``_lasso_path_alphas`` meets a join followed at
+        once by a drop at the same lambda, and the second drop escapes its
+        event window: the path alone returns a point that violates the LASSO
+        optimality conditions by 0.81. ``fit_lasso`` must still return a LASSO
+        solution; the coordinate-descent polish after the path is what makes
+        it one, so this test fails if the polish is removed.
+        """
+        E, panel = synth_vaccine(1000, n_months=57, n_queries=58)
+        last = JAN2011.plus(32)
+        E, panel = E.series.slice(JAN2011, last), panel.slice(JAN2011, last)
+        lam = select_lambda_cv(panel, E)
+        assert lam == pytest.approx(0.406074, abs=1e-6)
+        model = fit_lasso(panel, E, lam)
+
+        Xs = standardized(panel.matrix)
+        T = E.values.size
+        grad = Xs.T @ (E.values - E.values.mean()) / T - (Xs.T @ Xs / T) @ model.alphas
+        active = model.alphas != 0
+        # Active: grad_j = lam * sign(alpha_j); inactive: |grad_j| <= lam.
+        violation = np.where(
+            active,
+            np.abs(grad - lam * np.sign(model.alphas)),
+            np.maximum(np.abs(grad) - lam, 0.0),
+        )
+        assert active.any()
+        assert violation.max() <= 1e-6
 
 
 class TestSelectLambdaCv:
