@@ -49,16 +49,32 @@ class BacktestConfig:
     level1_sliding: int | None = None  # None: growing window
 
     def __post_init__(self):
+        # Reject here every value a fit would reject mid-sweep, where the
+        # error would abort the run for every vaccine. `bagging_subsets` and
+        # `level1_sliding` may be None.
+        for name in (
+            "level1_warmup_months",
+            "ar_lags",
+            "hw_season_length",
+            "bagging_subset_size",
+            "bagging_subsets",
+            "level1_sliding",
+            "wm_eta",
+            "wm_epsilon",
+            "svr_cost",
+            "svr_gamma",
+        ):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("svr_tube_eps", "seed"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.level0_warmup_months < 2 * self.hw_season_length:
             raise ValueError(
                 "level0_warmup_months must cover two Holt-Winters seasons "
                 f"({2 * self.hw_season_length}), got {self.level0_warmup_months}"
             )
-        for name in ("level1_warmup_months", "ar_lags", "bagging_subset_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.level1_sliding is not None and self.level1_sliding < 1:
-            raise ValueError("level1_sliding must be positive")
         if self.arima_orders != "auto":
             p, d, q = self.arima_orders
             if min(p, d, q) < 0:
@@ -171,6 +187,8 @@ def aligned_history(
 ) -> tuple[web.QueryPanel, TimeSeries]:
     """Panel and uptake over their shared months, cut at ``cfg.end_month``."""
     panel, series = web.align_panel(Q, E.series)
+    if cfg.end_month is not None and cfg.end_month < series.start:
+        raise InsufficientHistory(f"end_month {cfg.end_month} precedes the data ({series.start})")
     if cfg.end_month is not None and cfg.end_month < series.end:
         series = series.slice(series.start, cfg.end_month)
         panel = panel.slice(panel.start, cfg.end_month)

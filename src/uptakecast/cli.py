@@ -86,7 +86,10 @@ def _load_experiment(config_path: str, vaccine_filter: list[str] | None, seed_fl
             raise UptakecastError(f"config is missing the [{section}] section")
     registry = load_registry(parser["data"]["registry"])
     cohorts = load_cohorts(parser["data"]["cohorts"])
-    cfg = _config_from_file(parser, seed_flag)
+    try:
+        cfg = _config_from_file(parser, seed_flag)
+    except ValueError as err:  # a value that does not parse, or a BacktestConfig rejection
+        raise UptakecastError(f"invalid config: {err}") from err
 
     wanted = set(vaccine_filter) if vaccine_filter else None
     datasets: dict[str, tuple[UptakeSeries, web.QueryPanel]] = {}

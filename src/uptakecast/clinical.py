@@ -6,17 +6,15 @@ each model exposes a one-step-ahead prediction.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.optimize import Bounds, minimize
 
-from .errors import DiagnosticWarning, LagMismatch, NonConvergence, SeriesTooShort, SingularDesign
+from .errors import LagMismatch, NonConvergence, SeriesTooShort
 from .timeseries import TimeSeries, difference
 
-_RIDGE_JITTER = 1e-8
 # The iteration budget is the binding limit; fatol carries the objective
 # tolerance, xatol stays permissive so a converged objective terminates.
 _NM_OPTIONS = {"maxiter": 2000, "maxfev": 10000, "fatol": 1e-8, "xatol": 1e-5}
@@ -68,30 +66,19 @@ def _lag_design(values: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return X, values[m:]
 
 
-def fit_ar(E: TimeSeries, m: int, ridge_fallback: bool = True) -> ARModel:
+def fit_ar(E: TimeSeries, m: int) -> ARModel:
     """Least-squares autoregression of order ``m``.
 
     Requires length >= 2m + 1 so the design has at least m + 1 rows. A
-    rank-deficient design (e.g. a constant warm-up window) falls back to a
-    ridge-jittered solve with a diagnostic warning unless ``ridge_fallback``
-    is disabled, in which case SingularDesign is raised.
+    rank-deficient design (e.g. a constant warm-up window) gets the
+    minimum-norm least-squares solution, the policy of ``web.fit_web_ols``.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if len(E) < 2 * m + 1:
         raise SeriesTooShort(f"AR({m}) needs at least {2 * m + 1} observations, got {len(E)}")
     X, y = _lag_design(E.values, m)
-    coef, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
-    if rank < m + 1:
-        if not ridge_fallback:
-            raise SingularDesign(f"AR({m}) design has rank {rank} < {m + 1}")
-        warnings.warn(
-            f"AR({m}) design rank-deficient; applying ridge jitter {_RIDGE_JITTER:g}",
-            DiagnosticWarning,
-            stacklevel=2,
-        )
-        G = X.T @ X + _RIDGE_JITTER * np.eye(m + 1)
-        coef = np.linalg.solve(G, X.T @ y)
+    coef, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
     return ARModel(mu=float(coef[0]), betas=tuple(float(c) for c in coef[1:]))
 
 

@@ -17,10 +17,6 @@ class MissingHistory(UptakecastError):
     """The month required for a forecast is not present in the series."""
 
 
-class SingularDesign(UptakecastError):
-    """A regression design matrix is rank-deficient and the ridge fallback is disabled."""
-
-
 class NonConvergence(UptakecastError):
     """An iterative solver exhausted its budget without reaching tolerance."""
 
@@ -82,4 +78,4 @@ class GapError(UptakecastError):
 
 
 class DiagnosticWarning(UserWarning):
-    """Non-fatal fallback taken during fitting (e.g. ridge jitter on a singular design)."""
+    """Non-fatal input repair during loading (e.g. an all-zero query column dropped)."""

@@ -8,13 +8,12 @@ inside the fit and the standardization travels with the model.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DiagnosticWarning, NonConvergence, TooFewSamples
+from .errors import NonConvergence, TooFewSamples
 from .timeseries import MonthStamp
 
 SVR_KKT_TOL = 1e-4
@@ -73,22 +72,14 @@ def _design(samples: Sequence[StackSample]) -> tuple[np.ndarray, np.ndarray]:
 def fit_stack_ols(samples: Sequence[StackSample]) -> OlsStackModel:
     """Closed-form least squares for target = mu + beta1*e_c + beta2*e_w.
 
-    Collinear prediction streams (a degenerate but real occurrence) fall back
-    to a ridge-jittered solve with a diagnostic instead of failing.
+    Collinear prediction streams (a degenerate but real occurrence) get the
+    minimum-norm least-squares solution instead of failing.
     """
     if len(samples) < 3:
         raise TooFewSamples(f"need at least 3 stack samples, got {len(samples)}")
     X, y = _design(samples)
     A = np.column_stack([np.ones(len(y)), X])
-    coef, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
-    if rank < 3:
-        warnings.warn(
-            "collinear stack design; applying ridge jitter 1e-8",
-            DiagnosticWarning,
-            stacklevel=2,
-        )
-        G = A.T @ A + 1e-8 * np.eye(3)
-        coef = np.linalg.solve(G, A.T @ y)
+    coef, _, _, _ = np.linalg.lstsq(A, y, rcond=None)
     return OlsStackModel(mu=float(coef[0]), beta1=float(coef[1]), beta2=float(coef[2]))
 
 

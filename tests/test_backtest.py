@@ -65,6 +65,14 @@ class TestConfig:
             ("arima_orders", (1, -1, 1)),
             ("level1_sliding", 0),
             ("level1_sliding", -1),
+            ("hw_season_length", 0),
+            ("bagging_subsets", 0),
+            ("wm_eta", 0.0),
+            ("wm_epsilon", 0.0),
+            ("svr_cost", 0.0),
+            ("svr_gamma", 0.0),
+            ("svr_tube_eps", -0.1),
+            ("seed", -1),
         ],
     )
     def test_field_guard(self, field, value):
@@ -328,6 +336,16 @@ class TestFullExperiment:
         assert by_name["bad"].error is not None
         assert by_name["good"].error is None
         assert by_name["good"].rmse
+
+    def test_end_month_before_window_isolated(self):
+        early = synth_vaccine(32, n_months=40, n_queries=12)
+        late = synth_vaccine(33, n_months=40, n_queries=12, start=JAN2011.plus(39))
+        cfg = dataclasses.replace(CFG, end_month=JAN2011.plus(38))
+        reports = run_full_experiment({"late": late, "early": early}, cfg)
+        by_name = {r.vaccine: r for r in reports}
+        assert by_name["late"].error.startswith("InsufficientHistory: end_month")
+        assert by_name["early"].error is None
+        assert by_name["early"].window_end == JAN2011.plus(38)
 
     def test_empty_datasets(self):
         with pytest.raises(ValueError):

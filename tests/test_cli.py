@@ -76,6 +76,19 @@ class TestValidate:
         (tmp_path / "broken.ini").write_text(config)
         assert main(["validate", "--config", str(tmp_path / "broken.ini")]) == 1
 
+    @pytest.mark.parametrize(
+        "setting", ["bagging_subsets = 0", "hw_season_length = 0", "wm_eta = 0", "ar_lags = x"]
+    )
+    def test_invalid_backtest_setting(self, experiment, tmp_path, capsys, setting):
+        config = (experiment / "experiment.ini").read_text() + setting + "\n"
+        (tmp_path / "bad.ini").write_text(config)
+        for command in ("validate", "backtest", "predict"):
+            argv = [command, "--config", str(tmp_path / "bad.ini"), "--vaccine", "VAX-A"]
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "error: invalid config" in captured.err
+
 
 class TestBacktest:
     def test_csv_deterministic_and_logged(self, experiment, tmp_path):

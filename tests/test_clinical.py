@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from uptakecast.clinical import (
     predict_hw,
     select_arima_orders,
 )
-from uptakecast.errors import DiagnosticWarning, LagMismatch, SeriesTooShort, SingularDesign
+from uptakecast.errors import LagMismatch, SeriesTooShort
 
 from conftest import make_series
 from oracles import ar_oracle
@@ -44,13 +46,16 @@ class TestFitAr:
             fit_ar(make_series(np.arange(24)), m=12)
         fit_ar(make_series(np.random.default_rng(0).normal(size=25)), m=12)
 
-    def test_singular_design_paths(self):
-        constant = make_series([4.0] * 9)
-        with pytest.raises(SingularDesign):
-            fit_ar(constant, m=2, ridge_fallback=False)
-        with pytest.warns(DiagnosticWarning):
-            model = fit_ar(constant, m=2)
-        assert np.isfinite(predict_ar(model, [4.0, 4.0]))
+    def test_singular_design_min_norm(self):
+        # A constant window makes the design rank 1: the fit is the silent
+        # minimum-norm solution, which reproduces the constant exactly.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit_ar(make_series([4.0] * 9), m=2)
+        assert predict_ar(model, [4.0, 4.0]) == pytest.approx(4.0, abs=1e-12)
+        X = np.ones((7, 3)) * [1.0, 4.0, 4.0]
+        expected = np.linalg.pinv(X) @ np.full(7, 4.0)
+        np.testing.assert_allclose((model.mu, *model.betas), expected, atol=1e-12)
 
     def test_matches_normal_equations_oracle(self):
         rng = np.random.default_rng(5)

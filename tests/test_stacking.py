@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from uptakecast.errors import DiagnosticWarning, TooFewSamples
+from uptakecast.errors import TooFewSamples
 from uptakecast.stacking import (
     StackSample,
     SvrStackModel,
@@ -58,12 +60,18 @@ class TestStackOls:
         preds = [predict_stack_ols(model, c, w) for c, w in zip(e_c, e_w)]
         np.testing.assert_allclose(preds, targets, atol=1e-8)
 
-    def test_collinear_streams_ridge_fallback(self):
+    def test_collinear_streams_min_norm(self):
+        # Identical streams make the design rank 2: the fit is the silent
+        # minimum-norm solution, exact on the collinear target.
         rng = np.random.default_rng(2)
         e_c = rng.uniform(0, 100, 8)
-        with pytest.warns(DiagnosticWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             model = fit_stack_ols(samples_from(e_c, e_c, e_c * 1.5))
-        assert np.isfinite(predict_stack_ols(model, 50.0, 50.0))
+        assert predict_stack_ols(model, 50.0, 50.0) == pytest.approx(75.0, abs=1e-9)
+        A = np.column_stack([np.ones(8), e_c, e_c])
+        expected = np.linalg.pinv(A) @ (e_c * 1.5)
+        np.testing.assert_allclose((model.mu, model.beta1, model.beta2), expected, atol=1e-9)
 
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamples):
