@@ -7,13 +7,7 @@ and shows how the OLS, linear-SVR and Gaussian-SVR combiners weigh them.
 
 import numpy as np
 
-from uptakecast.stacking import (
-    StackSample,
-    fit_stack_ols,
-    fit_svr,
-    predict_stack_ols,
-    predict_svr,
-)
+from uptakecast.stacking import fit_stack_ols, fit_svr, predict_stack_ols, predict_svr
 from uptakecast.timeseries import MonthStamp
 
 rng = np.random.default_rng(5)
@@ -22,35 +16,35 @@ truth = 70 + 10 * np.sin(2 * np.pi * np.arange(n) / 12)
 clinical_stream = truth + rng.normal(2.0, 2.0, n)   # biased but tight
 web_stream = truth + rng.normal(0.0, 6.0, n)        # unbiased but noisy
 
-samples = [
-    StackSample(float(c), float(w), float(t), MonthStamp(2013, 1).plus(i))
-    for i, (c, w, t) in enumerate(zip(clinical_stream, web_stream, truth))
-]
-train, test = samples[:18], samples[18:]
+# One (clinical, web) row per month; the first 18 months train the combiners.
+X = np.column_stack([clinical_stream, web_stream])
+n_train = 18
+X_train, y_train = X[:n_train], truth[:n_train]
 
-ols = fit_stack_ols(train)
-svr_lin = fit_svr(train, kernel="linear", C=1.0, eps=0.1)
-svr_rbf = fit_svr(train, kernel="gaussian", C=1.0, eps=0.1, gamma=0.25)
+ols = fit_stack_ols(X_train, y_train)
+svr_lin = fit_svr(X_train, y_train, kernel="linear", C=1.0, eps=0.1)
+svr_rbf = fit_svr(X_train, y_train, kernel="gaussian", C=1.0, eps=0.1, gamma=0.25)
 
 print("clinical stream: bias +2, sd 2;  web stream: bias 0, sd 6")
 print(f"OLS combiner: mu={ols.mu:.2f} beta_clinical={ols.beta1:.3f} beta_web={ols.beta2:.3f}")
 nz = int(np.sum(svr_lin.dual_coefficients != 0))
-print(f"linear SVR: {nz}/{len(train)} support vectors, bias {svr_lin.bias:.2f}")
+print(f"linear SVR: {nz}/{n_train} support vectors, bias {svr_lin.bias:.2f}")
 nz = int(np.sum(svr_rbf.dual_coefficients != 0))
-print(f"gaussian SVR: {nz}/{len(train)} support vectors, bias {svr_rbf.bias:.2f}")
+print(f"gaussian SVR: {nz}/{n_train} support vectors, bias {svr_rbf.bias:.2f}")
 print()
 
 rows = []
-for s in test:
+for i in range(n_train, n):
+    c, w = X[i]
     rows.append(
         (
-            s.month,
-            s.target,
-            s.e_c,
-            s.e_w,
-            predict_stack_ols(ols, s.e_c, s.e_w),
-            predict_svr(svr_lin, s.e_c, s.e_w),
-            predict_svr(svr_rbf, s.e_c, s.e_w),
+            MonthStamp(2013, 1).plus(i),
+            truth[i],
+            c,
+            w,
+            predict_stack_ols(ols, c, w),
+            predict_svr(svr_lin, c, w),
+            predict_svr(svr_rbf, c, w),
         )
     )
 

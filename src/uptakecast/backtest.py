@@ -336,27 +336,28 @@ def run_level0_backtest(
 
 def level0_streams(
     log: PredictionLog, vaccine: str, cfg: BacktestConfig
-) -> dict[str, dict[MonthStamp, float]]:
-    """Level-0 prediction per method and month: the inputs of level 1."""
-    return {
-        m: {t: e.predicted for t, e in log.cells.get((vaccine, m), {}).items()}
+) -> tuple[tuple[MonthStamp, ...], dict[str, np.ndarray]]:
+    """The level-0 months and each method's predictions over them: the inputs of level 1."""
+    months = log.months(NAIVE, vaccine)
+    return months, {
+        m: np.array([log.prediction(m, t, vaccine) for t in months])
         for m in (NAIVE,) + cfg.clinical_methods() + WEB_METHODS
     }
 
 
-def level1_train_months(months: Sequence[MonthStamp], cfg: BacktestConfig) -> Sequence[MonthStamp]:
-    """The level-1 training months among the level-0 ``months`` before a target:
-    all of them (growing window), or the last ``cfg.level1_sliding``."""
-    if cfg.level1_sliding is None:
-        return months
-    return months[max(0, len(months) - cfg.level1_sliding) :]
+def level1_window_start(n: int, cfg: BacktestConfig) -> int:
+    """Index of the first level-1 training month among the ``n`` level-0 months
+    before a target: 0 (growing window), or the start of the last ``cfg.level1_sliding``."""
+    return 0 if cfg.level1_sliding is None else max(0, n - cfg.level1_sliding)
 
 
-def _stack(meta: str, samples, e_c: float, e_w: float, cfg: BacktestConfig) -> float:
+def _stack(meta: str, X: np.ndarray, y: np.ndarray, e_c: float, e_w: float,
+           cfg: BacktestConfig) -> float:
     if meta == "OLS":
-        return stacking.predict_stack_ols(stacking.fit_stack_ols(samples), e_c, e_w)
+        return stacking.predict_stack_ols(stacking.fit_stack_ols(X, y), e_c, e_w)
     model = stacking.fit_svr(
-        samples,
+        X,
+        y,
         kernel="linear" if meta == "SVR-linear" else "gaussian",
         C=cfg.svr_cost,
         eps=cfg.svr_tube_eps,
@@ -366,34 +367,26 @@ def _stack(meta: str, samples, e_c: float, e_w: float, cfg: BacktestConfig) -> f
 
 
 def level1_step(
-    streams: Mapping[str, Mapping[MonthStamp, float]],
-    series: TimeSeries,
-    train_months: Sequence[MonthStamp],
+    streams: Mapping[str, np.ndarray],
+    targets: np.ndarray,
     target_preds: Mapping[str, float],
     cfg: BacktestConfig,
 ) -> dict[str, tuple[float, str]]:
     """Stack each (clinical, web) stream pair with each level-1 model.
 
-    Every model is fitted on the streams over ``train_months`` (targets from
-    ``series``) and combines the target month's level-0 predictions
-    ``target_preds``. Returns method->(prediction, note); a failing fit falls
-    back to the target month's naive prediction and says so in the note.
+    Every model is fitted on the level-0 ``streams`` over the training months
+    against the observed ``targets`` of those months, and combines the target
+    month's level-0 predictions ``target_preds``. Returns
+    method->(prediction, note); a failing fit falls back to the target month's
+    naive prediction and says so in the note.
     """
     fits = {}
     for clin in cfg.clinical_methods():
         for wm in WEB_METHODS:
-            samples = [
-                stacking.StackSample(
-                    e_c=streams[clin][m],
-                    e_w=streams[wm][m],
-                    target=series.value_at(m),
-                    month=m,
-                )
-                for m in train_months
-            ]
+            X = np.column_stack([streams[clin], streams[wm]])
             for meta in META_MODELS:
                 fits[f"{meta}:{clin}+{wm}"] = functools.partial(
-                    _stack, meta, samples, target_preds[clin], target_preds[wm], cfg
+                    _stack, meta, X, targets, target_preds[clin], target_preds[wm], cfg
                 )
     values, notes = _fit_each(fits, target_preds[NAIVE])
     return {method: (value, notes.get(method, "")) for method, value in values.items()}
@@ -413,34 +406,33 @@ def run_level1_backtest(
         if len(vaccines) != 1:
             raise ValueError("pass vaccine= when the log covers several vaccines")
         vaccine = vaccines[0]
-    streams = level0_streams(level0_log, vaccine, cfg)
-    months = tuple(
-        t for t in level0_log.months(NAIVE, vaccine) if all(t in s for s in streams.values())
-    )
+    months, streams = level0_streams(level0_log, vaccine, cfg)
     warm = cfg.level1_warmup_months
     if len(months) < warm + 1:
         raise InsufficientHistory(
             f"level-0 log covers {len(months)} months, need {warm + 1}"
         )
 
-    series = E.series
+    actuals = np.array([E.series.value_at(t) for t in months])
     entries: list[LogEntry] = []
     for idx in range(warm, len(months)):
-        t = months[idx]
-        train_months = level1_train_months(months[:idx], cfg)
-        actual = float(series.value_at(t))
-        target_preds = {m: s[t] for m, s in streams.items()}
-        stacked = level1_step(streams, series, train_months, target_preds, cfg)
+        lo = level1_window_start(idx, cfg)
+        stacked = level1_step(
+            {m: s[lo:idx] for m, s in streams.items()},
+            actuals[lo:idx],
+            {m: float(s[idx]) for m, s in streams.items()},
+            cfg,
+        )
         for method, (value, note) in stacked.items():
             entries.append(
                 LogEntry(
                     vaccine=vaccine,
                     method=method,
-                    month=t,
+                    month=months[idx],
                     predicted=float(value),
-                    actual=actual,
-                    train_start=train_months[0],
-                    train_end=train_months[-1],
+                    actual=float(actuals[idx]),
+                    train_start=months[lo],
+                    train_end=months[idx - 1],
                     diagnostic=note,
                 )
             )

@@ -15,9 +15,10 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
+
 from . import web
 from .backtest import (
-    NAIVE,
     BacktestConfig,
     LogEntry,
     PredictionLog,
@@ -26,7 +27,7 @@ from .backtest import (
     level0_step,
     level0_streams,
     level1_step,
-    level1_train_months,
+    level1_window_start,
     run_full_experiment,
     run_level0_backtest,
     summarize,
@@ -45,30 +46,22 @@ def _config_from_file(parser: configparser.ConfigParser, seed_flag: int | None) 
     kwargs = {}
     if parser.has_section("backtest"):
         section = parser["backtest"]
-        for key in (
-            "level0_warmup_months",
-            "level1_warmup_months",
-            "ar_lags",
-            "hw_season_length",
-            "bagging_subset_size",
-            "bagging_subsets",
-            "seed",
-            "level1_sliding",
-        ):
-            if section.get(key, "").strip():
-                kwargs[key] = int(section[key])
-        for key in ("wm_eta", "wm_epsilon", "svr_cost", "svr_tube_eps", "svr_gamma"):
-            if section.get(key, "").strip():
-                kwargs[key] = float(section[key])
-        if section.get("row_bagging", "").strip():
-            kwargs["row_bagging"] = section.getboolean("row_bagging")
-        orders = section.get("arima_orders", "").strip()
-        if orders:
-            kwargs["arima_orders"] = (
-                "auto" if orders == "auto" else tuple(int(v) for v in orders.split(","))
-            )
-        if section.get("end_month", "").strip():
-            kwargs["end_month"] = _parse_month_flag(section["end_month"])
+        types = {f.name: f.type for f in dataclasses.fields(BacktestConfig)}
+        unknown = [key for key in section if key not in types]
+        if unknown:
+            raise ValueError(f"unknown [backtest] keys: {', '.join(unknown)}")
+        for key, type_ in types.items():
+            text = section.get(key, "").strip()
+            if not text:
+                continue
+            if key == "row_bagging":
+                kwargs[key] = section.getboolean(key)
+            elif key == "arima_orders":
+                kwargs[key] = "auto" if text == "auto" else tuple(int(v) for v in text.split(","))
+            elif key == "end_month":
+                kwargs[key] = _parse_month_flag(text)
+            else:
+                kwargs[key] = float(text) if type_ == "float" else int(text)
     if seed_flag is not None:
         kwargs["seed"] = seed_flag
     return BacktestConfig(**kwargs)
@@ -78,23 +71,28 @@ def _load_experiment(config_path: str, vaccine_filter: list[str] | None, seed_fl
     """Parse the experiment file and load every referenced input."""
     parser = configparser.ConfigParser()
     parser.optionxform = str  # vaccine ids are case-sensitive
-    read = parser.read(config_path, encoding="utf-8")
-    if not read:
-        raise UptakecastError(f"config file not found: {config_path}")
-    for section in ("data", "vaccines"):
-        if not parser.has_section(section):
-            raise UptakecastError(f"config is missing the [{section}] section")
-    registry = load_registry(parser["data"]["registry"])
-    cohorts = load_cohorts(parser["data"]["cohorts"])
     try:
+        read = parser.read(config_path, encoding="utf-8")
+        if not read:
+            raise UptakecastError(f"config file not found: {config_path}")
+        for section in ("data", "vaccines"):
+            if not parser.has_section(section):
+                raise UptakecastError(f"config is missing the [{section}] section")
+        for key in ("registry", "cohorts"):
+            if key not in parser["data"]:
+                raise UptakecastError(f"config [data] is missing the {key!r} key")
+        registry_path, cohorts_path = parser["data"]["registry"], parser["data"]["cohorts"]
+        vaccines = {vaccine.strip(): path for vaccine, path in parser["vaccines"].items()}
         cfg = _config_from_file(parser, seed_flag)
-    except ValueError as err:  # a value that does not parse, or a BacktestConfig rejection
+    except (configparser.Error, ValueError) as err:
+        # A malformed file, a value that does not parse, or a BacktestConfig rejection.
         raise UptakecastError(f"invalid config: {err}") from err
+    registry = load_registry(registry_path)
+    cohorts = load_cohorts(cohorts_path)
 
     wanted = set(vaccine_filter) if vaccine_filter else None
     datasets: dict[str, tuple[UptakeSeries, web.QueryPanel]] = {}
-    for vaccine, trends_path in parser["vaccines"].items():
-        name = vaccine.strip()
+    for name, trends_path in vaccines.items():
         if wanted is not None and name not in wanted:
             continue
         slice_ = [r for r in registry if r.vaccine == name]
@@ -241,8 +239,10 @@ def _cmd_predict(args) -> int:
         derive_month_seed(cfg.seed, target),
         wm_sink[-1] if wm_sink else None,
     )
-    train_months = level1_train_months(log0.months(NAIVE, name), cfg)
-    stacked = level1_step(level0_streams(log0, name, cfg), series, train_months, preds, cfg)
+    months, streams = level0_streams(log0, name, cfg)
+    lo = level1_window_start(len(months), cfg)
+    targets = np.array([series.value_at(t) for t in months[lo:]])
+    stacked = level1_step({m: s[lo:] for m, s in streams.items()}, targets, preds, cfg)
     for method, (value, note) in stacked.items():
         preds[method] = value
         if note:

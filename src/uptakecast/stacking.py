@@ -9,30 +9,14 @@ inside the fit and the standardization travels with the model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .errors import NonConvergence, TooFewSamples
-from .timeseries import MonthStamp
 
 SVR_KKT_TOL = 1e-4
 _SVR_MAX_STEPS = 200_000
 _BOUND_ATOL = 1e-12
-
-
-@dataclass(frozen=True)
-class StackSample:
-    """One training triple: clinical prediction, web prediction, observed uptake."""
-
-    e_c: float
-    e_w: float
-    target: float
-    month: MonthStamp
-
-    def __post_init__(self):
-        if not all(np.isfinite([self.e_c, self.e_w, self.target])):
-            raise ValueError("stack sample values must be finite")
 
 
 @dataclass(frozen=True)
@@ -63,21 +47,28 @@ class SvrStackModel:
             object.__setattr__(self, name, arr)
 
 
-def _design(samples: Sequence[StackSample]) -> tuple[np.ndarray, np.ndarray]:
-    X = np.array([[s.e_c, s.e_w] for s in samples], dtype=float)
-    y = np.array([s.target for s in samples], dtype=float)
+def _design(X: np.ndarray, y: np.ndarray, minimum: int) -> tuple[np.ndarray, np.ndarray]:
+    """Check a stack training set: an (n, 2) design of clinical and web
+    predictions, n observed targets, n >= ``minimum``, every value finite."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2 or X.shape[1] != 2 or y.shape != X.shape[:1]:
+        raise ValueError(f"need an (n, 2) design and n targets, got {X.shape} and {y.shape}")
+    if len(y) < minimum:
+        raise TooFewSamples(f"need at least {minimum} stack samples, got {len(y)}")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError("stack sample values must be finite")
     return X, y
 
 
-def fit_stack_ols(samples: Sequence[StackSample]) -> OlsStackModel:
+def fit_stack_ols(X: np.ndarray, y: np.ndarray) -> OlsStackModel:
     """Closed-form least squares for target = mu + beta1*e_c + beta2*e_w.
 
+    ``X`` holds one (e_c, e_w) row per training month and ``y`` the targets.
     Collinear prediction streams (a degenerate but real occurrence) get the
     minimum-norm least-squares solution instead of failing.
     """
-    if len(samples) < 3:
-        raise TooFewSamples(f"need at least 3 stack samples, got {len(samples)}")
-    X, y = _design(samples)
+    X, y = _design(X, y, 3)
     A = np.column_stack([np.ones(len(y)), X])
     coef, _, _, _ = np.linalg.lstsq(A, y, rcond=None)
     return OlsStackModel(mu=float(coef[0]), beta1=float(coef[1]), beta2=float(coef[2]))
@@ -189,24 +180,24 @@ def solve_svr_dual(
 
 
 def fit_svr(
-    samples: Sequence[StackSample],
+    X: np.ndarray,
+    y: np.ndarray,
+    *,
     kernel: str = "gaussian",
     C: float = 1.0,
     eps: float = 0.1,
     gamma: float = 0.25,
 ) -> SvrStackModel:
-    """Fit epsilon-insensitive SVR on standardized (e_c, e_w) features.
+    """Fit epsilon-insensitive SVR on standardized (e_c, e_w) rows ``X`` and targets ``y``.
 
     Defaults follow conventional library settings: C = 1, tube eps = 0.1,
     gamma = 1 / (2 * n_features) for the Gaussian kernel.
     """
-    if len(samples) < 2:
-        raise TooFewSamples(f"need at least 2 stack samples, got {len(samples)}")
+    X, y = _design(X, y, 2)
     if C <= 0 or eps < 0:
         raise ValueError("C must be positive and eps non-negative")
     if kernel == "gaussian" and not gamma > 0:
         raise ValueError("gamma must be positive for the gaussian kernel")
-    X, y = _design(samples)
     means = X.mean(axis=0)
     scales = X.std(axis=0)
     scales = np.where(scales > 0, scales, 1.0)

@@ -95,9 +95,6 @@ class TimeSeries:
             raise ValueError("last precedes first")
         return TimeSeries(first, self.values[i : j + 1])
 
-    def with_values(self, values) -> "TimeSeries":
-        return TimeSeries(self.start, values)
-
 
 @dataclass(frozen=True)
 class UptakeSeries:

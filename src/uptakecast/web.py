@@ -72,9 +72,6 @@ class QueryPanel:
             raise KeyError(f"{stamp} outside {self.start}..{self.end}")
         return k
 
-    def row_at(self, stamp: MonthStamp) -> np.ndarray:
-        return self.matrix[self.index_of(stamp)]
-
     def slice(self, first: MonthStamp, last: MonthStamp) -> "QueryPanel":
         i, j = self.index_of(first), self.index_of(last)
         if j < i:
@@ -380,10 +377,6 @@ def _lasso_path_alphas(gram: np.ndarray, cvec: np.ndarray, lambdas: np.ndarray) 
     return cd_fallback(grid_i, warm)
 
 
-def _contiguous_folds(n_rows: int, k: int) -> list[np.ndarray]:
-    return [b for b in np.array_split(np.arange(n_rows), k)]
-
-
 def _cv_choose_lambda(X: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
     """Pick one lambda per batch entry by contiguous-block k-fold validation error.
 
@@ -397,7 +390,7 @@ def _cv_choose_lambda(X: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
     lam_max = np.abs(c_all).max(axis=1)
     grid = _lambda_grid(lam_max)
     val_sse = np.zeros((B, LAMBDA_GRID_SIZE))
-    for val_idx in _contiguous_folds(T, k):
+    for val_idx in np.array_split(np.arange(T), k):
         train_idx = np.setdiff1d(np.arange(T), val_idx)
         Xtr, ytr = X[:, train_idx, :], y[train_idx]
         Xval, yval = X[:, val_idx, :], y[val_idx]

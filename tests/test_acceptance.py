@@ -196,18 +196,12 @@ def test_criterion_6_no_lookahead():
 @criterion(7, "OLS stack in-sample SSE never exceeds either single-stream affine fit")
 def test_criterion_7_stacking_dominance():
     rng = np.random.default_rng(707)
-    from uptakecast.stacking import StackSample
-
     for _ in range(100):
         n = int(rng.integers(4, 30))
         e_c = rng.uniform(0, 100, n)
         e_w = rng.uniform(0, 100, n)
         y = rng.uniform(0, 100, n)
-        samples = [
-            StackSample(float(c), float(w), float(t), JAN2011.plus(i))
-            for i, (c, w, t) in enumerate(zip(e_c, e_w, y))
-        ]
-        model = fit_stack_ols(samples)
+        model = fit_stack_ols(np.column_stack([e_c, e_w]), y)
         preds = np.array([predict_stack_ols(model, c, w) for c, w in zip(e_c, e_w)])
         sse = float(np.sum((y - preds) ** 2))
         for stream in (e_c, e_w):

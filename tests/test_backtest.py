@@ -235,6 +235,20 @@ class TestLevel1:
         assert g.train_start == months[0]
         assert s.train_start == months[7]  # 19 - 12
 
+    def test_missing_level0_cell_raises(self):
+        # Level 1 reads every level-0 method on the Naive months; a log with a
+        # hole is malformed input, not a month to skip.
+        cfg = BacktestConfig()
+        months = tuple(MonthStamp(2013, 1).plus(k) for k in range(20))
+        full = fabricate_level0_log(cfg, months)
+        log0 = PredictionLog(
+            tuple(e for e in full.entries if not (e.method == "B" and e.month == months[-1]))
+        )
+        E = UptakeSeries(TimeSeries(JAN2011, np.full(44, 50.0)))
+        with pytest.raises(KeyError) as info:
+            run_level1_backtest(log0, E, cfg, vaccine="V")
+        assert info.value.args[0] == ("B", months[-1], "V")
+
     def test_insufficient_history(self):
         cfg = BacktestConfig()
         months = (MonthStamp(2013, 1),)

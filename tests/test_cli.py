@@ -5,9 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from uptakecast.backtest import run_level0_backtest, run_level1_backtest
+from uptakecast.backtest import BacktestConfig, run_level0_backtest, run_level1_backtest
 from uptakecast.cli import _load_experiment, main, read_log_csv, write_log_csv
-from uptakecast.timeseries import TimeSeries, UptakeSeries
+from uptakecast.timeseries import MonthStamp, TimeSeries, UptakeSeries
 from uptakecast.web import QueryPanel
 
 from conftest import synth_vaccine
@@ -88,6 +88,60 @@ class TestValidate:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "error: invalid config" in captured.err
+
+    def test_every_backtest_field_parses(self, experiment, tmp_path):
+        expected = BacktestConfig(
+            level0_warmup_months=30, level1_warmup_months=6, ar_lags=3, arima_orders=(2, 0, 1),
+            hw_season_length=6, bagging_subset_size=5, bagging_subsets=7, row_bagging=True,
+            wm_eta=4.5, wm_epsilon=1.5, svr_cost=2.5, svr_tube_eps=0.2, svr_gamma=0.5,
+            seed=8, end_month=MonthStamp(2013, 6), level1_sliding=9,
+        )
+        lines = [
+            "level0_warmup_months = 30", "level1_warmup_months = 6", "ar_lags = 3",
+            "arima_orders = 2, 0, 1", "hw_season_length = 6", "bagging_subset_size = 5",
+            "bagging_subsets = 7", "row_bagging = yes", "wm_eta = 4.5", "wm_epsilon = 1.5",
+            "svr_cost = 2.5", "svr_tube_eps = 0.2", "svr_gamma = 0.5", "seed = 8",
+            "end_month = 2013-06", "level1_sliding = 9",
+        ]
+        config = (experiment / "experiment.ini").read_text().split("[backtest]")[0]
+        (tmp_path / "full.ini").write_text(config + "[backtest]\n" + "\n".join(lines) + "\n")
+        _, cfg = _load_experiment(str(tmp_path / "full.ini"), ["VAX-A"], None)
+        assert cfg == expected
+        assert {line.split(" = ")[0] for line in lines} == set(vars(expected))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(lambda text: text + "seed = 4\n", "invalid config", id="key_twice"),
+            pytest.param(
+                lambda text: text + "bagging_subset = 5\n",
+                "unknown [backtest] keys: bagging_subset",
+                id="unknown_key",
+            ),
+            pytest.param(
+                lambda text: "\n".join(
+                    line for line in text.splitlines() if not line.startswith("registry")
+                ),
+                "missing the 'registry' key",
+                id="no_registry",
+            ),
+            pytest.param(
+                lambda text: "\n".join(
+                    line for line in text.splitlines() if not line.startswith("cohorts")
+                ),
+                "missing the 'cohorts' key",
+                id="no_cohorts",
+            ),
+            pytest.param(lambda text: "seed = 1\n" + text, "invalid config", id="no_header"),
+        ],
+    )
+    def test_malformed_experiment_file(self, experiment, tmp_path, capsys, edit, message):
+        config = edit((experiment / "experiment.ini").read_text())
+        (tmp_path / "bad.ini").write_text(config)
+        assert main(["validate", "--config", str(tmp_path / "bad.ini")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
 
 
 class TestBacktest:

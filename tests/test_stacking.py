@@ -5,7 +5,6 @@ import pytest
 
 from uptakecast.errors import TooFewSamples
 from uptakecast.stacking import (
-    StackSample,
     SvrStackModel,
     fit_stack_ols,
     fit_svr,
@@ -13,8 +12,6 @@ from uptakecast.stacking import (
     predict_svr,
     solve_svr_dual,
 )
-from uptakecast.timeseries import MonthStamp
-
 from oracles import (
     ols_normal_equations,
     svr_bruteforce_dual,
@@ -22,14 +19,9 @@ from oracles import (
     svr_kkt_violation,
 )
 
-M0 = MonthStamp(2013, 1)
-
-
 def samples_from(e_c, e_w, targets):
-    return [
-        StackSample(float(c), float(w), float(t), M0.plus(i))
-        for i, (c, w, t) in enumerate(zip(e_c, e_w, targets))
-    ]
+    """The (n, 2) clinical/web design and the n targets the stack fits take."""
+    return np.column_stack([e_c, e_w]).astype(float), np.asarray(targets, dtype=float)
 
 
 def svr_predictions(model, e_c, e_w):
@@ -41,7 +33,7 @@ class TestStackOls:
         rng = np.random.default_rng(0)
         e_c = rng.uniform(0, 100, 10)
         e_w = rng.uniform(0, 100, 10)
-        model = fit_stack_ols(samples_from(e_c, e_w, e_c))
+        model = fit_stack_ols(*samples_from(e_c, e_w, e_c))
         assert model.mu == pytest.approx(0.0, abs=1e-8)
         assert model.beta1 == pytest.approx(1.0, abs=1e-10)
         assert model.beta2 == pytest.approx(0.0, abs=1e-10)
@@ -51,7 +43,7 @@ class TestStackOls:
         e_c = rng.uniform(0, 100, 10)
         e_w = rng.uniform(0, 100, 10)
         targets = 2 + 0.5 * e_c + 0.3 * e_w
-        model = fit_stack_ols(samples_from(e_c, e_w, targets))
+        model = fit_stack_ols(*samples_from(e_c, e_w, targets))
         oracle = ols_normal_equations(
             np.column_stack([np.ones(10), e_c, e_w]), targets
         )
@@ -67,7 +59,7 @@ class TestStackOls:
         e_c = rng.uniform(0, 100, 8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            model = fit_stack_ols(samples_from(e_c, e_c, e_c * 1.5))
+            model = fit_stack_ols(*samples_from(e_c, e_c, e_c * 1.5))
         assert predict_stack_ols(model, 50.0, 50.0) == pytest.approx(75.0, abs=1e-9)
         A = np.column_stack([np.ones(8), e_c, e_c])
         expected = np.linalg.pinv(A) @ (e_c * 1.5)
@@ -75,7 +67,7 @@ class TestStackOls:
 
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamples):
-            fit_stack_ols(samples_from([1, 2], [3, 4], [5, 6]))
+            fit_stack_ols(*samples_from([1, 2], [3, 4], [5, 6]))
 
     def test_predict_arithmetic(self):
         from uptakecast.stacking import OlsStackModel
@@ -90,7 +82,7 @@ class TestStackOls:
             e_c = rng.uniform(0, 100, n)
             e_w = rng.uniform(0, 100, n)
             y = rng.uniform(0, 100, n)
-            model = fit_stack_ols(samples_from(e_c, e_w, y))
+            model = fit_stack_ols(*samples_from(e_c, e_w, y))
             sse = np.sum((y - np.array([predict_stack_ols(model, c, w)
                                         for c, w in zip(e_c, e_w)])) ** 2)
             for stream in (e_c, e_w):
@@ -98,6 +90,33 @@ class TestStackOls:
                 coef = np.linalg.lstsq(X1, y, rcond=None)[0]
                 sse1 = np.sum((y - X1 @ coef) ** 2)
                 assert sse <= sse1 + 1e-8
+
+
+X_OK = np.array([[1.0, 4.0], [2.0, 5.0], [3.0, 6.0], [4.0, 8.0]])
+Y_OK = np.array([7.0, 8.0, 9.0, 11.0])
+
+
+class TestStackInputs:
+    """Both fits share one input check; bad input raises ValueError, not a fit error."""
+
+    @pytest.mark.parametrize("fit", [fit_stack_ols, fit_svr], ids=["ols", "svr"])
+    @pytest.mark.parametrize(
+        "X, y, message",
+        [
+            pytest.param(np.where(X_OK == 5.0, np.nan, X_OK), Y_OK, "finite", id="nan_design"),
+            pytest.param(X_OK, np.array([7.0, 8.0, np.inf, 11.0]), "finite", id="inf_target"),
+            pytest.param(X_OK, Y_OK[:3], r"\(n, 2\)", id="length_mismatch"),
+            pytest.param(X_OK[:, :1], Y_OK, r"\(n, 2\)", id="one_column"),
+        ],
+    )
+    def test_rejected(self, fit, X, y, message):
+        with pytest.raises(ValueError, match=message):
+            fit(X, y)
+
+    @pytest.mark.parametrize("fit", [fit_stack_ols, fit_svr], ids=["ols", "svr"])
+    def test_accepted(self, fit):
+        fit(X_OK, Y_OK)
+        fit(X_OK.tolist(), Y_OK.tolist())
 
 
 class TestSvrSolver:
@@ -129,7 +148,7 @@ class TestSvrSolver:
         e_w = rng.uniform(0, 10, 12)
         y = 3 + 0.5 * e_c + 0.4 * e_w + rng.normal(0, 0.5, 12)
         C, eps = 1.0, 0.3
-        model = fit_svr(samples_from(e_c, e_w, y), kernel="gaussian", C=C, eps=eps, gamma=0.25)
+        model = fit_svr(*samples_from(e_c, e_w, y), kernel="gaussian", C=C, eps=eps, gamma=0.25)
         preds = svr_predictions(model, e_c, e_w)
         resid = np.abs(y - preds)
         beta = model.dual_coefficients
@@ -146,7 +165,7 @@ class TestFitSvr:
         rng = np.random.default_rng(6)
         e_c = rng.uniform(0, 10, 6)
         e_w = rng.uniform(0, 10, 6)
-        model = fit_svr(samples_from(e_c, e_w, [5.0] * 6), kernel="gaussian", eps=0.1)
+        model = fit_svr(*samples_from(e_c, e_w, [5.0] * 6), kernel="gaussian", eps=0.1)
         assert np.all(model.dual_coefficients == 0)
         assert model.bias == pytest.approx(5.0, abs=1e-9)
         assert predict_svr(model, 3.3, 7.7) == pytest.approx(5.0, abs=1e-9)
@@ -157,7 +176,7 @@ class TestFitSvr:
         e_w = rng.uniform(0, 10, 8)
         y = rng.uniform(49, 51, 8)
         eps = 5.0  # wider than the target spread
-        model = fit_svr(samples_from(e_c, e_w, y), kernel="linear", C=1.0, eps=eps)
+        model = fit_svr(*samples_from(e_c, e_w, y), kernel="linear", C=1.0, eps=eps)
         assert np.all(model.dual_coefficients == 0)
         preds = svr_predictions(model, e_c, e_w)
         assert np.ptp(preds) == pytest.approx(0.0, abs=1e-9)  # flat function
@@ -168,7 +187,7 @@ class TestFitSvr:
         e_c = rng.uniform(0, 100, 15)
         e_w = rng.uniform(0, 100, 15)
         y = 10 + 0.3 * e_c + 0.6 * e_w + rng.normal(0, 3, 15)
-        model = fit_svr(samples_from(e_c, e_w, y), kernel="linear", C=2.0, eps=0.2)
+        model = fit_svr(*samples_from(e_c, e_w, y), kernel="linear", C=2.0, eps=0.2)
         x1, x2 = np.array([10.0, 80.0]), np.array([60.0, 20.0])
         for a in (0.0, 0.25, 0.5, 0.9, 1.0):
             mix = a * x1 + (1 - a) * x2
@@ -181,8 +200,8 @@ class TestFitSvr:
         e_w = rng.uniform(0, 10, 10)
         y = 5 + 0.5 * e_c - 0.2 * e_w + rng.normal(0, 0.4, 10)
         shift = 37.0
-        base = fit_svr(samples_from(e_c, e_w, y), kernel="gaussian", gamma=0.5)
-        shifted = fit_svr(samples_from(e_c, e_w, y + shift), kernel="gaussian", gamma=0.5)
+        base = fit_svr(*samples_from(e_c, e_w, y), kernel="gaussian", gamma=0.5)
+        shifted = fit_svr(*samples_from(e_c, e_w, y + shift), kernel="gaussian", gamma=0.5)
         probe = [(2.0, 3.0), (8.5, 1.5), (5.0, 5.0)]
         for c, w in probe:
             assert predict_svr(shifted, c, w) == pytest.approx(
@@ -191,12 +210,12 @@ class TestFitSvr:
 
     def test_validation(self):
         with pytest.raises(TooFewSamples):
-            fit_svr(samples_from([1.0], [2.0], [3.0]))
+            fit_svr(*samples_from([1.0], [2.0], [3.0]))
         good = samples_from([1, 2, 3], [4, 5, 6], [7, 8, 9])
         with pytest.raises(ValueError):
-            fit_svr(good, C=0.0)
+            fit_svr(*good, C=0.0)
         with pytest.raises(ValueError):
-            fit_svr(good, kernel="gaussian", gamma=0.0)
+            fit_svr(*good, kernel="gaussian", gamma=0.0)
 
 
 class TestPredictSvr:
