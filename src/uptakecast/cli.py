@@ -47,7 +47,9 @@ def _config_from_file(parser: configparser.ConfigParser, seed_flag: int | None) 
     if parser.has_section("backtest"):
         section = parser["backtest"]
         types = {f.name: f.type for f in dataclasses.fields(BacktestConfig)}
-        unknown = [key for key in section if key not in types]
+        # [DEFAULT] keys show up in every section; they are interpolation
+        # values, not settings.
+        unknown = [key for key in section if key not in types and key not in parser.defaults()]
         if unknown:
             raise ValueError(f"unknown [backtest] keys: {', '.join(unknown)}")
         for key, type_ in types.items():
@@ -82,7 +84,11 @@ def _load_experiment(config_path: str, vaccine_filter: list[str] | None, seed_fl
             if key not in parser["data"]:
                 raise UptakecastError(f"config [data] is missing the {key!r} key")
         registry_path, cohorts_path = parser["data"]["registry"], parser["data"]["cohorts"]
-        vaccines = {vaccine.strip(): path for vaccine, path in parser["vaccines"].items()}
+        vaccines = {
+            vaccine.strip(): path
+            for vaccine, path in parser["vaccines"].items()
+            if vaccine not in parser.defaults()
+        }
         cfg = _config_from_file(parser, seed_flag)
     except (configparser.Error, ValueError) as err:
         # A malformed file, a value that does not parse, or a BacktestConfig rejection.

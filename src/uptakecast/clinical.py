@@ -98,17 +98,13 @@ def _css_residuals(y: np.ndarray, mu: float, betas: np.ndarray, phis: np.ndarray
         base = base - betas[i - 1] * y[p - i : n - i]
     if q == 0:
         return base
-    eps = np.empty(n - p)
-    hist = [0.0] * q  # eps_{t-1}, ..., eps_{t-q}
-    ph = [float(v) for v in phis]
-    for t, b in enumerate(base):
-        e = float(b)
-        for j in range(q):
-            e -= ph[j] * hist[j]
-        eps[t] = e
-        hist.insert(0, e)
-        hist.pop()
-    return eps
+    ph = phis.tolist()
+    eps = [0.0] * q  # zero pre-sample residuals, then eps_0, eps_1, ...
+    for e in base.tolist():
+        for j, f in enumerate(ph, start=1):
+            e -= f * eps[-j]
+        eps.append(e)
+    return np.array(eps[q:])
 
 
 def _ols_init(y: np.ndarray, p: int) -> np.ndarray:
@@ -265,17 +261,17 @@ def hw_filter(
     s = [float(v) for v in seasonals]
     l = season_length
     a, b = float(level), float(trend)
-    n = len(values)
-    preds = np.empty(n)
-    for t in range(n):
-        y = float(values[t])
-        s_old = s[t % l]
-        preds[t] = a + b + s_old
+    alpha, beta, gamma = float(alpha), float(beta), float(gamma)
+    preds = []
+    for t, y in enumerate(np.asarray(values, dtype=float).tolist()):
+        pos = t % l
+        s_old = s[pos]
+        preds.append(a + b + s_old)
         a_new = alpha * (y - s_old) + (1.0 - alpha) * (a + b)
-        b_new = beta * (a_new - a) + (1.0 - beta) * b
-        s[t % l] = gamma * (y - a_new) + (1.0 - gamma) * s_old
-        a, b = a_new, b_new
-    return preds, a, b, s
+        b = beta * (a_new - a) + (1.0 - beta) * b
+        s[pos] = gamma * (y - a_new) + (1.0 - gamma) * s_old
+        a = a_new
+    return np.array(preds), a, b, s
 
 
 _HW_START = (0.5, 0.1, 0.1)

@@ -96,20 +96,18 @@ def _kernel_vector(Z: np.ndarray, z: np.ndarray, kernel: str, gamma: float | Non
 
 
 def _bias_interval(beta: np.ndarray, G: np.ndarray, eps: float, C: float):
-    """Per-sample admissible interval for the bias implied by the KKT conditions."""
-    n = beta.size
-    lo = np.empty(n)
-    hi = np.empty(n)
-    at_up = beta >= C - _BOUND_ATOL
-    at_lo = beta <= -C + _BOUND_ATOL
-    zero = np.abs(beta) <= _BOUND_ATOL
-    pos = beta > _BOUND_ATOL
-    neg = beta < -_BOUND_ATOL
-    lo[zero], hi[zero] = G[zero] - eps, G[zero] + eps
-    lo[pos], hi[pos] = G[pos] - eps, G[pos] - eps
-    lo[neg], hi[neg] = G[neg] + eps, G[neg] + eps
-    lo[at_up] = -np.inf
-    hi[at_lo] = np.inf
+    """Per-sample admissible interval for the bias implied by the KKT conditions.
+
+    A zero coefficient admits [G - eps, G + eps], a positive one G - eps and a
+    negative one G + eps; a coefficient at +C (-C) leaves the interval open
+    below (above).
+    """
+    G_lo = G - eps
+    G_hi = G + eps
+    lo = np.where(beta < -_BOUND_ATOL, G_hi, G_lo)
+    hi = np.where(beta > _BOUND_ATOL, G_lo, G_hi)
+    lo[beta >= C - _BOUND_ATOL] = -np.inf
+    hi[beta <= -C + _BOUND_ATOL] = np.inf
     return lo, hi
 
 
@@ -156,11 +154,15 @@ def solve_svr_dual(
     n = y.size
     beta = np.zeros(n)
     Kb = np.zeros(n)
+    # Python floats for the scalar work of each step; K is symmetric, so
+    # row i stands in for column i and each step reads two contiguous rows.
+    K_diag = np.diag(K).tolist()
+    y_list = y.tolist()
     for _ in range(max_steps):
         G = y - Kb
         lo, hi = _bias_interval(beta, G, eps, C)
-        i = int(np.argmax(lo))
-        j = int(np.argmin(hi))
+        i = int(lo.argmax())
+        j = int(hi.argmin())
         if lo[i] - hi[j] <= tol:
             b_lo, b_hi = lo[i], hi[j]
             if not np.isfinite(b_lo):
@@ -168,14 +170,16 @@ def solve_svr_dual(
             if not np.isfinite(b_hi):
                 b_hi = b_lo
             return beta, float((b_lo + b_hi) / 2.0)
-        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
-        Fi, Fj = Kb[i] - y[i], Kb[j] - y[j]
-        d = _pair_step(beta[i], beta[j], Fi, Fj, max(eta, 0.0), eps, C)
+        K_i, K_j = K[i], K[j]
+        eta = K_diag[i] + K_diag[j] - 2.0 * K_i.item(j)
+        beta_i, beta_j = beta.item(i), beta.item(j)
+        Fi, Fj = Kb.item(i) - y_list[i], Kb.item(j) - y_list[j]
+        d = _pair_step(beta_i, beta_j, Fi, Fj, max(eta, 0.0), eps, C)
         if d == 0.0:
             raise NonConvergence("SVR pairwise step stalled above KKT tolerance")
-        beta[i] += d
-        beta[j] -= d
-        Kb += d * (K[:, i] - K[:, j])
+        beta[i] = beta_i + d
+        beta[j] = beta_j - d
+        Kb += d * (K_i - K_j)
     raise NonConvergence(f"SVR solver exceeded {max_steps} pairwise steps")
 
 

@@ -314,16 +314,23 @@ def _lasso_path_alphas(gram: np.ndarray, cvec: np.ndarray, lambdas: np.ndarray) 
             return out
         if active:
             idx = np.array(active)
-            G_AA = gram[np.ix_(idx, idx)]
+            # gram[idx][:, idx] would return an F-ordered block, and a matmul
+            # against it rounds differently from one against this C-ordered
+            # block (it moves the wide57 SYN-00 and SYN-02 logs).
+            G_AA = gram[idx[:, None], idx]
             s_A = np.array(signs)
             try:
+                # Keep two single-RHS solves: one two-column solve rounds
+                # differently (11,615 of 11,989 random systems differ in the
+                # last bits), and so does scipy's dgesv, which links another
+                # OpenBLAS build (3,438 of 7,991 differ).
                 phi = np.linalg.solve(G_AA, cvec[idx])
                 theta = np.linalg.solve(G_AA, s_A)
             except np.linalg.LinAlgError:
                 warm = np.zeros(F)
                 warm[idx] = np.maximum(np.abs(cvec[idx]) - lam_cur, 0) * s_A
                 return cd_fallback(grid_i, warm)
-            if not (np.all(np.isfinite(phi)) and np.max(np.abs(phi)) < 1e9):
+            if not (np.isfinite(phi).all() and np.abs(phi).max() < 1e9):
                 return cd_fallback(grid_i, np.zeros(F))
         else:
             idx = np.array([], dtype=int)
@@ -332,46 +339,51 @@ def _lasso_path_alphas(gram: np.ndarray, cvec: np.ndarray, lambdas: np.ndarray) 
         # Correlation of inactive features along the segment: a_j + lam * b_j.
         mask = np.ones(F, dtype=bool)
         mask[idx] = False
-        a = cvec[mask] - gram[np.ix_(np.where(mask)[0], idx)] @ phi
-        b = gram[np.ix_(np.where(mask)[0], idx)] @ theta
-        inactive = np.where(mask)[0]
+        inactive = mask.nonzero()[0]
+        G_IA = gram[inactive[:, None], idx]
+        a = cvec[inactive] - G_IA @ phi
+        b = G_IA @ theta
 
-        candidates: list[tuple[float, str, int]] = []
-        for j_loc, j in enumerate(inactive):
-            for denom, num in ((1.0 - b[j_loc], a[j_loc]), (1.0 + b[j_loc], -a[j_loc])):
-                if abs(denom) > 1e-14:
-                    lam = num / denom
-                    if edge < lam < lam_cur - edge:
-                        if last_drop and last_drop[0] == j and abs(lam - last_drop[1]) <= edge:
-                            continue
-                        candidates.append((lam, "join", int(j)))
-        for k_loc, j in enumerate(active):
-            if abs(theta[k_loc]) > 1e-14:
-                lam = phi[k_loc] / theta[k_loc]
-                if edge < lam < lam_cur - edge:
-                    candidates.append((lam, "drop", int(j)))
+        # Event candidates below lam_cur, one per slot: an inactive feature
+        # joins where a_j + lam * b_j = +lam (slots [0, m)) or -lam (slots
+        # [m, 2m)); an active one drops where phi_k - lam * theta_k = 0
+        # (slots from 2m).
+        m = inactive.size
+        num = np.concatenate((a, -a, phi))
+        den = np.concatenate((1.0 - b, 1.0 + b, theta))
+        feat = np.concatenate((inactive, inactive, idx))
+        ok = np.abs(den) > 1e-14
+        cand = num / np.where(ok, den, 1.0)
+        ok &= (edge < cand) & (cand < lam_cur - edge)
+        if last_drop is not None:
+            # The feature just dropped does not rejoin at the same breakpoint.
+            j, lam_drop = last_drop
+            ok[: 2 * m] &= (feat[: 2 * m] != j) | (np.abs(cand[: 2 * m] - lam_drop) > edge)
 
-        lam_event = max((c[0] for c in candidates), default=0.0)
-        while grid_i < L and lambdas[grid_i] >= lam_event:
-            out[grid_i, idx] = phi - lambdas[grid_i] * theta
-            grid_i += 1
+        lam_event = cand[ok].max(initial=0.0)
+        # Grid points on this segment: lambdas descend, so they lead the rest.
+        stop = grid_i + int(np.count_nonzero(lambdas[grid_i:] >= lam_event))
+        out[grid_i:stop, idx] = phi - lambdas[grid_i:stop, None] * theta
+        grid_i = stop
         if grid_i >= L:
             return out
         if lam_event <= 0.0:
             return cd_fallback(grid_i, out[grid_i - 1] if grid_i else np.zeros(F))
 
-        lam_ev, kind, j = max(candidates, key=lambda c: (c[0], c[1] == "drop", -c[2]))
-        if kind == "drop":
-            k_loc = active.index(j)
-            active.pop(k_loc)
-            signs.pop(k_loc)
-            last_drop = (j, lam_ev)
+        # The largest lambda wins; at equal lambda a drop beats a join, and
+        # then the lowest feature index wins.
+        ties = (ok & (cand == lam_event)).nonzero()[0].tolist()
+        k = min(ties, key=lambda slot: (slot < 2 * m, feat[slot]))
+        if k >= 2 * m:
+            active.pop(k - 2 * m)
+            signs.pop(k - 2 * m)
+            last_drop = (int(feat[k]), lam_event)
         else:
-            j_loc = int(np.where(inactive == j)[0][0])
-            active.append(j)
-            signs.append(float(np.sign(a[j_loc] + lam_ev * b[j_loc])) or 1.0)
+            j_loc = k % m
+            active.append(int(inactive[j_loc]))
+            signs.append(float(np.sign(a[j_loc] + lam_event * b[j_loc])) or 1.0)
             last_drop = None
-        lam_cur = lam_ev
+        lam_cur = lam_event
 
     warm = out[grid_i - 1] if grid_i else np.zeros(F)
     return cd_fallback(grid_i, warm)

@@ -5,11 +5,19 @@ normal equations instead of SVD least squares, exhaustive refined grid search
 instead of coordinate descent, KKT active-set enumeration instead of the
 pairwise SVR solver, and a literal hand transcription of the smoothing
 recursions.
+
+The loop forms at the end are the library's hot loops as they were before
+their interpreter overhead was stripped: the same floating-point operations in
+the same order, one element or one candidate at a time. The library must match
+them bit for bit.
 """
 
 import itertools
 
 import numpy as np
+
+from uptakecast.stacking import _pair_step
+from uptakecast.web import _cd_solve
 
 
 def ols_normal_equations(X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -150,15 +158,186 @@ def svr_bruteforce_dual(K: np.ndarray, y: np.ndarray, C: float, eps: float):
 
 
 def hw_hand_recursion(values, alpha, beta, gamma, l, level, trend, seasonals):
-    """Literal transcription of the three smoothing recursions, one month at a time."""
-    s = list(map(float, seasonals))
+    """Literal transcription of the three smoothing recursions, one month at a time.
+
+    Numpy scalars flow through it as they come (Nelder-Mead passes
+    ``alpha``, ``beta`` and ``gamma`` as float64 scalars) and each prediction
+    is stored into an ndarray element.
+    """
+    s = [float(v) for v in seasonals]
     a, b = float(level), float(trend)
-    preds = []
-    for t, y in enumerate(values):
+    n = len(values)
+    preds = np.empty(n)
+    for t in range(n):
+        y = float(values[t])
         s_old = s[t % l]
-        preds.append(a + b + s_old)
-        a_new = alpha * (y - s_old) + (1 - alpha) * (a + b)
-        b_new = beta * (a_new - a) + (1 - beta) * b
-        s[t % l] = gamma * (y - a_new) + (1 - gamma) * s_old
+        preds[t] = a + b + s_old
+        a_new = alpha * (y - s_old) + (1.0 - alpha) * (a + b)
+        b_new = beta * (a_new - a) + (1.0 - beta) * b
+        s[t % l] = gamma * (y - a_new) + (1.0 - gamma) * s_old
         a, b = a_new, b_new
-    return np.array(preds), a, b, s
+    return preds, a, b, s
+
+
+def css_residuals_loop(y: np.ndarray, mu: float, betas: np.ndarray, phis: np.ndarray):
+    """ARMA one-step residuals, zero pre-sample residuals, a shifted history list."""
+    p, q = betas.size, phis.size
+    n = y.size
+    base = y[p:] - mu
+    for i in range(1, p + 1):
+        base = base - betas[i - 1] * y[p - i : n - i]
+    if q == 0:
+        return base
+    eps = np.empty(n - p)
+    hist = [0.0] * q  # eps_{t-1}, ..., eps_{t-q}
+    ph = [float(v) for v in phis]
+    for t, b in enumerate(base):
+        e = float(b)
+        for j in range(q):
+            e -= ph[j] * hist[j]
+        eps[t] = e
+        hist.insert(0, e)
+        hist.pop()
+    return eps
+
+
+def svr_bias_interval_masks(beta: np.ndarray, G: np.ndarray, eps: float, C: float,
+                            atol: float = 1e-12):
+    """Per-sample admissible bias interval, one mask per KKT case."""
+    n = beta.size
+    lo = np.empty(n)
+    hi = np.empty(n)
+    at_up = beta >= C - atol
+    at_lo = beta <= -C + atol
+    zero = np.abs(beta) <= atol
+    pos = beta > atol
+    neg = beta < -atol
+    lo[zero], hi[zero] = G[zero] - eps, G[zero] + eps
+    lo[pos], hi[pos] = G[pos] - eps, G[pos] - eps
+    lo[neg], hi[neg] = G[neg] + eps, G[neg] + eps
+    lo[at_up] = -np.inf
+    hi[at_lo] = np.inf
+    return lo, hi
+
+
+def lasso_path_candidate_loop(gram: np.ndarray, cvec: np.ndarray, lambdas: np.ndarray):
+    """The LASSO homotopy with a per-feature loop over join and drop candidates
+    and one grid point emitted at a time; falls back to ``_cd_solve`` as the
+    library does."""
+    F = cvec.size
+    L = lambdas.size
+    out = np.zeros((L, F))
+    if F == 0 or not np.any(np.abs(cvec) > 0):
+        return out
+    lam_cur = float(np.max(np.abs(cvec)))
+    j0 = int(np.argmax(np.abs(cvec)))
+    active = [j0]
+    signs = [float(np.sign(cvec[j0]))]
+    grid_i = 0
+    edge = 1e-14 * max(lam_cur, 1.0)
+    last_drop = None
+
+    def cd_fallback(start_i, warm):
+        alpha = warm[None].copy()
+        for gi in range(start_i, L):
+            alpha = _cd_solve(gram[None], cvec[None], lambdas[gi : gi + 1], alpha)
+            out[gi] = alpha[0]
+        return out
+
+    while grid_i < L and lambdas[grid_i] >= lam_cur - edge:
+        grid_i += 1
+
+    for _ in range(20 * F + 100):
+        if grid_i >= L:
+            return out
+        if active:
+            idx = np.array(active)
+            G_AA = gram[np.ix_(idx, idx)]
+            s_A = np.array(signs)
+            try:
+                phi = np.linalg.solve(G_AA, cvec[idx])
+                theta = np.linalg.solve(G_AA, s_A)
+            except np.linalg.LinAlgError:
+                warm = np.zeros(F)
+                warm[idx] = np.maximum(np.abs(cvec[idx]) - lam_cur, 0) * s_A
+                return cd_fallback(grid_i, warm)
+            if not (np.all(np.isfinite(phi)) and np.max(np.abs(phi)) < 1e9):
+                return cd_fallback(grid_i, np.zeros(F))
+        else:
+            idx = np.array([], dtype=int)
+            phi = theta = np.zeros(0)
+
+        mask = np.ones(F, dtype=bool)
+        mask[idx] = False
+        a = cvec[mask] - gram[np.ix_(np.where(mask)[0], idx)] @ phi
+        b = gram[np.ix_(np.where(mask)[0], idx)] @ theta
+        inactive = np.where(mask)[0]
+
+        candidates = []
+        for j_loc, j in enumerate(inactive):
+            for denom, num in ((1.0 - b[j_loc], a[j_loc]), (1.0 + b[j_loc], -a[j_loc])):
+                if abs(denom) > 1e-14:
+                    lam = num / denom
+                    if edge < lam < lam_cur - edge:
+                        if last_drop and last_drop[0] == j and abs(lam - last_drop[1]) <= edge:
+                            continue
+                        candidates.append((lam, "join", int(j)))
+        for k_loc, j in enumerate(active):
+            if abs(theta[k_loc]) > 1e-14:
+                lam = phi[k_loc] / theta[k_loc]
+                if edge < lam < lam_cur - edge:
+                    candidates.append((lam, "drop", int(j)))
+
+        lam_event = max((c[0] for c in candidates), default=0.0)
+        while grid_i < L and lambdas[grid_i] >= lam_event:
+            out[grid_i, idx] = phi - lambdas[grid_i] * theta
+            grid_i += 1
+        if grid_i >= L:
+            return out
+        if lam_event <= 0.0:
+            return cd_fallback(grid_i, out[grid_i - 1] if grid_i else np.zeros(F))
+
+        lam_ev, kind, j = max(candidates, key=lambda c: (c[0], c[1] == "drop", -c[2]))
+        if kind == "drop":
+            k_loc = active.index(j)
+            active.pop(k_loc)
+            signs.pop(k_loc)
+            last_drop = (j, lam_ev)
+        else:
+            j_loc = int(np.where(inactive == j)[0][0])
+            active.append(j)
+            signs.append(float(np.sign(a[j_loc] + lam_ev * b[j_loc])) or 1.0)
+            last_drop = None
+        lam_cur = lam_ev
+
+    warm = out[grid_i - 1] if grid_i else np.zeros(F)
+    return cd_fallback(grid_i, warm)
+
+
+def svr_dual_column_loop(K: np.ndarray, y: np.ndarray, C: float, eps: float,
+                         tol: float = 1e-4, max_steps: int = 200_000):
+    """The pairwise SVR dual loop reading columns of K and numpy scalars."""
+    n = y.size
+    beta = np.zeros(n)
+    Kb = np.zeros(n)
+    for _ in range(max_steps):
+        G = y - Kb
+        lo, hi = svr_bias_interval_masks(beta, G, eps, C)
+        i = int(np.argmax(lo))
+        j = int(np.argmin(hi))
+        if lo[i] - hi[j] <= tol:
+            b_lo, b_hi = lo[i], hi[j]
+            if not np.isfinite(b_lo):
+                b_lo = b_hi if np.isfinite(b_hi) else 0.0
+            if not np.isfinite(b_hi):
+                b_hi = b_lo
+            return beta, float((b_lo + b_hi) / 2.0)
+        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        Fi, Fj = Kb[i] - y[i], Kb[j] - y[j]
+        d = _pair_step(beta[i], beta[j], Fi, Fj, max(eta, 0.0), eps, C)
+        if d == 0.0:
+            raise RuntimeError("SVR pairwise step stalled above KKT tolerance")
+        beta[i] += d
+        beta[j] -= d
+        Kb += d * (K[:, i] - K[:, j])
+    raise RuntimeError(f"SVR solver exceeded {max_steps} pairwise steps")

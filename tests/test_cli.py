@@ -109,6 +109,25 @@ class TestValidate:
         assert cfg == expected
         assert {line.split(" = ")[0] for line in lines} == set(vars(expected))
 
+    def test_default_section_feeds_interpolation(self, experiment, tmp_path, capsys):
+        # [DEFAULT] keys are visible in every section; they name no vaccine
+        # and no [backtest] setting.
+        config = (
+            "[DEFAULT]\n"
+            f"root = {experiment}\n"
+            "[data]\n"
+            "registry = %(root)s/registry.csv\n"
+            "cohorts = %(root)s/cohorts.csv\n"
+            "[vaccines]\n"
+            "VAX-A = %(root)s/trends_VAX-A.csv\n"
+            "[backtest]\n"
+            "seed = 3\n"
+        )
+        (tmp_path / "defaults.ini").write_text(config)
+        assert main(["validate", "--config", str(tmp_path / "defaults.ini")]) == 0
+        out = capsys.readouterr().out
+        assert "VAX-A" in out and "root" not in out and "config ok" in out
+
     @pytest.mark.parametrize(
         "edit, message",
         [

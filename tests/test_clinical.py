@@ -2,9 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uptakecast.clinical import (
     ArimaModel,
+    _css_residuals,
     fit_ar,
     fit_arima,
     fit_holt_winters,
@@ -18,7 +21,7 @@ from uptakecast.clinical import (
 from uptakecast.errors import LagMismatch, SeriesTooShort
 
 from conftest import make_series
-from oracles import ar_oracle
+from oracles import ar_oracle, css_residuals_loop, hw_hand_recursion
 
 
 def ar1_series(n=20, phi=0.8, mu=5.0, e0=10.0):
@@ -147,6 +150,20 @@ class TestFitArima:
         assert abs(model.ma_phis[0]) > 0.1  # MA structure detected
         assert np.isfinite(predict_arima(model, series))
 
+    @pytest.mark.parametrize("q", [0, 1, 2])
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        y=st.lists(st.floats(-50.0, 50.0), min_size=3, max_size=40),
+        mu=st.floats(-5.0, 5.0),
+        coef=st.lists(st.floats(-0.99, 0.99), min_size=4, max_size=4),
+    )
+    def test_css_residuals_match_the_loop_bit_for_bit(self, p, q, y, mu, coef):
+        y = np.array(y)
+        betas, phis = np.array(coef[:p]), np.array(coef[2 : 2 + q])
+        eps = _css_residuals(y, mu, betas, phis)
+        assert np.array_equal(eps, css_residuals_loop(y, mu, betas, phis))
+
 
 class TestPredictArima:
     def test_undifference_step(self):
@@ -223,6 +240,26 @@ class TestHoltWinters:
             [level + (k + 1) * trend + seasonals[k % 12] for k in range(36)]
         )
         np.testing.assert_allclose(preds, expected, atol=1e-9)
+
+    @pytest.mark.parametrize("container", [list, np.array])
+    @settings(max_examples=80, deadline=None)
+    @given(
+        values=st.lists(st.floats(0.0, 100.0), max_size=40),
+        params=st.tuples(*[st.floats(0.0, 1.0)] * 3),
+        state=st.tuples(st.floats(0.0, 100.0), st.floats(-5.0, 5.0)),
+        l=st.integers(1, 12),
+        data=st.data(),
+    )
+    def test_filter_matches_the_hand_recursion_bit_for_bit(
+        self, container, values, params, state, l, data
+    ):
+        seasonals = data.draw(st.lists(st.floats(-20.0, 20.0), min_size=l, max_size=l))
+        # Nelder-Mead hands the smoothing parameters over as float64 scalars.
+        alpha, beta, gamma = (np.float64(v) for v in params)
+        got = hw_filter(container(values), alpha, beta, gamma, l, *state, seasonals)
+        ref = hw_hand_recursion(container(values), alpha, beta, gamma, l, *state, seasonals)
+        assert np.array_equal(got[0], ref[0])
+        assert got[1:] == ref[1:]
 
     def test_series_too_short(self):
         with pytest.raises(SeriesTooShort):

@@ -2,10 +2,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uptakecast.errors import TooFewSamples
 from uptakecast.stacking import (
     SvrStackModel,
+    _BOUND_ATOL,
+    _bias_interval,
+    _kernel_matrix,
     fit_stack_ols,
     fit_svr,
     predict_stack_ols,
@@ -14,7 +19,9 @@ from uptakecast.stacking import (
 )
 from oracles import (
     ols_normal_equations,
+    svr_bias_interval_masks,
     svr_bruteforce_dual,
+    svr_dual_column_loop,
     svr_dual_objective,
     svr_kkt_violation,
 )
@@ -141,6 +148,41 @@ class TestSvrSolver:
             assert svr_kkt_violation(K, y, beta, eps, C) <= 1e-4
             assert abs(beta.sum()) <= 1e-8
             assert np.all(np.abs(beta) <= C + 1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        C=st.floats(0.05, 10.0),
+        eps=st.sampled_from([0.0, 0.1]) | st.floats(0.0, 2.0),
+        inner=st.lists(st.floats(-1.0, 1.0), max_size=10),
+        data=st.data(),
+    )
+    def test_bias_interval_matches_the_mask_form_bit_for_bit(self, C, eps, inner, data):
+        # Every KKT case boundary, plus coefficients strictly inside the box.
+        edges = [0.0, _BOUND_ATOL, -_BOUND_ATOL, C, -C, C - _BOUND_ATOL, -C + _BOUND_ATOL,
+                 2 * _BOUND_ATOL, -2 * _BOUND_ATOL, _BOUND_ATOL / 2, -_BOUND_ATOL / 2]
+        beta = np.array(edges + [C * v for v in inner])
+        G = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=beta.size,
+                                        max_size=beta.size)))
+        lo, hi = _bias_interval(beta, G, eps, C)
+        lo_ref, hi_ref = svr_bias_interval_masks(beta, G, eps, C, atol=_BOUND_ATOL)
+        assert np.array_equal(lo, lo_ref) and np.array_equal(hi, hi_ref)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 40),
+        kernel=st.sampled_from(["linear", "gaussian"]),
+        C=st.sampled_from([0.5, 1.0, 2.5]),
+        eps=st.sampled_from([0.0, 0.1, 0.5]),
+    )
+    def test_dual_matches_the_column_loop_bit_for_bit(self, seed, n, kernel, C, eps):
+        rng = np.random.default_rng(seed)
+        Z = rng.normal(0, 1, (n, 2))
+        y = Z @ rng.normal(0, 1, 2) + rng.normal(0, 0.5, n)
+        K = _kernel_matrix(Z, kernel, 0.25)
+        beta, bias = solve_svr_dual(K, y, C, eps)
+        beta_ref, bias_ref = svr_dual_column_loop(K, y, C, eps)
+        assert np.array_equal(beta, beta_ref) and bias == bias_ref
 
     def test_kkt_sample_classification(self):
         rng = np.random.default_rng(5)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uptakecast.errors import (
     AlignmentError,
@@ -14,6 +16,9 @@ from uptakecast.web import (
     BaggedModel,
     QueryPanel,
     WmState,
+    _lambda_grid,
+    _lasso_path_alphas,
+    _standardize,
     fit_bagging,
     fit_lasso,
     fit_web_ols,
@@ -28,7 +33,7 @@ from uptakecast.web import (
 )
 
 from conftest import JAN2011, make_series, synth_vaccine
-from oracles import lasso_objective, ols_normal_equations
+from oracles import lasso_objective, lasso_path_candidate_loop, ols_normal_equations
 
 RNG = np.random.default_rng(2024)
 
@@ -194,6 +199,54 @@ class TestLasso:
         )
         assert active.any()
         assert violation.max() <= 1e-6
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        T=st.integers(4, 30),
+        F=st.integers(1, 16),
+        twin=st.booleans(),
+        full_grid=st.booleans(),
+    )
+    def test_path_matches_the_candidate_loop_bit_for_bit(self, seed, T, F, twin, full_grid):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(0, 100, (T, F))
+        if twin and F > 1:
+            X[:, -1] = X[:, 0]  # a duplicated query: a singular active Gram
+        y = X @ rng.normal(0, 1, F) + rng.normal(0, 5, T)
+        Xs, _, _ = _standardize(X)
+        gram, cvec = Xs.T @ Xs / T, Xs.T @ (y - y.mean()) / T
+        lam_max = np.abs(cvec).max()
+        lambdas = _lambda_grid(np.array([lam_max]))[0] if full_grid else np.array([lam_max / 20])
+        assert np.array_equal(
+            _lasso_path_alphas(gram, cvec, lambdas),
+            lasso_path_candidate_loop(gram, cvec, lambdas),
+        )
+
+    def test_path_breaks_event_ties_like_the_candidate_loop(self):
+        """Dyadic Grams make exact ties between event lambdas: here a drop and
+        a join meet at one breakpoint (the drop must win), and joins tie on
+        other problems (the lowest feature index must win)."""
+        steps = np.array([-0.5, -0.25, 0.0, 0.25, 0.5])
+        rng = np.random.default_rng(1)
+        problems = [(
+            np.array([[1.0, 0.25, -0.25, 0.0, 0.25], [0.25, 1.0, -0.5, -0.5, -0.25],
+                      [-0.25, -0.5, 1.0, -0.25, 0.25], [0.0, -0.5, -0.25, 1.0, 0.5],
+                      [0.25, -0.25, 0.25, 0.5, 1.0]]),
+            np.array([0.75, 1.0, 0.25, 0.75, 0.75]),
+        )]
+        while len(problems) < 40:
+            F = int(rng.integers(3, 6))
+            gram = np.triu(rng.choice(steps, (F, F)), 1)
+            gram = gram + gram.T + np.eye(F)
+            if np.linalg.eigvalsh(gram).min() >= 0.05:
+                problems.append((gram, rng.choice(np.arange(-4, 5) / 4, F)))
+        for gram, cvec in problems:
+            lambdas = _lambda_grid(np.array([np.abs(cvec).max()]))[0]
+            assert np.array_equal(
+                _lasso_path_alphas(gram, cvec, lambdas),
+                lasso_path_candidate_loop(gram, cvec, lambdas),
+            )
 
 
 class TestSelectLambdaCv:
