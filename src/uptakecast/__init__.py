@@ -16,7 +16,6 @@ from .timeseries import (
     difference,
     naive_forecast,
     rmse,
-    undifference,
 )
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "difference",
     "naive_forecast",
     "rmse",
-    "undifference",
 ]
 
 __version__ = "0.1.0"

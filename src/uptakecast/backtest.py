@@ -17,7 +17,7 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from . import clinical, stacking, web
-from .errors import EmptyLog, InsufficientHistory, UptakecastError
+from .errors import EmptyLog, InsufficientHistory, SchemaError, UptakecastError
 from .timeseries import MonthStamp, TimeSeries, UptakeSeries, rmse
 
 NAIVE = "Naive"
@@ -38,7 +38,6 @@ class BacktestConfig:
     hw_season_length: int = 12
     bagging_subset_size: int = 10
     bagging_subsets: int | None = None  # None: one subset per panel query
-    row_bagging: bool = False
     wm_eta: float = 5.0
     wm_epsilon: float = 2.0
     svr_cost: float = 1.0
@@ -129,14 +128,12 @@ class PredictionLog:
         for e in self.entries:
             cell = cells.setdefault((e.vaccine, e.method), {})
             if e.month in cell:
-                raise ValueError(f"duplicate log entry for ({e.vaccine}, {e.method})")
+                raise SchemaError(f"duplicate log entry for ({e.vaccine}, {e.method})")
             cell[e.month] = e
         for (vaccine, method), cell in cells.items():
             idx = [m.to_index() for m in cell]
             if max(idx) - min(idx) + 1 != len(idx):
-                raise ValueError(
-                    f"({vaccine}, {method}) predictions are not consecutive months"
-                )
+                raise SchemaError(f"({vaccine}, {method}) predictions are not consecutive months")
         object.__setattr__(self, "cells", cells)
 
     def __len__(self) -> int:
@@ -237,7 +234,7 @@ def level0_step(
         return clinical.predict_arima(clinical.fit_arima(hist, *orders), hist)
 
     def lasso():
-        lam = web.select_lambda_cv(panel_hist, hist, k=3)
+        lam = web.select_lambda_cv(panel_hist, hist)
         return web.predict_web(web.fit_lasso(panel_hist, hist, lam), row)
 
     def bagged_members():
@@ -247,7 +244,6 @@ def level0_step(
             n_subsets=cfg.bagging_subsets,
             subset_size=cfg.bagging_subset_size,
             seed=month_seed,
-            row_bagging=cfg.row_bagging,
         )
         return web.member_predictions(bag, row)
 
@@ -439,12 +435,13 @@ def run_level1_backtest(
     return PredictionLog(tuple(entries))
 
 
-def _canonical_method_order(methods: Sequence[str], cfg: BacktestConfig | None) -> list[str]:
-    if cfg is not None:
-        order = [m for m in cfg.method_order() if m in methods]
-        return order + [m for m in methods if m not in order]
-    # Without a config, group the ensemble columns into meta-model blocks
-    # (single-source first), preserving first-appearance order within blocks.
+def _canonical_method_order(methods: Sequence[str]) -> list[str]:
+    """Single-source methods, then one block per meta-model, each in first-appearance order.
+
+    On a backtest log this is ``BacktestConfig.method_order()``: level 0 logs
+    Naive, the clinical methods and then the web methods, and level 1 logs its
+    pairs clinical-major, web-minor.
+    """
     block = {name: i for i, name in enumerate(META_MODELS, start=1)}
     indexed = list(enumerate(methods))
     indexed.sort(key=lambda im: (block.get(im[1].split(":", 1)[0], 0), im[0]))
@@ -455,7 +452,6 @@ def summarize(
     log: PredictionLog,
     actual: UptakeSeries,
     seed: int | None = None,
-    cfg: BacktestConfig | None = None,
     vaccine: str | None = None,
 ) -> BacktestReport:
     """RMSE per method over the months every method predicted.
@@ -470,7 +466,7 @@ def summarize(
         if len(vaccines) != 1:
             raise ValueError("pass vaccine= when the log covers several vaccines")
         vaccine = vaccines[0]
-    methods = _canonical_method_order(log.methods(), cfg)
+    methods = _canonical_method_order(log.methods())
     series = actual.series
 
     month_sets = [set(log.months(m, vaccine)) for m in methods]
@@ -530,7 +526,7 @@ def run_full_experiment(
             merged = log0.merge(log1)
             if collect_logs is not None:
                 collect_logs[name] = merged
-            reports.append(summarize(merged, E, seed=cfg.seed, cfg=cfg, vaccine=name))
+            reports.append(summarize(merged, E, seed=cfg.seed, vaccine=name))
         except FIT_ERRORS as err:
             reports.append(
                 BacktestReport(

@@ -32,7 +32,7 @@ from .backtest import (
     run_level0_backtest,
     summarize,
 )
-from .errors import UptakecastError
+from .errors import ParseError, UptakecastError
 from .ingest import compute_uptake, emit_report, load_cohorts, load_registry, load_trends
 from .timeseries import MonthStamp, TimeSeries, UptakeSeries
 
@@ -56,9 +56,7 @@ def _config_from_file(parser: configparser.ConfigParser, seed_flag: int | None) 
             text = section.get(key, "").strip()
             if not text:
                 continue
-            if key == "row_bagging":
-                kwargs[key] = section.getboolean(key)
-            elif key == "arima_orders":
+            if key == "arima_orders":
                 kwargs[key] = "auto" if text == "auto" else tuple(int(v) for v in text.split(","))
             elif key == "end_month":
                 kwargs[key] = _parse_month_flag(text)
@@ -156,25 +154,30 @@ def write_log_csv(log: PredictionLog) -> str:
 
 def read_log_csv(text: str) -> PredictionLog:
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
+    header = next(reader, [])
     if header != _LOG_HEADER:
         raise UptakecastError(f"unexpected log header {header}")
     entries = []
     for row in reader:
         if not row:
             continue
-        entries.append(
-            LogEntry(
-                vaccine=row[0],
-                method=row[1],
-                month=MonthStamp(int(row[2]), int(row[3])),
-                predicted=float(row[4]),
-                actual=float(row[5]),
-                train_start=MonthStamp(int(row[6]), int(row[7])),
-                train_end=MonthStamp(int(row[8]), int(row[9])),
-                diagnostic=row[10],
+        if len(row) != len(_LOG_HEADER):
+            raise ParseError(f"expected {len(_LOG_HEADER)} fields", line=reader.line_num)
+        try:
+            entries.append(
+                LogEntry(
+                    vaccine=row[0],
+                    method=row[1],
+                    month=MonthStamp(int(row[2]), int(row[3])),
+                    predicted=float(row[4]),
+                    actual=float(row[5]),
+                    train_start=MonthStamp(int(row[6]), int(row[7])),
+                    train_end=MonthStamp(int(row[8]), int(row[9])),
+                    diagnostic=row[10],
+                )
             )
-        )
+        except ValueError as err:  # a number that does not parse, or a month outside 1..12
+            raise ParseError(str(err), line=reader.line_num) from None
     return PredictionLog(tuple(entries))
 
 
@@ -216,7 +219,7 @@ def _cmd_backtest(args) -> int:
             level0 = PredictionLog(
                 tuple(e for e in log.entries if ":" not in e.method)
             )
-            rep = summarize(level0, datasets[name][0], seed=cfg.seed, cfg=cfg, vaccine=name)
+            rep = summarize(level0, datasets[name][0], seed=cfg.seed, vaccine=name)
             extra.append(dataclasses.replace(rep, vaccine=f"{name} (level0 window)"))
         text += emit_report(extra, format=args.format)
     _write_out(text, args.out)
@@ -271,7 +274,12 @@ def _cmd_report(args) -> int:
         raise UptakecastError(f"no *.log.csv files under {log_dir}")
     reports = []
     for path in paths:
-        log = read_log_csv(path.read_text(encoding="utf-8"))
+        try:
+            log = read_log_csv(path.read_text(encoding="utf-8"))
+        except UptakecastError as err:
+            raise UptakecastError(f"{path}: {err}") from err
+        if len(log) == 0:
+            raise UptakecastError(f"{path}: no log entries")
         vaccine = log.vaccines()[0]
         actuals = {e.month: e.actual for e in log.entries}
         ordered = sorted(set(actuals), key=lambda s: s.to_index())

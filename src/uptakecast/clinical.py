@@ -196,17 +196,16 @@ def predict_arima(model: ArimaModel, E: TimeSeries) -> float:
     return float(pred)
 
 
-def select_arima_orders(
-    E: TimeSeries,
-    p_grid: Sequence[int] = (0, 1, 2),
-    d_grid: Sequence[int] = (0, 1),
-    q_grid: Sequence[int] = (0, 1, 2),
-) -> tuple[int, int, int]:
-    """Pick (p, d, q) by AIC over the configured grid; ties break lexicographically."""
+def select_arima_orders(E: TimeSeries) -> tuple[int, int, int]:
+    """Pick (p, d, q) by AIC over p, q in 0..2 and d in 0..1.
+
+    The grid is walked d, then p, then q, ascending; an AIC tie keeps the
+    first order walked.
+    """
     best = None
-    for d in sorted(d_grid):
-        for p in sorted(p_grid):
-            for q in sorted(q_grid):
+    for d in range(2):
+        for p in range(3):
+            for q in range(3):
                 if len(E) <= p + d + q + 1:
                     continue
                 try:
@@ -278,53 +277,34 @@ _HW_START = (0.5, 0.1, 0.1)
 _HW_FALLBACK_START = (0.3, 0.1, 0.1)
 
 
-def fit_holt_winters(
-    E: TimeSeries,
-    season_length: int = 12,
-    params: tuple[float, float, float] | None = None,
-) -> HwModel:
+def fit_holt_winters(E: TimeSeries, season_length: int = 12) -> HwModel:
     """Fit additive Holt-Winters by minimizing in-sample one-step squared error.
 
-    Smoothing parameters are found by bounded Nelder-Mead over [0, 1]^3 unless
-    ``params`` pins them. On optimizer failure a single retry is made from the
-    documented fallback start point before raising NonConvergence.
+    Smoothing parameters are found by bounded Nelder-Mead over [0, 1]^3. On
+    optimizer failure a single retry is made from the documented fallback
+    start point before raising NonConvergence.
     """
     level, trend, seasonals = hw_initial_state(E, season_length)
     values = E.values
+    # The first season's values are consumed by the initialization, so they
+    # carry no information about the smoothing parameters; scoring them would
+    # reward overfitting the init transient.
+    skip = season_length
 
-    if params is None:
-        # The first season's values are consumed by the initialization, so
-        # they carry no information about the smoothing parameters; scoring
-        # them would reward overfitting the init transient.
-        skip = season_length
+    def objective(x: np.ndarray) -> float:
+        preds, _, _, _ = hw_filter(values, x[0], x[1], x[2], season_length, level, trend, seasonals)
+        err = preds[skip:] - values[skip:]
+        return float(err @ err)
 
-        def objective(x: np.ndarray) -> float:
-            preds, _, _, _ = hw_filter(
-                values, x[0], x[1], x[2], season_length, level, trend, seasonals
-            )
-            err = preds[skip:] - values[skip:]
-            return float(err @ err)
-
-        bounds = [(0.0, 1.0)] * 3
+    bounds = [(0.0, 1.0)] * 3
+    res = minimize(objective, _HW_START, method="Nelder-Mead", bounds=bounds, options=_NM_OPTIONS)
+    if not res.success:
         res = minimize(
-            objective, _HW_START, method="Nelder-Mead", bounds=bounds, options=_NM_OPTIONS
+            objective, _HW_FALLBACK_START, method="Nelder-Mead", bounds=bounds, options=_NM_OPTIONS
         )
         if not res.success:
-            res = minimize(
-                objective,
-                _HW_FALLBACK_START,
-                method="Nelder-Mead",
-                bounds=bounds,
-                options=_NM_OPTIONS,
-            )
-            if not res.success:
-                raise NonConvergence(f"Holt-Winters optimizer failed twice: {res.message}")
-        alpha, beta, gamma = (float(v) for v in res.x)
-    else:
-        alpha, beta, gamma = (float(v) for v in params)
-        for name, v in zip("alpha beta gamma".split(), (alpha, beta, gamma)):
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
+            raise NonConvergence(f"Holt-Winters optimizer failed twice: {res.message}")
+    alpha, beta, gamma = (float(v) for v in res.x)
 
     _, a, b, s = hw_filter(values, alpha, beta, gamma, season_length, level, trend, seasonals)
     return HwModel(

@@ -137,19 +137,12 @@ def _pair_step(beta_i, beta_j, Fi, Fj, eta, eps, C) -> float:
     return min(cands, key=phi)
 
 
-def solve_svr_dual(
-    K: np.ndarray,
-    y: np.ndarray,
-    C: float,
-    eps: float,
-    tol: float = SVR_KKT_TOL,
-    max_steps: int = _SVR_MAX_STEPS,
-) -> tuple[np.ndarray, float]:
+def solve_svr_dual(K: np.ndarray, y: np.ndarray, C: float, eps: float) -> tuple[np.ndarray, float]:
     """Solve min 0.5*b'Kb - y'b + eps*|b|_1 s.t. sum(b) = 0, |b_i| <= C.
 
     Returns the dual coefficients and the bias. Terminates when the largest
     KKT violation (the gap between the per-sample bias bounds) is within
-    ``tol``.
+    ``SVR_KKT_TOL``.
     """
     n = y.size
     beta = np.zeros(n)
@@ -158,12 +151,12 @@ def solve_svr_dual(
     # row i stands in for column i and each step reads two contiguous rows.
     K_diag = np.diag(K).tolist()
     y_list = y.tolist()
-    for _ in range(max_steps):
+    for _ in range(_SVR_MAX_STEPS):
         G = y - Kb
         lo, hi = _bias_interval(beta, G, eps, C)
         i = int(lo.argmax())
         j = int(hi.argmin())
-        if lo[i] - hi[j] <= tol:
+        if lo[i] - hi[j] <= SVR_KKT_TOL:
             b_lo, b_hi = lo[i], hi[j]
             if not np.isfinite(b_lo):
                 b_lo = b_hi if np.isfinite(b_hi) else 0.0
@@ -180,7 +173,7 @@ def solve_svr_dual(
         beta[i] = beta_i + d
         beta[j] = beta_j - d
         Kb += d * (K_i - K_j)
-    raise NonConvergence(f"SVR solver exceeded {max_steps} pairwise steps")
+    raise NonConvergence(f"SVR solver exceeded {_SVR_MAX_STEPS} pairwise steps")
 
 
 def fit_svr(

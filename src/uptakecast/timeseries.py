@@ -8,7 +8,7 @@ freely between concurrent workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -36,9 +36,6 @@ class MonthStamp:
 
     def plus(self, months: int) -> "MonthStamp":
         return MonthStamp.from_index(self.to_index() + months)
-
-    def successor(self) -> "MonthStamp":
-        return self.plus(1)
 
     def __str__(self) -> str:
         return f"{self.year:04d}-{self.month:02d}"
@@ -129,20 +126,6 @@ def difference(s: TimeSeries, d: int) -> TimeSeries:
     for _ in range(d):
         out = np.diff(out)
     return TimeSeries(s.start.plus(d), out) if d else s
-
-
-def undifference(s: TimeSeries, initials: Sequence[float]) -> TimeSeries:
-    """Invert ``difference``.
-
-    ``initials[k]`` is the first value of the k-times-differenced original,
-    for k = 0..d-1; the reconstruction restores the original series exactly.
-    """
-    out = s.values
-    start = s.start
-    for init in reversed(list(initials)):
-        out = np.concatenate(([init], init + np.cumsum(out)))
-        start = start.plus(-1)
-    return TimeSeries(start, out)
 
 
 def naive_forecast(E: TimeSeries, t: MonthStamp) -> float:

@@ -26,6 +26,7 @@ from .timeseries import MonthStamp, TimeSeries
 
 CD_TOL = 1e-7
 CD_MAX_SWEEPS = 100_000
+CV_FOLDS = 3
 LAMBDA_GRID_SIZE = 50
 LAMBDA_GRID_DECADES = 3.0
 
@@ -77,10 +78,6 @@ class QueryPanel:
         if j < i:
             raise ValueError("last precedes first")
         return QueryPanel(first, self.query_names, self.matrix[i : j + 1])
-
-    def select(self, indices: Sequence[int]) -> "QueryPanel":
-        names = tuple(self.query_names[i] for i in indices)
-        return QueryPanel(self.start, names, self.matrix[:, list(indices)])
 
 
 @dataclass(frozen=True)
@@ -194,19 +191,14 @@ def _standardize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _cd_solve(
-    gram: np.ndarray,
-    cvec: np.ndarray,
-    lam: np.ndarray,
-    alpha0: np.ndarray,
-    tol: float = CD_TOL,
-    max_sweeps: int = CD_MAX_SWEEPS,
+    gram: np.ndarray, cvec: np.ndarray, lam: np.ndarray, alpha0: np.ndarray
 ) -> np.ndarray:
     """Cyclic coordinate descent on a batch of independent LASSO problems.
 
     Minimizes (1/2) a'Ga - c'a + lam*|a|_1 per batch entry, which equals the
     (1/(2T))-scaled LASSO objective up to a constant when G = X'X/T and
     c = X'y/T. Entries are updated in lockstep but frozen individually the
-    first sweep their largest coefficient move drops below ``tol``, so each
+    first sweep their largest coefficient move drops below ``CD_TOL``, so each
     batch entry follows exactly the trajectory it would follow alone.
     """
     alpha = np.array(alpha0, dtype=float)
@@ -215,7 +207,7 @@ def _cd_solve(
     movable = diag > 0
     resid = cvec - np.einsum("bfg,bg->bf", gram, alpha)
     active = np.ones(B, dtype=bool)
-    for _ in range(max_sweeps):
+    for _ in range(CD_MAX_SWEEPS):
         max_delta = np.zeros(B)
         for j in range(F):
             dj = diag[:, j]
@@ -228,10 +220,10 @@ def _cd_solve(
                 resid -= gram[:, :, j] * delta[:, None]
                 alpha[:, j] = new
                 np.maximum(max_delta, np.abs(delta), out=max_delta)
-        active &= max_delta >= tol
+        active &= max_delta >= CD_TOL
         if not active.any():
             return alpha
-    raise NonConvergence(f"coordinate descent exceeded {max_sweeps} sweeps")
+    raise NonConvergence(f"coordinate descent exceeded {CD_MAX_SWEEPS} sweeps")
 
 
 def lasso_lambda_max(Q: QueryPanel, E: TimeSeries) -> float:
@@ -258,13 +250,24 @@ def fit_lasso(Q: QueryPanel, E: TimeSeries, lam: float) -> WebLinearModel:
     T = y.size
     gram = Xs.T @ Xs / T
     cvec = Xs.T @ (y - y.mean()) / T
-    warm = _lasso_path_alphas(gram, cvec, np.array([float(lam)]))
-    # The polish is load-bearing: on panels wider than they are tall the path
-    # can miss a drop and return a point that is not a LASSO solution.
-    alpha = _cd_solve(gram[None], cvec[None], np.array([float(lam)]), warm)[0]
+    # A matmul Gram, where _fit_lasso_batch uses einsum: the two differ in the
+    # last bits, so this stays off the batch path until the references move.
+    alpha = _solve_lasso(gram[None], cvec[None], np.array([float(lam)]))[0]
     return WebLinearModel(
         mu=float(y.mean()), alphas=alpha, feature_means=means, feature_scales=scales
     )
+
+
+def _solve_lasso(gram: np.ndarray, cvec: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """LASSO coefficients per batch entry: the exact path, then a coordinate-descent polish.
+
+    The polish is load-bearing: on panels wider than they are tall the path
+    can miss a drop and return a point that is not a LASSO solution.
+    """
+    warm = np.stack(
+        [_lasso_path_alphas(gram[b], cvec[b], lams[b : b + 1])[0] for b in range(lams.size)]
+    )
+    return _cd_solve(gram, cvec, lams, warm)
 
 
 def _lambda_grid(lam_max: np.ndarray) -> np.ndarray:
@@ -389,8 +392,8 @@ def _lasso_path_alphas(gram: np.ndarray, cvec: np.ndarray, lambdas: np.ndarray) 
     return cd_fallback(grid_i, warm)
 
 
-def _cv_choose_lambda(X: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
-    """Pick one lambda per batch entry by contiguous-block k-fold validation error.
+def _cv_choose_lambda(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pick one lambda per batch entry by contiguous-block validation error.
 
     ``X`` has shape (batch, rows, features); ``y`` is shared by every entry.
     Grids descend from each entry's own lambda_max; fold fits come from the
@@ -402,7 +405,7 @@ def _cv_choose_lambda(X: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
     lam_max = np.abs(c_all).max(axis=1)
     grid = _lambda_grid(lam_max)
     val_sse = np.zeros((B, LAMBDA_GRID_SIZE))
-    for val_idx in np.array_split(np.arange(T), k):
+    for val_idx in np.array_split(np.arange(T), CV_FOLDS):
         train_idx = np.setdiff1d(np.arange(T), val_idx)
         Xtr, ytr = X[:, train_idx, :], y[train_idx]
         Xval, yval = X[:, val_idx, :], y[val_idx]
@@ -420,16 +423,16 @@ def _cv_choose_lambda(X: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
     return grid[np.arange(B), np.argmin(val_sse, axis=1)]
 
 
-def select_lambda_cv(Q: QueryPanel, E: TimeSeries, k: int = 3) -> float:
-    """3-fold (by default) cross-validated lambda on a descending log grid.
+def select_lambda_cv(Q: QueryPanel, E: TimeSeries) -> float:
+    """``CV_FOLDS``-fold cross-validated lambda on a descending log grid.
 
     Folds are contiguous time blocks, preserving temporal order; the lambda
     with minimal mean validation squared error wins, largest first on ties.
     """
     _check_aligned(Q, E)
-    if Q.n_months < k:
-        raise TooFewRows(f"{k}-fold CV needs at least {k} rows, got {Q.n_months}")
-    return float(_cv_choose_lambda(Q.matrix[None], E.values, k)[0])
+    if Q.n_months < CV_FOLDS:
+        raise TooFewRows(f"{CV_FOLDS}-fold CV needs at least {CV_FOLDS} rows, got {Q.n_months}")
+    return float(_cv_choose_lambda(Q.matrix[None], E.values)[0])
 
 
 def _fit_lasso_batch(X: np.ndarray, y: np.ndarray, lams: np.ndarray) -> list[WebLinearModel]:
@@ -438,11 +441,7 @@ def _fit_lasso_batch(X: np.ndarray, y: np.ndarray, lams: np.ndarray) -> list[Web
     Xs, means, scales = _standardize(X)
     gram = np.einsum("btf,btg->bfg", Xs, Xs) / T
     cvec = np.einsum("btf,t->bf", Xs, y - y.mean()) / T
-    warm = np.stack(
-        [_lasso_path_alphas(gram[b], cvec[b], lams[b : b + 1])[0] for b in range(B)]
-    )
-    # Polish as in fit_lasso: the path alone can miss a drop on wide panels.
-    alphas = _cd_solve(gram, cvec, lams, warm)
+    alphas = _solve_lasso(gram, cvec, lams)
     mu = float(y.mean())
     return [
         WebLinearModel(mu=mu, alphas=alphas[b], feature_means=means[b], feature_scales=scales[b])
@@ -456,43 +455,27 @@ def fit_bagging(
     n_subsets: int | None = None,
     subset_size: int = 10,
     seed: int = 0,
-    row_bagging: bool = False,
 ) -> BaggedModel:
     """Fit LASSO members on random query subsets.
 
     Each member sees ``subset_size`` distinct queries (subsets themselves are
-    drawn independently, so queries recur across members); its lambda comes
-    from the same 3-fold CV as the plain LASSO model. ``row_bagging``
-    additionally resamples training months with replacement per member
-    (kept in time order); it is off by default.
+    drawn independently, so queries recur across members) and every training
+    month; its lambda comes from the same CV as the plain LASSO model.
     """
     _check_aligned(Q, E)
     n = Q.n_queries
     if n < subset_size:
         raise PanelTooNarrow(f"panel has {n} queries, need at least {subset_size}")
-    if Q.n_months < 3:
-        raise TooFewRows("bagging needs at least 3 rows for internal cross-validation")
+    if Q.n_months < CV_FOLDS:
+        raise TooFewRows(f"bagging needs at least {CV_FOLDS} rows for internal cross-validation")
     if n_subsets is None:
         n_subsets = n
     if n_subsets < 1:
         raise ValueError("n_subsets must be >= 1")
     rng = np.random.default_rng(seed)
     subsets = [np.sort(rng.choice(n, size=subset_size, replace=False)) for _ in range(n_subsets)]
-    T = Q.n_months
-
-    if not row_bagging:
-        X = np.stack([Q.matrix[:, s] for s in subsets])  # (B, T, F)
-        lams = _cv_choose_lambda(X, E.values, k=3)
-        models = _fit_lasso_batch(X, E.values, lams)
-    else:
-        models = []
-        for s in subsets:
-            rows = np.sort(rng.choice(T, size=T, replace=True))
-            X = Q.matrix[np.ix_(rows, s)][None]
-            y = E.values[rows]
-            lam = _cv_choose_lambda(X, y, k=3)
-            models.append(_fit_lasso_batch(X, y, lam)[0])
-
+    X = np.stack([Q.matrix[:, s] for s in subsets])  # (B, T, F)
+    models = _fit_lasso_batch(X, E.values, _cv_choose_lambda(X, E.values))
     members = tuple(
         (tuple(int(i) for i in s), model) for s, model in zip(subsets, models, strict=True)
     )
@@ -535,7 +518,8 @@ def wm_update(
 
     Weights change only when the overall prediction is off by more than the
     tolerance; then every member whose own error exceeds the tolerance is
-    multiplied by exp(-eta). Returns a new state; the input is not mutated.
+    multiplied by exp(-eta), floored at the smallest normal float. Returns a
+    new state; the input is not mutated.
     """
     preds = np.asarray(member_preds, dtype=float)
     if preds.size != state.member_count:
@@ -544,4 +528,7 @@ def wm_update(
         return state
     penalized = np.abs(preds - actual) > state.epsilon_tol
     new_weights = np.where(penalized, state.weights * np.exp(-state.eta), state.weights)
+    # A member missed often enough underflows to 0.0, which WmState rejects;
+    # the floor keeps it at the least positive weight instead.
+    new_weights = np.maximum(new_weights, np.finfo(float).tiny)
     return WmState(weights=new_weights, eta=state.eta, epsilon_tol=state.epsilon_tol)

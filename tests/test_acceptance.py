@@ -281,7 +281,6 @@ def test_criterion_9_dataset_reproduction():
                 tuple(e for e in logs[vaccine].entries if ":" not in e.method)
             ),
             datasets[vaccine][0],
-            cfg=cfg,
             vaccine=vaccine,
         )
         naive_candidates = {round(report.rmse[NAIVE], 3), round(level0.rmse[NAIVE], 3)}

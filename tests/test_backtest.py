@@ -15,7 +15,7 @@ from uptakecast.backtest import (
     run_level1_backtest,
     summarize,
 )
-from uptakecast.errors import EmptyLog, InsufficientHistory
+from uptakecast.errors import EmptyLog, InsufficientHistory, SchemaError
 from uptakecast.timeseries import MonthStamp, TimeSeries, UptakeSeries
 from uptakecast.web import QueryPanel
 
@@ -90,7 +90,7 @@ class TestConfig:
 class TestPredictionLog:
     def test_duplicate_rejected(self):
         e = LogEntry("V", NAIVE, JAN2011, 1.0, 1.0, JAN2011, JAN2011)
-        with pytest.raises(ValueError):
+        with pytest.raises(SchemaError):
             PredictionLog((e, e))
 
     def test_merge_and_lookup(self):
@@ -106,7 +106,7 @@ class TestPredictionLog:
     def test_nonconsecutive_months_rejected(self):
         e1 = LogEntry("V", NAIVE, JAN2011, 1.0, 1.0, JAN2011, JAN2011)
         e3 = LogEntry("V", NAIVE, JAN2011.plus(2), 1.0, 1.0, JAN2011, JAN2011)
-        with pytest.raises(ValueError, match="consecutive"):
+        with pytest.raises(SchemaError, match="consecutive"):
             PredictionLog((e1, e3))
 
 
@@ -295,13 +295,13 @@ class TestSummarize:
                 if not (e.method == "HW" and e.month < log.months("HW", "V")[3])
             )
         )
-        report = summarize(trimmed, E, cfg=CFG)
+        report = summarize(trimmed, E)
         assert report.n_months == len(log.months(NAIVE, "V")) - 3
         assert report.window_start == log.months("HW", "V")[3]
 
     def test_naive_column_matches_independent_shift(self, level0_run):
         E, _, log = level0_run
-        report = summarize(log, E, cfg=CFG)
+        report = summarize(log, E)
         assert report.rmse[NAIVE] == pytest.approx(naive_report_check(E, report), abs=1e-12)
 
     def test_empty_log(self):
@@ -311,7 +311,7 @@ class TestSummarize:
 
     def test_beats_naive_markers(self, level0_run):
         E, _, log = level0_run
-        report = summarize(log, E, cfg=CFG)
+        report = summarize(log, E)
         assert report.beats_naive[NAIVE] is False
         for method, value in report.rmse.items():
             if method != NAIVE:
@@ -360,6 +360,15 @@ class TestFullExperiment:
         assert by_name["late"].error.startswith("InsufficientHistory: end_month")
         assert by_name["early"].error is None
         assert by_name["early"].window_end == JAN2011.plus(38)
+
+    def test_wm_weight_underflow_is_not_an_error(self):
+        # eta=100 takes a member's weight below the smallest float after a
+        # few misses.
+        E, Q = synth_vaccine(11, n_months=40, n_queries=12)
+        cfg = dataclasses.replace(CFG, wm_eta=100.0)
+        (report,) = run_full_experiment({"V": (E, Q)}, cfg)
+        assert report.error is None
+        assert np.isfinite(report.rmse["WM"])
 
     def test_empty_datasets(self):
         with pytest.raises(ValueError):

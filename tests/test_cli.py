@@ -1,6 +1,9 @@
 import configparser
+import dataclasses
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,7 +80,14 @@ class TestValidate:
         assert main(["validate", "--config", str(tmp_path / "broken.ini")]) == 1
 
     @pytest.mark.parametrize(
-        "setting", ["bagging_subsets = 0", "hw_season_length = 0", "wm_eta = 0", "ar_lags = x"]
+        "setting",
+        [
+            "bagging_subsets = 0",
+            "hw_season_length = 0",
+            "wm_eta = 0",
+            "ar_lags = x",
+            "row_bagging = yes",  # removed; an unknown key like any other
+        ],
     )
     def test_invalid_backtest_setting(self, experiment, tmp_path, capsys, setting):
         config = (experiment / "experiment.ini").read_text() + setting + "\n"
@@ -92,14 +102,13 @@ class TestValidate:
     def test_every_backtest_field_parses(self, experiment, tmp_path):
         expected = BacktestConfig(
             level0_warmup_months=30, level1_warmup_months=6, ar_lags=3, arima_orders=(2, 0, 1),
-            hw_season_length=6, bagging_subset_size=5, bagging_subsets=7, row_bagging=True,
-            wm_eta=4.5, wm_epsilon=1.5, svr_cost=2.5, svr_tube_eps=0.2, svr_gamma=0.5,
+            hw_season_length=6, bagging_subset_size=5, bagging_subsets=7, wm_eta=4.5, wm_epsilon=1.5, svr_cost=2.5, svr_tube_eps=0.2, svr_gamma=0.5,
             seed=8, end_month=MonthStamp(2013, 6), level1_sliding=9,
         )
         lines = [
             "level0_warmup_months = 30", "level1_warmup_months = 6", "ar_lags = 3",
             "arima_orders = 2, 0, 1", "hw_season_length = 6", "bagging_subset_size = 5",
-            "bagging_subsets = 7", "row_bagging = yes", "wm_eta = 4.5", "wm_epsilon = 1.5",
+            "bagging_subsets = 7", "wm_eta = 4.5", "wm_epsilon = 1.5",
             "svr_cost = 2.5", "svr_tube_eps = 0.2", "svr_gamma = 0.5", "seed = 8",
             "end_month = 2013-06", "level1_sliding = 9",
         ]
@@ -108,6 +117,13 @@ class TestValidate:
         _, cfg = _load_experiment(str(tmp_path / "full.ini"), ["VAX-A"], None)
         assert cfg == expected
         assert {line.split(" = ")[0] for line in lines} == set(vars(expected))
+
+    def test_readme_lists_every_backtest_field(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"; any BacktestConfig field:(.*?); valid ranges:", readme, re.S)
+        text = re.sub(r"\([^)]*\)", "", block.group(1).replace(";", ""))
+        listed = [key.strip() for key in text.split(",")]
+        assert listed == [f.name for f in dataclasses.fields(BacktestConfig)]
 
     def test_default_section_feeds_interpolation(self, experiment, tmp_path, capsys):
         # [DEFAULT] keys are visible in every section; they name no vaccine
@@ -254,18 +270,28 @@ class TestReport:
     def test_missing_log_dir(self, tmp_path, capsys):
         assert main(["report", "--log-dir", str(tmp_path / "void")]) == 1
 
-    def test_corrupt_log_is_runtime_error(self, tmp_path, capsys):
-        logs = tmp_path / "logs"
-        logs.mkdir()
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("X,Naive,2013,1,not-a-number,50.0,2011,1,2012,12,\n", "line 2"),
+            ("X,Naive,2013,1.5,49.0,50.0,2011,1,2012,12,\n", "line 2"),
+            ("X,Naive,2013,1,49.0,50.0,2011,1,2012,12,\nX,Naive,2013,2,49.0\n", "line 3"),
+            ("", "no log entries"),
+            (None, "unexpected log header"),
+        ],
+        ids=["unparsable-number", "non-integer-month", "short-row", "header-only", "empty-file"],
+    )
+    def test_malformed_log_is_validation_error(self, tmp_path, capsys, body, message):
         header = (
             "vaccine,method,year,month,predicted,actual,train_start_year,"
-            "train_start_month,train_end_year,train_end_month,diagnostic"
+            "train_start_month,train_end_year,train_end_month,diagnostic\n"
         )
-        (logs / "X.log.csv").write_text(
-            header + "\nX,Naive,2013,1,not-a-number,50.0,2011,1,2012,12,\n"
-        )
-        assert main(["report", "--log-dir", str(logs)]) == 2
-        assert "runtime error" in capsys.readouterr().err
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        (logs / "X.log.csv").write_text("" if body is None else header + body)
+        assert main(["report", "--log-dir", str(logs)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
 
 class TestPredict:

@@ -265,10 +265,6 @@ class TestHoltWinters:
         with pytest.raises(SeriesTooShort):
             fit_holt_winters(make_series(np.arange(23.0)), 12)
 
-    def test_forced_params_validated(self):
-        with pytest.raises(ValueError):
-            fit_holt_winters(make_series(np.arange(24.0)), 12, params=(1.5, 0.0, 0.0))
-
     def test_optimizer_beats_random_triples(self):
         rng = np.random.default_rng(4)
         t = np.arange(48)

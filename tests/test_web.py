@@ -60,9 +60,6 @@ class TestQueryPanel:
         panel = random_panel(RNG, 12, 4)
         sub = panel.slice(MonthStamp(2011, 3), MonthStamp(2011, 8))
         assert sub.n_months == 6 and sub.start == MonthStamp(2011, 3)
-        picked = panel.select([2, 0])
-        assert picked.query_names == ("q2", "q0")
-        np.testing.assert_array_equal(picked.matrix[:, 0], panel.matrix[:, 2])
 
 
 class TestWebOls:
@@ -155,7 +152,7 @@ class TestLasso:
         for sparse_nnz, dense_nnz in zip(nnz, nnz[1:]):
             assert sparse_nnz <= dense_nnz + 2
         # univariate case is exactly monotone
-        single = panel.select([0])
+        single = QueryPanel(panel.start, panel.query_names[:1], panel.matrix[:, :1])
         mags = [abs(fit_lasso(single, E, lam).alphas[0]) for lam in lams]
         assert all(a <= b + 1e-12 for a, b in zip(mags, mags[1:]))
 
@@ -281,7 +278,7 @@ class TestSelectLambdaCv:
     def test_too_few_rows(self):
         panel = random_panel(RNG, 2, 3)
         with pytest.raises(TooFewRows):
-            select_lambda_cv(panel, make_series(np.ones(2)), k=3)
+            select_lambda_cv(panel, make_series(np.ones(2)))
 
 
 class TestBagging:
@@ -320,14 +317,6 @@ class TestBagging:
         panel = random_panel(RNG, 10, 4)
         with pytest.raises(PanelTooNarrow):
             fit_bagging(panel, make_series(np.ones(10)), subset_size=10, seed=0)
-
-    def test_row_bagging_switch(self):
-        rng = np.random.default_rng(13)
-        panel = random_panel(rng, 16, 6)
-        E = make_series(rng.uniform(20, 80, 16))
-        bag = fit_bagging(panel, E, n_subsets=3, subset_size=4, seed=5, row_bagging=True)
-        assert bag.member_count == 3
-        assert np.isfinite(predict_bagging(bag, panel.matrix[-1]))
 
 
 class TestPredictBagging:
@@ -429,6 +418,15 @@ class TestWeightedMajority:
             assert np.all(new.weights <= state.weights + 1e-18)
             assert np.all(new.weights > 0)
             state = new
+
+    def test_long_miss_streak_keeps_weights_positive(self):
+        # 200 misses at eta=5 take exp(-1000) below the smallest float.
+        state = wm_init(2)
+        for _ in range(200):
+            state = wm_update(state, [100.5, 110.0], overall_prediction=107.0, actual=100.0)
+        assert np.all(state.weights > 0)
+        assert state.weights[0] == 1.0
+        assert np.isfinite(wm_predict(state, [100.5, 110.0]))
 
     def test_prediction_within_member_range(self):
         rng = np.random.default_rng(19)
