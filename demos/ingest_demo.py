@@ -60,7 +60,7 @@ print(f"panel keeps {panel.n_queries} queries over {panel.n_months} months")
 
 cfg = BacktestConfig(bagging_subset_size=4, seed=1)
 log = run_level0_backtest(uptake, panel, cfg, vaccine="MMR-1")
-report = summarize(log, uptake, seed=cfg.seed)
+report = summarize(log, "MMR-1", seed=cfg.seed)
 print()
 print(f"level-0 backtest over {report.n_months} months "
       f"({report.window_start}..{report.window_end}):")

@@ -115,7 +115,9 @@ class PredictionLog:
     """Per (vaccine, method, month) predictions with training-window bounds.
 
     ``cells`` indexes the entries as (vaccine, method) -> {month: entry}, keys
-    and months in entry order; every lookup reads it.
+    and months in entry order; every lookup reads it. Every entry of one
+    (vaccine, month) carries the same observed ``actual`` value, so the log is
+    the one record that reports and level 1 score against.
     """
 
     entries: tuple[LogEntry, ...]
@@ -125,10 +127,13 @@ class PredictionLog:
 
     def __post_init__(self):
         cells: dict[tuple[str, str], dict[MonthStamp, LogEntry]] = {}
+        actuals: dict[tuple[str, MonthStamp], float] = {}
         for e in self.entries:
             cell = cells.setdefault((e.vaccine, e.method), {})
             if e.month in cell:
                 raise SchemaError(f"duplicate log entry for ({e.vaccine}, {e.method})")
+            if actuals.setdefault((e.vaccine, e.month), e.actual) != e.actual:
+                raise SchemaError(f"({e.vaccine}, {e.month}) has two different actual values")
             cell[e.month] = e
         for (vaccine, method), cell in cells.items():
             idx = [m.to_index() for m in cell]
@@ -170,7 +175,6 @@ class BacktestReport:
     beats_naive: dict[str, bool]
     is_row_min: dict[str, bool]
     seed: int | None = None
-    diagnostics: tuple[str, ...] = ()
     error: str | None = None
 
 
@@ -332,13 +336,16 @@ def run_level0_backtest(
 
 def level0_streams(
     log: PredictionLog, vaccine: str, cfg: BacktestConfig
-) -> tuple[tuple[MonthStamp, ...], dict[str, np.ndarray]]:
-    """The level-0 months and each method's predictions over them: the inputs of level 1."""
-    months = log.months(NAIVE, vaccine)
-    return months, {
+) -> tuple[tuple[MonthStamp, ...], dict[str, np.ndarray], np.ndarray]:
+    """The inputs of level 1: the level-0 months, each method's predictions
+    over them and the observed values the log holds for them."""
+    naive = log.cells.get((vaccine, NAIVE), {})
+    months = tuple(naive)
+    streams = {
         m: np.array([log.prediction(m, t, vaccine) for t in months])
         for m in (NAIVE,) + cfg.clinical_methods() + WEB_METHODS
     }
+    return months, streams, np.array([e.actual for e in naive.values()])
 
 
 def level1_window_start(n: int, cfg: BacktestConfig) -> int:
@@ -389,27 +396,21 @@ def level1_step(
 
 
 def run_level1_backtest(
-    level0_log: PredictionLog, E: UptakeSeries, cfg: BacktestConfig, vaccine: str | None = None
+    level0_log: PredictionLog, cfg: BacktestConfig, vaccine: str
 ) -> PredictionLog:
     """Stack each (clinical, web) stream pair with each level-1 model.
 
     Training uses the level-0 one-step predictions themselves over a growing
-    window (or a fixed sliding window when configured); everything refits at
-    every month.
+    window (or a fixed sliding window when configured), against the actual
+    values the level-0 log records; everything refits at every month.
     """
-    if vaccine is None:
-        vaccines = level0_log.vaccines()
-        if len(vaccines) != 1:
-            raise ValueError("pass vaccine= when the log covers several vaccines")
-        vaccine = vaccines[0]
-    months, streams = level0_streams(level0_log, vaccine, cfg)
+    months, streams, actuals = level0_streams(level0_log, vaccine, cfg)
     warm = cfg.level1_warmup_months
     if len(months) < warm + 1:
         raise InsufficientHistory(
             f"level-0 log covers {len(months)} months, need {warm + 1}"
         )
 
-    actuals = np.array([E.series.value_at(t) for t in months])
     entries: list[LogEntry] = []
     for idx in range(warm, len(months)):
         lo = level1_window_start(idx, cfg)
@@ -448,37 +449,24 @@ def _canonical_method_order(methods: Sequence[str]) -> list[str]:
     return [m for _, m in indexed]
 
 
-def summarize(
-    log: PredictionLog,
-    actual: UptakeSeries,
-    seed: int | None = None,
-    vaccine: str | None = None,
-) -> BacktestReport:
-    """RMSE per method over the months every method predicted.
+def summarize(log: PredictionLog, vaccine: str, seed: int | None = None) -> BacktestReport:
+    """RMSE per method of ``vaccine`` against the logged actual values, over
+    the months every one of its methods predicted.
 
     Restricting to the common month set keeps level-0 and level-1 columns
     comparable (the level-1 warm-up shortens the window for everyone).
     """
-    if len(log) == 0:
-        raise EmptyLog("prediction log is empty")
-    if vaccine is None:
-        vaccines = log.vaccines()
-        if len(vaccines) != 1:
-            raise ValueError("pass vaccine= when the log covers several vaccines")
-        vaccine = vaccines[0]
-    methods = _canonical_method_order(log.methods())
-    series = actual.series
-
-    month_sets = [set(log.months(m, vaccine)) for m in methods]
-    common = set.intersection(*month_sets) & {m for m in series.months()}
-    if not common:
-        raise EmptyLog("no months shared by every method and the actual series")
-    window = sorted(common, key=lambda s: s.to_index())
+    cells = {method: cell for (v, method), cell in log.cells.items() if v == vaccine}
+    if not cells:
+        raise EmptyLog(f"prediction log has no entries for {vaccine!r}")
+    window = sorted(set.intersection(*map(set, cells.values())), key=MonthStamp.to_index)
+    if not window:
+        raise EmptyLog("no months shared by every method")
 
     rmse_by_method: dict[str, float] = {}
-    for m in methods:
-        pred = np.array([log.prediction(m, t, vaccine) for t in window])
-        act = np.array([series.value_at(t) for t in window])
+    for m in _canonical_method_order(list(cells)):
+        pred = np.array([cells[m][t].predicted for t in window])
+        act = np.array([cells[m][t].actual for t in window])
         rmse_by_method[m] = float(np.sqrt(np.mean((pred - act) ** 2)))
 
     naive_rmse = rmse_by_method.get(NAIVE)
@@ -488,11 +476,6 @@ def summarize(
     }
     best = min(rmse_by_method.values())
     row_min = {m: v == best for m, v in rmse_by_method.items()}
-    diagnostics = tuple(
-        f"{e.method} {e.month}: {e.diagnostic}"
-        for e in log.entries
-        if e.vaccine == vaccine and e.diagnostic
-    )
     return BacktestReport(
         vaccine=vaccine,
         window_start=window[0],
@@ -502,7 +485,6 @@ def summarize(
         beats_naive=beats,
         is_row_min=row_min,
         seed=seed,
-        diagnostics=diagnostics,
     )
 
 
@@ -522,11 +504,11 @@ def run_full_experiment(
     for name, (E, Q) in datasets.items():
         try:
             log0 = run_level0_backtest(E, Q, cfg, vaccine=name)
-            log1 = run_level1_backtest(log0, E, cfg, vaccine=name)
+            log1 = run_level1_backtest(log0, cfg, vaccine=name)
             merged = log0.merge(log1)
             if collect_logs is not None:
                 collect_logs[name] = merged
-            reports.append(summarize(merged, E, seed=cfg.seed, vaccine=name))
+            reports.append(summarize(merged, vaccine=name, seed=cfg.seed))
         except FIT_ERRORS as err:
             reports.append(
                 BacktestReport(

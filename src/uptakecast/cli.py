@@ -11,11 +11,10 @@ import configparser
 import csv
 import dataclasses
 import io
+import math
 import sys
 import warnings
 from pathlib import Path
-
-import numpy as np
 
 from . import web
 from .backtest import (
@@ -34,7 +33,7 @@ from .backtest import (
 )
 from .errors import ParseError, UptakecastError
 from .ingest import compute_uptake, emit_report, load_cohorts, load_registry, load_trends
-from .timeseries import MonthStamp, TimeSeries, UptakeSeries
+from .timeseries import MonthStamp
 
 
 def _parse_month_flag(text: str) -> MonthStamp:
@@ -95,7 +94,7 @@ def _load_experiment(config_path: str, vaccine_filter: list[str] | None, seed_fl
     cohorts = load_cohorts(cohorts_path)
 
     wanted = set(vaccine_filter) if vaccine_filter else None
-    datasets: dict[str, tuple[UptakeSeries, web.QueryPanel]] = {}
+    datasets = {}
     for name, trends_path in vaccines.items():
         if wanted is not None and name not in wanted:
             continue
@@ -164,19 +163,22 @@ def read_log_csv(text: str) -> PredictionLog:
         if len(row) != len(_LOG_HEADER):
             raise ParseError(f"expected {len(_LOG_HEADER)} fields", line=reader.line_num)
         try:
+            predicted, actual = float(row[4]), float(row[5])
+            if not (math.isfinite(predicted) and 0 <= actual < math.inf):
+                raise ValueError("predicted must be finite and actual finite and >= 0")
             entries.append(
                 LogEntry(
                     vaccine=row[0],
                     method=row[1],
                     month=MonthStamp(int(row[2]), int(row[3])),
-                    predicted=float(row[4]),
-                    actual=float(row[5]),
+                    predicted=predicted,
+                    actual=actual,
                     train_start=MonthStamp(int(row[6]), int(row[7])),
                     train_end=MonthStamp(int(row[8]), int(row[9])),
                     diagnostic=row[10],
                 )
             )
-        except ValueError as err:  # a number that does not parse, or a month outside 1..12
+        except ValueError as err:  # an unparsable or out-of-range number, or a month outside 1..12
             raise ParseError(str(err), line=reader.line_num) from None
     return PredictionLog(tuple(entries))
 
@@ -219,7 +221,7 @@ def _cmd_backtest(args) -> int:
             level0 = PredictionLog(
                 tuple(e for e in log.entries if ":" not in e.method)
             )
-            rep = summarize(level0, datasets[name][0], seed=cfg.seed, vaccine=name)
+            rep = summarize(level0, name, seed=cfg.seed)
             extra.append(dataclasses.replace(rep, vaccine=f"{name} (level0 window)"))
         text += emit_report(extra, format=args.format)
     _write_out(text, args.out)
@@ -248,10 +250,9 @@ def _cmd_predict(args) -> int:
         derive_month_seed(cfg.seed, target),
         wm_sink[-1] if wm_sink else None,
     )
-    months, streams = level0_streams(log0, name, cfg)
+    months, streams, actuals = level0_streams(log0, name, cfg)
     lo = level1_window_start(len(months), cfg)
-    targets = np.array([series.value_at(t) for t in months[lo:]])
-    stacked = level1_step({m: s[lo:] for m, s in streams.items()}, targets, preds, cfg)
+    stacked = level1_step({m: s[lo:] for m, s in streams.items()}, actuals[lo:], preds, cfg)
     for method, (value, note) in stacked.items():
         preds[method] = value
         if note:
@@ -280,11 +281,7 @@ def _cmd_report(args) -> int:
             raise UptakecastError(f"{path}: {err}") from err
         if len(log) == 0:
             raise UptakecastError(f"{path}: no log entries")
-        vaccine = log.vaccines()[0]
-        actuals = {e.month: e.actual for e in log.entries}
-        ordered = sorted(set(actuals), key=lambda s: s.to_index())
-        series = TimeSeries(ordered[0], [actuals[m] for m in ordered])
-        reports.append(summarize(log, UptakeSeries(series), vaccine=vaccine))
+        reports += [summarize(log, vaccine) for vaccine in log.vaccines()]
     _write_out(emit_report(reports, format=args.format), args.out)
     return 0
 

@@ -276,7 +276,7 @@ def emit_report(reports: Sequence[BacktestReport], format: str = "markdown") -> 
         lines.append(
             "Evaluation windows: "
             + "; ".join(f"{a}..{b}" for a, b in sorted(windows))
-            + (f". Seed: {seeds.pop()}." if len(seeds) == 1 else ".")
+            + (f". Seed: {seeds.pop()}." if len(seeds) == 1 and None not in seeds else ".")
         )
         lines.append("**bold**: beats naive; [brackets]: lowest RMSE for the vaccine.")
     for rep in failed:

@@ -147,7 +147,7 @@ def test_criterion_5_protocol_fidelity():
         assert len(months) == 33
         assert months[0] == MonthStamp(2013, 1)
         assert months[-1] == MonthStamp(2015, 9)
-    log1 = run_level1_backtest(log0, E, cfg, vaccine="V")
+    log1 = run_level1_backtest(log0, cfg, vaccine="V")
     assert len(log1.methods()) == 36
     for method in log1.methods():
         months = log1.months(method, "V")
@@ -164,7 +164,7 @@ def test_criterion_6_no_lookahead():
     for vaccine_seed in (61, 62, 63):
         E, Q = synth_vaccine(vaccine_seed, n_months=40, n_queries=12)
         log0 = run_level0_backtest(E, Q, cfg, vaccine=f"V{vaccine_seed}")
-        log1 = run_level1_backtest(log0, E, cfg, vaccine=f"V{vaccine_seed}")
+        log1 = run_level1_backtest(log0, cfg, vaccine=f"V{vaccine_seed}")
         log = log0.merge(log1)
         level1_months = log1.months(log1.methods()[0], f"V{vaccine_seed}")
         probes.extend(
@@ -185,7 +185,7 @@ def test_criterion_6_no_lookahead():
         Q2 = QueryPanel(Q.start, Q.query_names, matrix)
         name = f"V{vaccine_seed}"
         log0 = run_level0_backtest(E2, Q2, cfg, vaccine=name)
-        corrupted = log0.merge(run_level1_backtest(log0, E2, cfg, vaccine=name))
+        corrupted = log0.merge(run_level1_backtest(log0, cfg, vaccine=name))
         for method in log.methods():
             if t in corrupted.months(method, name):
                 assert corrupted.prediction(method, t, name) == log.prediction(
@@ -280,7 +280,6 @@ def test_criterion_9_dataset_reproduction():
             type(logs[vaccine])(
                 tuple(e for e in logs[vaccine].entries if ":" not in e.method)
             ),
-            datasets[vaccine][0],
             vaccine=vaccine,
         )
         naive_candidates = {round(report.rmse[NAIVE], 3), round(level0.rmse[NAIVE], 3)}

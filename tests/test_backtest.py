@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uptakecast.backtest import (
     NAIVE,
@@ -15,6 +17,7 @@ from uptakecast.backtest import (
     run_level1_backtest,
     summarize,
 )
+from uptakecast.cli import read_log_csv, write_log_csv
 from uptakecast.errors import EmptyLog, InsufficientHistory, SchemaError
 from uptakecast.timeseries import MonthStamp, TimeSeries, UptakeSeries
 from uptakecast.web import QueryPanel
@@ -102,6 +105,14 @@ class TestPredictionLog:
         assert log.months("HW", "W") == ()
         with pytest.raises(KeyError):
             log.prediction("HW", JAN2011.plus(1), "V")
+
+    def test_two_actual_values_for_one_month_rejected(self):
+        e1 = LogEntry("V", NAIVE, JAN2011, 1.0, 1.0, JAN2011, JAN2011)
+        e2 = LogEntry("V", "HW", JAN2011, 1.0, 2.0, JAN2011, JAN2011)
+        with pytest.raises(SchemaError, match="two different actual values"):
+            PredictionLog((e1, e2))
+        # Another vaccine may observe another value in the same month.
+        assert len(PredictionLog((e1, dataclasses.replace(e2, vaccine="W")))) == 2
 
     def test_nonconsecutive_months_rejected(self):
         e1 = LogEntry("V", NAIVE, JAN2011, 1.0, 1.0, JAN2011, JAN2011)
@@ -210,10 +221,7 @@ class TestLevel1:
         cfg = BacktestConfig(seed=1)
         months = tuple(MonthStamp(2013, 1).plus(k) for k in range(20))
         log0 = fabricate_level0_log(cfg, months)
-        E = UptakeSeries(
-            TimeSeries(JAN2011, np.concatenate([np.full(24, 50.0), 50 + np.arange(20.0)]))
-        )
-        log1 = run_level1_backtest(log0, E, cfg, vaccine="V")
+        log1 = run_level1_backtest(log0, cfg, vaccine="V")
         assert len(log1.methods()) == 36
         for method in log1.methods():
             months1 = log1.months(method, "V")
@@ -222,12 +230,9 @@ class TestLevel1:
 
     def test_growing_vs_sliding_window(self):
         months = tuple(MonthStamp(2013, 1).plus(k) for k in range(20))
-        E = UptakeSeries(
-            TimeSeries(JAN2011, np.concatenate([np.full(24, 50.0), 50 + np.arange(20.0)]))
-        )
-        grow = run_level1_backtest(fabricate_level0_log(BacktestConfig(), months), E,
+        grow = run_level1_backtest(fabricate_level0_log(BacktestConfig(), months),
                                    BacktestConfig(), vaccine="V")
-        slide = run_level1_backtest(fabricate_level0_log(BacktestConfig(), months), E,
+        slide = run_level1_backtest(fabricate_level0_log(BacktestConfig(), months),
                                     BacktestConfig(level1_sliding=12), vaccine="V")
         last = grow.months(grow.methods()[0], "V")[-1]
         g = next(e for e in grow.entries if e.month == last)
@@ -244,18 +249,16 @@ class TestLevel1:
         log0 = PredictionLog(
             tuple(e for e in full.entries if not (e.method == "B" and e.month == months[-1]))
         )
-        E = UptakeSeries(TimeSeries(JAN2011, np.full(44, 50.0)))
         with pytest.raises(KeyError) as info:
-            run_level1_backtest(log0, E, cfg, vaccine="V")
+            run_level1_backtest(log0, cfg, vaccine="V")
         assert info.value.args[0] == ("B", months[-1], "V")
 
     def test_insufficient_history(self):
         cfg = BacktestConfig()
         months = (MonthStamp(2013, 1),)
         log0 = fabricate_level0_log(cfg, months)
-        E = UptakeSeries(TimeSeries(JAN2011, np.full(30, 50.0)))
         with pytest.raises(InsufficientHistory):
-            run_level1_backtest(log0, E, cfg, vaccine="V")
+            run_level1_backtest(log0, cfg, vaccine="V")
 
 
 class TestSummarize:
@@ -268,8 +271,7 @@ class TestSummarize:
                     LogEntry("V", method, month, 50.0 + m_idx, 50.0 + m_idx,
                              JAN2011, month.plus(-1))
                 )
-        E = UptakeSeries(TimeSeries(MonthStamp(2013, 1), 50 + np.arange(5.0)))
-        report = summarize(PredictionLog(tuple(entries)), E)
+        report = summarize(PredictionLog(tuple(entries)), "V")
         assert all(v == 0 for v in report.rmse.values())
         assert all(report.is_row_min.values())
 
@@ -279,13 +281,12 @@ class TestSummarize:
             LogEntry("V", "only", months[0], 0.0, 4.0, JAN2011, months[0].plus(-1)),
             LogEntry("V", "only", months[1], 3.0, 3.0, JAN2011, months[1].plus(-1)),
         ]
-        E = UptakeSeries(TimeSeries(months[0], np.array([4.0, 3.0])))
-        report = summarize(PredictionLog(tuple(entries)), E)
+        report = summarize(PredictionLog(tuple(entries)), "V")
         assert report.rmse["only"] == pytest.approx(np.sqrt(8), abs=1e-9)
         assert report.is_row_min["only"]
 
     def test_window_is_method_intersection(self, level0_run):
-        E, _, log = level0_run
+        _, _, log = level0_run
         # drop the first three months of one method; everyone is then scored
         # over the shortened common window
         trimmed = PredictionLog(
@@ -295,23 +296,22 @@ class TestSummarize:
                 if not (e.method == "HW" and e.month < log.months("HW", "V")[3])
             )
         )
-        report = summarize(trimmed, E)
+        report = summarize(trimmed, "V")
         assert report.n_months == len(log.months(NAIVE, "V")) - 3
         assert report.window_start == log.months("HW", "V")[3]
 
     def test_naive_column_matches_independent_shift(self, level0_run):
         E, _, log = level0_run
-        report = summarize(log, E)
+        report = summarize(log, "V")
         assert report.rmse[NAIVE] == pytest.approx(naive_report_check(E, report), abs=1e-12)
 
     def test_empty_log(self):
-        E = UptakeSeries(TimeSeries(JAN2011, np.ones(3)))
         with pytest.raises(EmptyLog):
-            summarize(PredictionLog(()), E)
+            summarize(PredictionLog(()), "V")
 
     def test_beats_naive_markers(self, level0_run):
-        E, _, log = level0_run
-        report = summarize(log, E)
+        _, _, log = level0_run
+        report = summarize(log, "V")
         assert report.beats_naive[NAIVE] is False
         for method, value in report.rmse.items():
             if method != NAIVE:
@@ -319,6 +319,47 @@ class TestSummarize:
         best = min(report.rmse.values())
         for method, value in report.rmse.items():
             assert report.is_row_min[method] == (value == best)
+
+
+@st.composite
+def small_logs(draw):
+    """A shuffled log of 1-2 vaccines, each with 1-3 methods over 1-6
+    contiguous months and one actual value per month."""
+    predicted = st.floats(-1e3, 1e3)
+    methods = st.lists(
+        st.sampled_from([NAIVE, "HW", "AR12", "L", "OLS:HW+L", "SVR-gaussian:AR12+WM"]),
+        min_size=1, max_size=3, unique=True,
+    )
+    entries = []
+    for vaccine in ("V", "W")[: draw(st.integers(1, 2))]:
+        start = JAN2011.plus(draw(st.integers(0, 24)))
+        names = draw(methods)
+        for k in range(draw(st.integers(1, 6))):
+            month, actual = start.plus(k), draw(st.floats(0.0, 1e3))
+            entries += [
+                LogEntry(vaccine, m, month, draw(predicted), actual, JAN2011, month.plus(-1))
+                for m in names
+            ]
+    return PredictionLog(tuple(draw(st.permutations(entries))))
+
+
+class TestSummarizeProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(log=small_logs())
+    def test_csv_round_trip_keeps_every_rmse(self, log):
+        reloaded = read_log_csv(write_log_csv(log))
+        for vaccine in log.vaccines():
+            before, after = summarize(log, vaccine), summarize(reloaded, vaccine)
+            assert list(after.rmse.items()) == list(before.rmse.items())
+
+    @settings(max_examples=100, deadline=None)
+    @given(log=small_logs())
+    def test_vaccine_report_ignores_other_vaccines(self, log):
+        for vaccine in log.vaccines():
+            alone = PredictionLog(tuple(e for e in log.entries if e.vaccine == vaccine))
+            report, expected = summarize(log, vaccine), summarize(alone, vaccine)
+            assert report == expected
+            assert list(report.rmse.items()) == list(expected.rmse.items())
 
 
 class TestFullExperiment:

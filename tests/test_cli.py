@@ -249,6 +249,19 @@ class TestBacktest:
         ]) == 1
 
 
+@pytest.fixture(scope="module")
+def markdown_run(experiment, tmp_path_factory):
+    """``backtest`` markdown for both vaccines and the logs it wrote."""
+    root = tmp_path_factory.mktemp("markdown_run")
+    assert main([
+        "backtest",
+        "--config", str(experiment / "experiment.ini"),
+        "--out", str(root / "report.md"),
+        "--log-dir", str(root / "logs"),
+    ]) == 0
+    return (root / "report.md").read_text(), root / "logs"
+
+
 class TestReport:
     def test_reemit_matches_backtest_rmse(self, experiment, tmp_path, capsys):
         logs = tmp_path / "logs"
@@ -278,8 +291,14 @@ class TestReport:
             ("X,Naive,2013,1,49.0,50.0,2011,1,2012,12,\nX,Naive,2013,2,49.0\n", "line 3"),
             ("", "no log entries"),
             (None, "unexpected log header"),
+            ("X,Naive,2013,1,nan,50.0,2011,1,2012,12,\n", "line 2"),
+            ("X,Naive,2013,1,49.0,inf,2011,1,2012,12,\n", "line 2"),
+            ("X,Naive,2013,1,49.0,-1.0,2011,1,2012,12,\n", "line 2"),
         ],
-        ids=["unparsable-number", "non-integer-month", "short-row", "header-only", "empty-file"],
+        ids=[
+            "unparsable-number", "non-integer-month", "short-row", "header-only", "empty-file",
+            "nan-prediction", "inf-actual", "negative-actual",
+        ],
     )
     def test_malformed_log_is_validation_error(self, tmp_path, capsys, body, message):
         header = (
@@ -292,6 +311,31 @@ class TestReport:
         assert main(["report", "--log-dir", str(logs)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    def test_markdown_reemit_has_no_unknown_seed(self, markdown_run, tmp_path):
+        # The logs do not record the seed, so the re-emitted markdown leaves
+        # out the seed sentence and is otherwise the backtest's.
+        direct, logs = markdown_run
+        out = tmp_path / "reemitted.md"
+        assert main(["report", "--log-dir", str(logs), "--out", str(out)]) == 0
+        assert ". Seed: 3." in direct
+        assert out.read_text() == direct.replace(". Seed: 3.", ".")
+
+    def test_one_file_with_two_vaccines(self, markdown_run, tmp_path):
+        _, logs = markdown_run
+        a = (logs / "VAX-A.log.csv").read_text()
+        b = (logs / "VAX-B.log.csv").read_text()
+        joined = tmp_path / "joined"
+        joined.mkdir()
+        (joined / "both.log.csv").write_text(a + b.split("\n", 1)[1])
+        separate, together = tmp_path / "separate.csv", tmp_path / "together.csv"
+        argv = ["report", "--format", "csv", "--out"]
+        assert main(argv + [str(separate), "--log-dir", str(logs)]) == 0
+        assert main(argv + [str(together), "--log-dir", str(joined)]) == 0
+        assert together.read_text() == separate.read_text()
+        assert {row.split(",")[0] for row in separate.read_text().splitlines()[1:]} == {
+            "VAX-A", "VAX-B"
+        }
 
 
 class TestPredict:
@@ -348,7 +392,7 @@ class TestPredict:
             panel.start, panel.query_names, np.vstack([panel.matrix, panel.matrix[-1]])
         )
         log0 = run_level0_backtest(extended, extended_panel, cfg, vaccine="VAX-A")
-        log = log0.merge(run_level1_backtest(log0, extended, cfg, vaccine="VAX-A"))
+        log = log0.merge(run_level1_backtest(log0, cfg, vaccine="VAX-A"))
 
         assert header == f"next-month predictions for VAX-A, target {target}:"
         assert list(predicted) == list(cfg.method_order())
