@@ -1,16 +1,19 @@
 """Rolling one-step-ahead backtest: full refit each month, warm-up schedules,
 all single-source methods, all ensemble combinations, RMSE reporting.
 
-Vaccines are processed independently; within one vaccine the month loop is
-strictly ordered because the weighted-majority state and the growing training
-windows are sequential. Every model failure is caught per cell, replaced by
-the naive prediction and flagged in the entry diagnostics, so one bad window
-never aborts a sweep.
+Vaccines are processed independently. Within one vaccine each month's fits
+depend only on the data before that month, so the months are fitted in worker
+processes across the usable CPUs; only the weighted-majority weights thread
+through the months, in month order, in the calling process. Every model
+failure or non-finite forecast is caught per cell, replaced by the naive
+prediction and flagged in the entry diagnostics, so one bad window never
+aborts a sweep.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
@@ -196,35 +199,73 @@ def aligned_history(
     return panel, series
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_months(fn: Callable, tasks: Sequence[tuple]) -> list:
+    """``[fn(*task) for task in tasks]``, one task per month, in month order.
+
+    The tasks run in forked worker processes, one per usable CPU and at most
+    one per task; in-process when that is one worker or the platform cannot
+    fork. Forked workers inherit the loaded numpy/BLAS build, its settings and
+    the warning filters, so every fit does the same arithmetic as in-process.
+    The last (longest) month is submitted first, so that it does not run
+    alone at the end. An error is raised for the first failing month, as in a
+    serial run, and no worker outlives the call.
+    """
+    workers = min(_usable_cpus(), len(tasks))
+    if workers <= 1 or not hasattr(os, "fork"):
+        return [fn(*task) for task in tasks]
+    # Imported here, not at the top: the pool's modules add about 30 ms to
+    # every import of the package, and `validate` and `report` never fit.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(fn, *task) for task in reversed(tasks)]
+        try:
+            return [future.result() for future in reversed(futures)]
+        finally:
+            # After an error, drop the months not yet started.
+            pool.shutdown(cancel_futures=True)
+
+
 def _fit_each(fits: Mapping[str, Callable[[], Any]], naive: float) -> tuple[dict, dict[str, str]]:
-    """Call every fit in order; a model failure yields ``naive`` and a note."""
+    """Call every fit in order; a model failure or a non-finite forecast yields
+    ``naive`` and a note."""
     values: dict[str, Any] = {}
     notes: dict[str, str] = {}
     for method, fit in fits.items():
         try:
-            values[method] = fit()
+            value = fit()
         except FIT_ERRORS as err:
-            values[method] = naive
-            notes[method] = f"fallback=naive ({type(err).__name__}: {err})"
+            value, notes[method] = naive, f"fallback=naive ({type(err).__name__}: {err})"
+        else:
+            if not np.all(np.isfinite(value)):
+                value, notes[method] = naive, "fallback=naive (non-finite forecast)"
+        values[method] = value
     return values, notes
 
 
-def level0_step(
+def level0_fit(
     hist: TimeSeries,
     panel_hist: web.QueryPanel,
     row: np.ndarray,
     cfg: BacktestConfig,
     month_seed: int,
-    wm_state: web.WmState | None,
-) -> tuple[dict[str, float], dict[str, str], np.ndarray | None, web.WmState | None]:
-    """Fit every level-0 model on the history and forecast the month after it.
+) -> tuple[dict[str, float], dict[str, str], np.ndarray | None]:
+    """Fit every level-0 model but WM on the history and forecast the month after it.
 
     The clinical models extrapolate ``hist``; the web models, fitted on
     ``panel_hist``, score the frequency ``row``. Returns method->prediction,
-    method->note for each model that fell back to naive, the bagged member
-    predictions (None when bagging failed) and the weighted-majority state
-    the WM prediction used; the caller updates that state once the month's
-    actual value is known.
+    method->note for each model that fell back to naive, and the bagged
+    member predictions (None when bagging fell back). The result depends on
+    the arguments alone, so the months of a backtest can be fitted in any
+    order and in any process; `level0_weigh` adds WM.
     """
     lags = cfg.ar_lags
 
@@ -267,15 +308,34 @@ def level0_step(
     )
     preds[NAIVE] = naive
     # B's fit returns the member predictions; B is their mean and WM weighs them.
-    members = None if "B" in notes else preds["B"]
+    if "B" in notes:
+        return preds, notes, None
+    members = preds["B"]
+    preds["B"] = float(members.mean())
+    return preds, notes, members
+
+
+def level0_weigh(
+    preds: dict[str, float],
+    notes: dict[str, str],
+    members: np.ndarray | None,
+    cfg: BacktestConfig,
+    wm_state: web.WmState | None,
+) -> web.WmState | None:
+    """Add to ``preds`` the WM prediction: `level0_fit`'s ``members`` weighed
+    by the weighted-majority state ``wm_state``, or naive with B's note when
+    bagging fell back.
+
+    Returns the state the prediction used; the caller updates it once the
+    month's actual value is known.
+    """
     if members is None:
-        preds["WM"], notes["WM"] = naive, notes["B"]
-    else:
-        preds["B"] = float(members.mean())
-        if wm_state is None:
-            wm_state = web.wm_init(members.size, cfg.wm_eta, cfg.wm_epsilon)
-        preds["WM"] = web.wm_predict(wm_state, members)
-    return preds, notes, members, wm_state
+        preds["WM"], notes["WM"] = preds[NAIVE], notes["B"]
+        return wm_state
+    if wm_state is None:
+        wm_state = web.wm_init(members.size, cfg.wm_eta, cfg.wm_epsilon)
+    preds["WM"] = web.wm_predict(wm_state, members)
+    return wm_state
 
 
 def run_level0_backtest(
@@ -287,9 +347,11 @@ def run_level0_backtest(
 ) -> PredictionLog:
     """Refit every level-0 model each month on all data strictly before it.
 
-    The first predicted month follows the warm-up window; the weighted
-    majority weights thread through the months in order, updated only after
-    each month's actual value is revealed.
+    The first predicted month follows the warm-up window. Each month's fits
+    depend only on the data before it, so the months are fitted in parallel
+    (`_map_months`); the weighted-majority weights then thread through the
+    months in order, each month's update made only after its actual value is
+    revealed.
     """
     panel, series = aligned_history(E, Q, cfg)
     T = len(series)
@@ -298,20 +360,25 @@ def run_level0_backtest(
         raise InsufficientHistory(f"need {warm + 1} months, series spans {T}")
 
     values = series.values
+    train_start = series.start
+    months = [series.start.plus(k) for k in range(T)]
+    fits = _map_months(
+        level0_fit,
+        [
+            (
+                TimeSeries(train_start, values[:k]),
+                panel.slice(train_start, months[k - 1]),
+                panel.matrix[k],
+                cfg,
+                derive_month_seed(cfg.seed, months[k]),
+            )
+            for k in range(warm, T)
+        ],
+    )
     entries: list[LogEntry] = []
     wm_state: web.WmState | None = None
-
-    for k in range(warm, T):
-        month = series.start.plus(k)
-        train_start, train_end = series.start, month.plus(-1)
-        preds, notes, members, wm_state = level0_step(
-            TimeSeries(train_start, values[:k]),
-            panel.slice(train_start, train_end),
-            panel.matrix[k],
-            cfg,
-            derive_month_seed(cfg.seed, month),
-            wm_state,
-        )
+    for k, (preds, notes, members) in enumerate(fits, start=warm):
+        wm_state = level0_weigh(preds, notes, members, cfg, wm_state)
         actual = float(values[k])
         if members is not None:
             wm_state = web.wm_update(wm_state, members, preds["WM"], actual)
@@ -321,11 +388,11 @@ def run_level0_backtest(
                 LogEntry(
                     vaccine=vaccine,
                     method=method,
-                    month=month,
+                    month=months[k],
                     predicted=float(preds[method]),
                     actual=actual,
                     train_start=train_start,
-                    train_end=train_end,
+                    train_end=months[k - 1],
                     diagnostic=notes.get(method, ""),
                 )
             )
@@ -402,7 +469,8 @@ def run_level1_backtest(
 
     Training uses the level-0 one-step predictions themselves over a growing
     window (or a fixed sliding window when configured), against the actual
-    values the level-0 log records; everything refits at every month.
+    values the level-0 log records; everything refits at every month, and
+    the months are fitted in parallel (`_map_months`).
     """
     months, streams, actuals = level0_streams(level0_log, vaccine, cfg)
     warm = cfg.level1_warmup_months
@@ -411,15 +479,21 @@ def run_level1_backtest(
             f"level-0 log covers {len(months)} months, need {warm + 1}"
         )
 
+    windows = [(level1_window_start(idx, cfg), idx) for idx in range(warm, len(months))]
+    stacks = _map_months(
+        level1_step,
+        [
+            (
+                {m: s[lo:idx] for m, s in streams.items()},
+                actuals[lo:idx],
+                {m: float(s[idx]) for m, s in streams.items()},
+                cfg,
+            )
+            for lo, idx in windows
+        ],
+    )
     entries: list[LogEntry] = []
-    for idx in range(warm, len(months)):
-        lo = level1_window_start(idx, cfg)
-        stacked = level1_step(
-            {m: s[lo:idx] for m, s in streams.items()},
-            actuals[lo:idx],
-            {m: float(s[idx]) for m, s in streams.items()},
-            cfg,
-        )
+    for (lo, idx), stacked in zip(windows, stacks):
         for method, (value, note) in stacked.items():
             entries.append(
                 LogEntry(

@@ -23,8 +23,9 @@ from .backtest import (
     PredictionLog,
     aligned_history,
     derive_month_seed,
-    level0_step,
+    level0_fit,
     level0_streams,
+    level0_weigh,
     level1_step,
     level1_window_start,
     run_full_experiment,
@@ -242,14 +243,10 @@ def _cmd_predict(args) -> int:
     target = series.end.plus(1)
     # Query frequencies for the unobserved month are not available; the web
     # models score the most recent observed row, the standard nowcast input.
-    preds, notes, _, _ = level0_step(
-        series,
-        panel,
-        panel.matrix[-1],
-        cfg,
-        derive_month_seed(cfg.seed, target),
-        wm_sink[-1] if wm_sink else None,
+    preds, notes, members = level0_fit(
+        series, panel, panel.matrix[-1], cfg, derive_month_seed(cfg.seed, target)
     )
+    level0_weigh(preds, notes, members, cfg, wm_sink[-1] if wm_sink else None)
     months, streams, actuals = level0_streams(log0, name, cfg)
     lo = level1_window_start(len(months), cfg)
     stacked = level1_step({m: s[lo:] for m, s in streams.items()}, actuals[lo:], preds, cfg)

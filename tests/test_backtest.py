@@ -1,10 +1,13 @@
+import concurrent.futures
 import dataclasses
+import multiprocessing
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uptakecast import backtest
 from uptakecast.backtest import (
     NAIVE,
     BacktestConfig,
@@ -207,6 +210,21 @@ class TestLevel0:
             else:
                 assert e == cells[(e.method, e.month)]
 
+    def test_non_finite_forecast_falls_back(self):
+        values, notes = backtest._fit_each(
+            {
+                "nan": lambda: np.nan,
+                "inf": lambda: -np.inf,
+                "members": lambda: np.array([1.0, np.nan]),
+                "ok": lambda: 3.0,
+            },
+            7.0,
+        )
+        assert values == {"nan": 7.0, "inf": 7.0, "members": 7.0, "ok": 3.0}
+        assert notes == dict.fromkeys(
+            ("nan", "inf", "members"), "fallback=naive (non-finite forecast)"
+        )
+
     def test_month_seed_independent_of_length(self):
         assert derive_month_seed(5, MonthStamp(2013, 4)) == derive_month_seed(
             5, MonthStamp(2013, 4)
@@ -259,6 +277,66 @@ class TestLevel1:
         log0 = fabricate_level0_log(cfg, months)
         with pytest.raises(InsufficientHistory):
             run_level1_backtest(log0, cfg, vaccine="V")
+
+
+class TestMonthPool:
+    """The months of a backtest fitted in worker processes match a serial run."""
+
+    @staticmethod
+    def run(cpus, monkeypatch, E, Q, cfg):
+        monkeypatch.setattr(backtest, "_usable_cpus", lambda: cpus)
+        sink = []
+        log0 = run_level0_backtest(E, Q, cfg, vaccine="V", wm_state_sink=sink)
+        log1 = run_level1_backtest(log0, cfg, vaccine="V")
+        return write_log_csv(log0.merge(log1)), sink[0].weights
+
+    @pytest.mark.parametrize(
+        "seed, n_queries, options",
+        [(11, 12, {"level1_sliding": 12}), (3, 14, {"arima_orders": "auto"})],
+    )
+    def test_parallel_equals_serial(self, monkeypatch, seed, n_queries, options):
+        E, Q = synth_vaccine(seed, n_months=40, n_queries=n_queries)
+        cfg = BacktestConfig(seed=4, **options)
+        serial_log, serial_weights = self.run(1, monkeypatch, E, Q, cfg)
+        pooled_log, pooled_weights = self.run(
+            max(2, backtest._usable_cpus()), monkeypatch, E, Q, cfg
+        )
+        assert pooled_log == serial_log
+        assert np.array_equal(pooled_weights, serial_weights)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_is_the_serial_error(self, monkeypatch):
+        cfg = BacktestConfig()
+        months = tuple(MonthStamp(2013, 1).plus(k) for k in range(16))
+        entries = list(fabricate_level0_log(cfg, months).entries)
+        i = next(i for i, e in enumerate(entries) if e.method == "HW" and e.month == months[13])
+        entries[i] = dataclasses.replace(entries[i], predicted=np.nan)
+        log0 = PredictionLog(tuple(entries))
+        errors = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(backtest, "_usable_cpus", lambda: cpus)
+            with pytest.raises(ValueError) as info:
+                run_level1_backtest(log0, cfg, vaccine="V")
+            errors.append(str(info.value))
+            assert multiprocessing.active_children() == []
+        assert errors[0] == errors[1] == "stack sample values must be finite"
+
+    @pytest.mark.parametrize("cpus, n_tasks", [(1, 5), (2, 1), (2, 5), (8, 3)])
+    def test_pool_size(self, monkeypatch, cpus, n_tasks):
+        sizes = []
+
+        class Recorder(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(backtest, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        tasks = [(k, 2) for k in range(n_tasks)]
+        assert backtest._map_months(pow, tasks) == [k**2 for k in range(n_tasks)]
+        workers = min(cpus, n_tasks)
+        assert sizes == ([] if workers == 1 else [workers])
+        assert multiprocessing.active_children() == []
 
 
 class TestSummarize:
