@@ -4,7 +4,7 @@ publication-style Markdown tables.
 
 Every model refits each month on all data before the predicted month; the
 level-1 combiners train on the level-0 one-step predictions accumulated so
-far. Expect a couple of minutes of compute.
+far.
 """
 
 import time

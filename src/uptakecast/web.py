@@ -3,12 +3,15 @@
 Linear models (minimum-norm OLS and LASSO), bagging over random query
 subsets, and the multiplicative-weights expert ensemble. The LASSO solver
 follows the exact piecewise-linear path on standardized features and polishes
-each full-data fit with cyclic coordinate descent, batched over many
-independent problems at once so that the per-month bagging refits stay cheap.
+each full-data fit with cyclic coordinate descent. Both are batched: the paths
+of many independent problems (every member and cross-validation fold of a
+month's bagging refit) are walked in lockstep, bit-identical to walking each
+alone, so that the per-month refits stay cheap.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -261,12 +264,12 @@ def fit_lasso(Q: QueryPanel, E: TimeSeries, lam: float) -> WebLinearModel:
 def _solve_lasso(gram: np.ndarray, cvec: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """LASSO coefficients per batch entry: the exact path, then a coordinate-descent polish.
 
-    The polish is load-bearing: on panels wider than they are tall the path
-    can miss a drop and return a point that is not a LASSO solution.
+    The whole batch walks its paths in one lockstep call of
+    ``_lasso_path_alphas``. The polish is load-bearing: on panels wider than
+    they are tall the path can miss a drop and return a point that is not a
+    LASSO solution.
     """
-    warm = np.stack(
-        [_lasso_path_alphas(gram[b], cvec[b], lams[b : b + 1])[0] for b in range(lams.size)]
-    )
+    warm = _lasso_path_alphas(gram, cvec, lams[:, None])[:, 0]
     return _cd_solve(gram, cvec, lams, warm)
 
 
@@ -277,149 +280,226 @@ def _lambda_grid(lam_max: np.ndarray) -> np.ndarray:
 
 
 def _lasso_path_alphas(gram: np.ndarray, cvec: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
-    """Exact LASSO solutions at each grid lambda via the piecewise-linear path.
+    """Exact LASSO solutions at each grid lambda, for a batch of problems in lockstep.
 
-    On the active set A the solution is affine in lambda,
+    On its active set A an entry's solution is affine in lambda,
     alpha_A(lam) = phi - lam * theta with G_AA phi = c_A and G_AA theta = s_A,
     so the homotopy walks the breakpoints (joins and drops) and reads the grid
-    points off each segment. Any numerical pathology (singular active Gram,
-    runaway coefficients, too many events) falls back to warm-started
-    coordinate descent for the remaining grid points.
+    points off each segment. Every step takes each live entry one breakpoint
+    further. Entries are grouped by active-set size k, so each group's solves
+    and matmuls are stacked calls on (n, k, k) and (n, m, k) blocks, which
+    round exactly like the same calls on one entry; padding to a common k would
+    not. Any numerical pathology of an entry (singular active Gram, runaway
+    coefficients, too many events) sends that entry alone to warm-started
+    coordinate descent for its remaining grid points.
 
-    ``lambdas`` must be sorted descending; returns an array (len(lambdas), F).
+    ``gram`` is (B, F, F), ``cvec`` (B, F) and ``lambdas`` (B, L) with every
+    row sorted descending; returns an array (B, L, F).
     """
-    F = cvec.size
-    L = lambdas.size
-    out = np.zeros((L, F))
-    if F == 0 or not np.any(np.abs(cvec) > 0):
+    B, L = lambdas.shape
+    F = cvec.shape[1]
+    out = np.zeros((B, L, F))
+    if F == 0:
         return out
-    lam_cur = float(np.max(np.abs(cvec)))
-    j0 = int(np.argmax(np.abs(cvec)))
-    active: list[int] = [j0]
-    signs: list[float] = [float(np.sign(cvec[j0]))]
-    grid_i = 0
-    edge = 1e-14 * max(lam_cur, 1.0)
-    last_drop: tuple[int, float] | None = None
-
-    def cd_fallback(start_i: int, warm: np.ndarray) -> np.ndarray:
-        alpha = warm[None].copy()
-        for gi in range(start_i, L):
-            alpha = _cd_solve(gram[None], cvec[None], lambdas[gi : gi + 1], alpha)
-            out[gi] = alpha[0]
-        return out
-
+    abs_c = np.abs(cvec)
+    lam_cur = abs_c.max(axis=1)
+    edge = 1e-14 * np.maximum(lam_cur, 1.0)
+    j0 = abs_c.argmax(axis=1).tolist()
+    # Per entry: the active features in join order with their signs, the
+    # inactive ones in index order, and the drop just taken (feature, lambda).
+    active = [[j] for j in j0]
+    signs = [[s] for s in np.sign(cvec[np.arange(B), j0]).tolist()]
+    inactive = [[f for f in range(F) if f != j] for j in j0]
+    last_drop: list[tuple[int, float] | None] = [None] * B
     # Emit grid points at or above the first breakpoint (all-zero solution).
-    while grid_i < L and lambdas[grid_i] >= lam_cur - edge:
-        grid_i += 1
+    above = lambdas >= (lam_cur - edge)[:, None]
+    grid_i = np.where(above.all(axis=1), L, above.argmin(axis=1))
+    live = ((abs_c > 0).any(axis=1) & (grid_i < L)).nonzero()[0].tolist()
+    grid_i = grid_i.tolist()
+    grid = lambdas.tolist()
+    edges = edge.tolist()
+    # Segments by active-set size: (entries, active sets, phi, theta, first
+    # and past-the-last grid point), written into ``out`` after the walk.
+    segments: dict[int, list[tuple]] = {}
+    # (entry, first grid point, warm start, or None for the last point emitted)
+    fallbacks: list[tuple[int, int, np.ndarray | None]] = []
 
     for _ in range(20 * F + 100):
-        if grid_i >= L:
-            return out
-        if active:
-            idx = np.array(active)
-            # gram[idx][:, idx] would return an F-ordered block, and a matmul
-            # against it rounds differently from one against this C-ordered
-            # block (it moves the wide57 SYN-00 and SYN-02 logs).
-            G_AA = gram[idx[:, None], idx]
-            s_A = np.array(signs)
-            try:
-                # Keep two single-RHS solves: one two-column solve rounds
-                # differently (11,615 of 11,989 random systems differ in the
-                # last bits), and so does scipy's dgesv, which links another
-                # OpenBLAS build (3,438 of 7,991 differ).
-                phi = np.linalg.solve(G_AA, cvec[idx])
-                theta = np.linalg.solve(G_AA, s_A)
-            except np.linalg.LinAlgError:
-                warm = np.zeros(F)
-                warm[idx] = np.maximum(np.abs(cvec[idx]) - lam_cur, 0) * s_A
-                return cd_fallback(grid_i, warm)
-            if not (np.isfinite(phi).all() and np.abs(phi).max() < 1e9):
-                return cd_fallback(grid_i, np.zeros(F))
-        else:
-            idx = np.array([], dtype=int)
-            phi = theta = np.zeros(0)
+        if not live:
+            break
+        groups: dict[int, list[int]] = {}
+        for i in live:
+            groups.setdefault(len(active[i]), []).append(i)
+        live = []
+        for k, members in groups.items():
+            n, m = len(members), F - k
+            g = np.array(members)
+            idx = np.array([active[i] for i in members], dtype=np.intp).reshape(n, k)
+            g2 = g[:, None]
+            g3 = g2[:, :, None]
+            idx_cols = idx[:, None, :]
+            if k:
+                # Fancy indexing gives C-ordered blocks; gram[idx][:, idx] would
+                # give F-ordered ones, which round differently in the matmuls.
+                G_AA = gram[g3, idx[:, :, None], idx_cols]
+                c_A = cvec[g2, idx]
+                s_A = np.array([signs[i] for i in members])
+                try:
+                    # Two single-RHS solves: a two-column solve rounds differently,
+                    # and so does scipy's dgesv, which links another OpenBLAS.
+                    phi = np.linalg.solve(G_AA, c_A[..., None])[..., 0]
+                    theta = np.linalg.solve(G_AA, s_A[..., None])[..., 0]
+                    solved = None
+                except np.linalg.LinAlgError:
+                    phi, theta, solved = _solve_each(G_AA, c_A, s_A)
+                if solved is not None or not np.abs(phi).max() < 1e9:
+                    # Only the entries at fault fall back; the rest go on.
+                    if solved is None:
+                        solved = np.ones(n, dtype=bool)
+                    keep = solved & (np.abs(phi).max(axis=1) < 1e9)
+                    for r in (~keep).nonzero()[0]:
+                        warm = np.zeros(F)
+                        if not solved[r]:
+                            warm[idx[r]] = np.maximum(np.abs(c_A[r]) - lam_cur[g[r]], 0) * s_A[r]
+                        fallbacks.append((members[r], grid_i[members[r]], warm))
+                    if not keep.any():
+                        continue
+                    members = [i for i, kept in zip(members, keep.tolist()) if kept]
+                    n = len(members)
+                    g, g2, g3, idx = g[keep], g2[keep], g3[keep], idx[keep]
+                    idx_cols, phi, theta = idx_cols[keep], phi[keep], theta[keep]
+            else:
+                phi = theta = np.zeros((n, 0))
 
-        # Correlation of inactive features along the segment: a_j + lam * b_j.
-        mask = np.ones(F, dtype=bool)
-        mask[idx] = False
-        inactive = mask.nonzero()[0]
-        G_IA = gram[inactive[:, None], idx]
-        a = cvec[inactive] - G_IA @ phi
-        b = G_IA @ theta
+            # Correlation of inactive features along the segment: a_j + lam * b_j.
+            inact = np.array([inactive[i] for i in members], dtype=np.intp).reshape(n, m)
+            G_IA = gram[g3, inact[:, :, None], idx_cols]
+            a = cvec[g2, inact] - (G_IA @ phi[..., None])[..., 0]
+            b = (G_IA @ theta[..., None])[..., 0]
 
-        # Event candidates below lam_cur, one per slot: an inactive feature
-        # joins where a_j + lam * b_j = +lam (slots [0, m)) or -lam (slots
-        # [m, 2m)); an active one drops where phi_k - lam * theta_k = 0
-        # (slots from 2m).
-        m = inactive.size
-        num = np.concatenate((a, -a, phi))
-        den = np.concatenate((1.0 - b, 1.0 + b, theta))
-        feat = np.concatenate((inactive, inactive, idx))
-        ok = np.abs(den) > 1e-14
-        cand = num / np.where(ok, den, 1.0)
-        ok &= (edge < cand) & (cand < lam_cur - edge)
-        if last_drop is not None:
-            # The feature just dropped does not rejoin at the same breakpoint.
-            j, lam_drop = last_drop
-            ok[: 2 * m] &= (feat[: 2 * m] != j) | (np.abs(cand[: 2 * m] - lam_drop) > edge)
+            # Event candidates below lam_cur, one per slot: an inactive feature
+            # joins where a_j + lam * b_j = +lam (slots [0, m)) or -lam (slots
+            # [m, 2m)); an active one drops where phi_k - lam * theta_k = 0
+            # (slots from 2m).
+            num = np.concatenate((a, -a, phi), axis=1)
+            den = np.concatenate((1.0 - b, 1.0 + b, theta), axis=1)
+            ok = np.abs(den) > 1e-14
+            cand = num / np.where(ok, den, 1.0)
+            e = edge[g2]
+            ok &= (e < cand) & (cand < lam_cur[g2] - e)
+            for r, i in enumerate(members):
+                if last_drop[i] is not None:
+                    # The feature just dropped does not rejoin at the same breakpoint.
+                    j, lam_drop = last_drop[i]
+                    p = inactive[i].index(j)
+                    for slot in (p, m + p):
+                        if not abs(cand.item(r, slot) - lam_drop) > edges[i]:
+                            ok[r, slot] = False
+            cand = np.where(ok, cand, 0.0)
+            lam_event = cand.max(axis=1)
+            lam_cur[g] = lam_event
 
-        lam_event = cand[ok].max(initial=0.0)
-        # Grid points on this segment: lambdas descend, so they lead the rest.
-        stop = grid_i + int(np.count_nonzero(lambdas[grid_i:] >= lam_event))
-        out[grid_i:stop, idx] = phi - lambdas[grid_i:stop, None] * theta
-        grid_i = stop
-        if grid_i >= L:
-            return out
-        if lam_event <= 0.0:
-            return cd_fallback(grid_i, out[grid_i - 1] if grid_i else np.zeros(F))
+            # The largest lambda wins; at equal lambda a drop beats a join, then
+            # the lowest feature index, then the lowest slot.
+            slots = cand.argmax(axis=1)
+            if np.count_nonzero(cand == lam_event[:, None]) > n:
+                key = np.concatenate((inact + F, inact + F, idx), axis=1)
+                slots = np.where(cand == lam_event[:, None], key, 2 * F).argmin(axis=1)
+            starts, stops = [], []
+            for r, (i, ev, slot) in enumerate(zip(members, lam_event.tolist(), slots.tolist())):
+                # Grid points on this segment: lambdas descend, so they lead the rest.
+                start = stop = grid_i[i]
+                while stop < L and grid[i][stop] >= ev:
+                    stop += 1
+                starts.append(start)
+                stops.append(stop)
+                grid_i[i] = stop
+                if stop >= L:
+                    continue
+                if ev <= 0.0:
+                    fallbacks.append((i, stop, None))
+                    continue
+                if slot >= 2 * m:
+                    j = active[i].pop(slot - 2 * m)
+                    signs[i].pop(slot - 2 * m)
+                    bisect.insort(inactive[i], j)
+                    last_drop[i] = (j, ev)
+                else:
+                    j_loc = slot % m
+                    # Its sign, or +1 at 0: x is finite, as the feature's candidate is.
+                    x = a.item(r, j_loc) + ev * b.item(r, j_loc)
+                    active[i].append(inactive[i].pop(j_loc))
+                    signs[i].append(-1.0 if x < 0 else 1.0)
+                    last_drop[i] = None
+                live.append(i)
+            if starts != stops:
+                segments.setdefault(k, []).append((g, idx, phi, theta, starts, stops))
 
-        # The largest lambda wins; at equal lambda a drop beats a join, and
-        # then the lowest feature index wins.
-        ties = (ok & (cand == lam_event)).nonzero()[0].tolist()
-        k = min(ties, key=lambda slot: (slot < 2 * m, feat[slot]))
-        if k >= 2 * m:
-            active.pop(k - 2 * m)
-            signs.pop(k - 2 * m)
-            last_drop = (int(feat[k]), lam_event)
-        else:
-            j_loc = k % m
-            active.append(int(inactive[j_loc]))
-            signs.append(float(np.sign(a[j_loc] + lam_event * b[j_loc])) or 1.0)
-            last_drop = None
-        lam_cur = lam_event
+    fallbacks += [(i, grid_i[i], None) for i in live]
+    cols = np.arange(L)
+    for k in list(segments):
+        # Popped, so each size's records are freed once concatenated.
+        g, idx, phi, theta, starts, stops = (np.concatenate(p) for p in zip(*segments.pop(k)))
+        r, l = ((cols >= starts[:, None]) & (cols < stops[:, None])).nonzero()
+        values = theta[r]
+        values *= lambdas[g[r], l, None]
+        out[g[r, None], l[:, None], idx[r]] = np.subtract(phi[r], values, out=values)
+    for i, start, warm in fallbacks:
+        if warm is None:
+            warm = out[i, start - 1] if start else np.zeros(F)
+        alpha = warm[None]
+        for gi in range(start, L):
+            alpha = _cd_solve(gram[i : i + 1], cvec[i : i + 1], lambdas[i, gi : gi + 1], alpha)
+            out[i, gi] = alpha[0]
+    return out
 
-    warm = out[grid_i - 1] if grid_i else np.zeros(F)
-    return cd_fallback(grid_i, warm)
+
+def _solve_each(
+    G_AA: np.ndarray, c_A: np.ndarray, s_A: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``G_AA phi = c_A`` and ``G_AA theta = s_A`` entry by entry; False where G_AA is singular."""
+    phi, theta = np.zeros_like(c_A), np.zeros_like(s_A)
+    solved = np.ones(c_A.shape[0], dtype=bool)
+    for r in range(c_A.shape[0]):
+        try:
+            phi[r] = np.linalg.solve(G_AA[r], c_A[r])
+            theta[r] = np.linalg.solve(G_AA[r], s_A[r])
+        except np.linalg.LinAlgError:
+            solved[r] = False
+    return phi, theta, solved
 
 
 def _cv_choose_lambda(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Pick one lambda per batch entry by contiguous-block validation error.
 
     ``X`` has shape (batch, rows, features); ``y`` is shared by every entry.
-    Grids descend from each entry's own lambda_max; fold fits come from the
-    exact path solver; ties resolve to the largest lambda.
+    Grids descend from each entry's own lambda_max; the fold fits of every
+    entry come from one lockstep call of the exact path solver; ties resolve
+    to the largest lambda.
     """
     B, T, F = X.shape
-    Xs_all, _, _ = _standardize(X)
-    c_all = np.einsum("btf,t->bf", Xs_all, y - y.mean()) / T
-    lam_max = np.abs(c_all).max(axis=1)
-    grid = _lambda_grid(lam_max)
-    val_sse = np.zeros((B, LAMBDA_GRID_SIZE))
-    for val_idx in np.array_split(np.arange(T), CV_FOLDS):
+    c_all = np.einsum("btf,t->bf", _standardize(X)[0], y - y.mean()) / T
+    grid = _lambda_grid(np.abs(c_all).max(axis=1))
+    # Fold f's systems are rows f*B .. (f+1)*B-1 of one batch.
+    gram, cvec, folds = np.empty((CV_FOLDS * B, F, F)), np.empty((CV_FOLDS * B, F)), []
+    for f, val_idx in enumerate(np.array_split(np.arange(T), CV_FOLDS)):
         train_idx = np.setdiff1d(np.arange(T), val_idx)
-        Xtr, ytr = X[:, train_idx, :], y[train_idx]
-        Xval, yval = X[:, val_idx, :], y[val_idx]
-        Xs, means, scales = _standardize(Xtr)
-        Ttr = ytr.size
+        Xs, means, scales = _standardize(X[:, train_idx, :])
+        ytr = y[train_idx]
         mu = ytr.mean()
-        yc = ytr - mu
-        for b in range(B):
-            gram = Xs[b].T @ Xs[b] / Ttr
-            cvec = Xs[b].T @ yc / Ttr
-            alphas = _lasso_path_alphas(gram, cvec, grid[b])
-            Zval = (Xval[b] - means[b]) / scales[b]
-            preds = mu + alphas @ Zval.T  # (grid, val rows)
-            val_sse[b] += ((preds - yval) ** 2).sum(axis=1)
+        XsT = Xs.transpose(0, 2, 1)
+        np.divide(XsT @ Xs, ytr.size, out=gram[f * B : (f + 1) * B])
+        np.divide(XsT @ (ytr - mu), ytr.size, out=cvec[f * B : (f + 1) * B])
+        folds.append((val_idx, means, scales, mu))
+    alphas = _lasso_path_alphas(gram, cvec, np.tile(grid, (CV_FOLDS, 1)))
+    val_sse = np.zeros((B, LAMBDA_GRID_SIZE))
+    for f, (val_idx, means, scales, mu) in enumerate(folds):
+        Zval = (X[:, val_idx, :] - means[:, None, :]) / scales[:, None, :]
+        # (mu + preds - y)^2 summed over the validation rows, in one buffer.
+        preds = alphas[f * B : (f + 1) * B] @ Zval.transpose(0, 2, 1)  # (B, grid, val rows)
+        preds += mu
+        preds -= y[val_idx]
+        val_sse += np.square(preds, out=preds).sum(axis=2)
     return grid[np.arange(B), np.argmin(val_sse, axis=1)]
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uptakecast import web
 from uptakecast.errors import (
     AlignmentError,
     DimensionMismatch,
@@ -16,6 +17,8 @@ from uptakecast.web import (
     BaggedModel,
     QueryPanel,
     WmState,
+    _cv_choose_lambda,
+    _fit_lasso_batch,
     _lambda_grid,
     _lasso_path_alphas,
     _standardize,
@@ -216,7 +219,7 @@ class TestLasso:
         lam_max = np.abs(cvec).max()
         lambdas = _lambda_grid(np.array([lam_max]))[0] if full_grid else np.array([lam_max / 20])
         assert np.array_equal(
-            _lasso_path_alphas(gram, cvec, lambdas),
+            _lasso_path_alphas(gram[None], cvec[None], lambdas[None])[0],
             lasso_path_candidate_loop(gram, cvec, lambdas),
         )
 
@@ -241,10 +244,105 @@ class TestLasso:
         for gram, cvec in problems:
             lambdas = _lambda_grid(np.array([np.abs(cvec).max()]))[0]
             assert np.array_equal(
-                _lasso_path_alphas(gram, cvec, lambdas),
+                _lasso_path_alphas(gram[None], cvec[None], lambdas[None])[0],
                 lasso_path_candidate_loop(gram, cvec, lambdas),
             )
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        F=st.integers(1, 12),
+        entries=st.lists(
+            st.tuples(st.integers(4, 30), st.booleans(), st.booleans()), min_size=1, max_size=8
+        ),
+        full_grid=st.booleans(),
+    )
+    def test_batched_path_matches_the_candidate_loop_bit_for_bit(self, seed, F, entries, full_grid):
+        """One lockstep call over a batch of problems of one width: different
+        row counts, duplicated queries and all-zero correlations (a constant
+        target) side by side."""
+        rng = np.random.default_rng(seed)
+        grams, cvecs = [], []
+        for T, twin, constant in entries:
+            X = rng.uniform(0, 100, (T, F))
+            if twin and F > 1:
+                X[:, -1] = X[:, 0]
+            y = np.full(T, 50.0) if constant else X @ rng.normal(0, 1, F) + rng.normal(0, 5, T)
+            Xs, _, _ = _standardize(X)
+            grams.append(Xs.T @ Xs / T)
+            cvecs.append(Xs.T @ (y - y.mean()) / T)
+        gram, cvec = np.stack(grams), np.stack(cvecs)
+        lam_max = np.abs(cvec).max(axis=1)
+        lambdas = _lambda_grid(lam_max) if full_grid else lam_max[:, None] / 20
+        batch = _lasso_path_alphas(gram, cvec, lambdas)
+        assert batch.shape == (len(entries), lambdas.shape[1], F)
+        for b in range(len(entries)):
+            assert np.array_equal(batch[b], lasso_path_candidate_loop(gram[b], cvec[b], lambdas[b]))
+
+    def test_fallback_stays_with_the_entry_at_fault(self, monkeypatch):
+        """A singular active Gram and a runaway coefficient each send their own
+        entry to coordinate descent; the entries beside them in the batch keep
+        the exact path, and every entry equals its one-entry call."""
+        rng = np.random.default_rng(21)
+        grams, cvecs = [], []
+        for _ in range(6):
+            X = rng.uniform(0, 100, (12, 3))
+            Xs, _, _ = _standardize(X)
+            y = X @ rng.normal(0, 1, 3) + rng.normal(0, 5, 12)
+            grams.append(Xs.T @ Xs / 12)
+            cvecs.append(Xs.T @ (y - y.mean()) / 12)
+        lambdas = np.abs(np.stack(cvecs)).max(axis=1)[:, None] * np.array([1.0, 0.1, 0.01])
+        # Twin features with unequal correlations: feature 1 joins at 0.25 and
+        # then G_AA = [[1, 1], [1, 1]] is singular. Below 0.25 this LASSO is
+        # unbounded, so the last grid point sits where descent still stops.
+        grams.insert(2, np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+        cvecs.insert(2, np.array([1.0, 0.5, 0.1]))
+        lambdas = np.insert(lambdas, 2, [1.0, 0.5, 0.25 - 1e-8], axis=0)
+        # The first coefficient of the path is c_0 = 2e9, beyond 1e9.
+        grams.insert(5, np.eye(3))
+        cvecs.insert(5, np.array([2e9, 1e9, 5e8]))
+        lambdas = np.insert(lambdas, 5, [2e9, 2e8, 2e7], axis=0)
+        gram, cvec = np.stack(grams), np.stack(cvecs)
+
+        fell_back = []
+        cd_solve = web._cd_solve
+
+        def recording_cd_solve(g, *args):
+            fell_back.append(next(b for b in range(len(gram)) if np.array_equal(g[0], gram[b])))
+            return cd_solve(g, *args)
+
+        monkeypatch.setattr(web, "_cd_solve", recording_cd_solve)
+        batch = _lasso_path_alphas(gram, cvec, lambdas)
+        assert set(fell_back) == {2, 5}
+        monkeypatch.undo()
+        for b in range(len(gram)):
+            single = _lasso_path_alphas(gram[b : b + 1], cvec[b : b + 1], lambdas[b : b + 1])[0]
+            assert np.array_equal(batch[b], single)
+            assert np.array_equal(batch[b], lasso_path_candidate_loop(gram[b], cvec[b], lambdas[b]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        B=st.integers(2, 6),
+        T=st.integers(6, 40),
+        F=st.integers(1, 12),
+        twin=st.booleans(),
+    )
+    def test_batch_fits_equal_one_entry_fits_bit_for_bit(self, seed, B, T, F, twin):
+        """Cross-validation and the full-data fit of a batch give each entry
+        exactly what a batch of that entry alone gives it."""
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(0, 100, (B, T, F))
+        if twin and F > 1:
+            X[0, :, -1] = X[0, :, 0]
+        y = rng.uniform(10, 90, T)
+        lams = _cv_choose_lambda(X, y)
+        models = _fit_lasso_batch(X, y, lams)
+        for b in range(B):
+            assert lams[b] == _cv_choose_lambda(X[b : b + 1], y)[0]
+            single = _fit_lasso_batch(X[b : b + 1], y, lams[b : b + 1])[0]
+            assert np.array_equal(models[b].alphas, single.alphas)
+            assert models[b].mu == single.mu
 
 class TestSelectLambdaCv:
     def test_informative_query_survives(self):
