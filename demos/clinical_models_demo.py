@@ -16,7 +16,7 @@ from uptakecast.clinical import (
     predict_arima,
     predict_hw,
 )
-from uptakecast.timeseries import MonthStamp, TimeSeries, naive_forecast, rmse
+from uptakecast.timeseries import MonthStamp, TimeSeries, rmse
 
 rng = np.random.default_rng(7)
 t = np.arange(60)
@@ -30,8 +30,7 @@ predictions = {"Naive": [], "AR12": [], "ARIMA(1,1,1)": [], "HoltWinters": []}
 target_months = [series.start.plus(k) for k in range(48, 60)]
 for k in range(48, 60):
     history = TimeSeries(series.start, uptake[:k])
-    month = series.start.plus(k)
-    predictions["Naive"].append(naive_forecast(series, month))
+    predictions["Naive"].append(uptake[k - 1])
 
     ar = fit_ar(history, 12)
     predictions["AR12"].append(predict_ar(ar, uptake[k - 12 : k][::-1]))

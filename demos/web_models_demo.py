@@ -16,7 +16,6 @@ from uptakecast.web import (
     fit_lasso,
     fit_web_ols,
     member_predictions,
-    predict_bagging,
     predict_web,
     select_lambda_cv,
     wm_init,
@@ -55,8 +54,9 @@ print(f"LASSO (lambda={lam:.3f} by 3-fold CV):     prediction {predict_web(lasso
 print(f"  surviving queries: {support}")
 
 bag = fit_bagging(train_panel, train_series, seed=42)
+final_preds = member_predictions(bag, last_row)
 print(f"Bagging ({bag.member_count} members x 10 queries): prediction "
-      f"{predict_bagging(bag, last_row):8.2f}")
+      f"{final_preds.mean():8.2f}")
 
 # replay the online weighted majority over the last year of history
 state = wm_init(bag.member_count, eta=5.0, epsilon_tol=2.0)
@@ -68,7 +68,6 @@ for k in range(n_months - 13, n_months - 1):
     combined = wm_predict(state, preds)
     state = wm_update(state, preds, combined, uptake[k])
 
-final_preds = member_predictions(bag, last_row)
 print(f"Weighted majority (after 12 online rounds): prediction "
       f"{wm_predict(state, final_preds):8.2f}")
 down_weighted = int(np.sum(state.weights < 1.0))

@@ -14,7 +14,6 @@ from .timeseries import (
     UptakeSeries,
     align,
     difference,
-    naive_forecast,
     rmse,
 )
 
@@ -24,7 +23,6 @@ __all__ = [
     "UptakeSeries",
     "align",
     "difference",
-    "naive_forecast",
     "rmse",
 ]
 

@@ -441,14 +441,14 @@ def level1_step(
     targets: np.ndarray,
     target_preds: Mapping[str, float],
     cfg: BacktestConfig,
-) -> dict[str, tuple[float, str]]:
+) -> tuple[dict[str, float], dict[str, str]]:
     """Stack each (clinical, web) stream pair with each level-1 model.
 
     Every model is fitted on the level-0 ``streams`` over the training months
     against the observed ``targets`` of those months, and combines the target
-    month's level-0 predictions ``target_preds``. Returns
-    method->(prediction, note); a failing fit falls back to the target month's
-    naive prediction and says so in the note.
+    month's level-0 predictions ``target_preds``. Returns method->prediction
+    and method->note for each model that fell back to the target month's
+    naive prediction.
     """
     fits = {}
     for clin in cfg.clinical_methods():
@@ -458,8 +458,7 @@ def level1_step(
                 fits[f"{meta}:{clin}+{wm}"] = functools.partial(
                     _stack, meta, X, targets, target_preds[clin], target_preds[wm], cfg
                 )
-    values, notes = _fit_each(fits, target_preds[NAIVE])
-    return {method: (value, notes.get(method, "")) for method, value in values.items()}
+    return _fit_each(fits, target_preds[NAIVE])
 
 
 def run_level1_backtest(
@@ -493,8 +492,8 @@ def run_level1_backtest(
         ],
     )
     entries: list[LogEntry] = []
-    for (lo, idx), stacked in zip(windows, stacks):
-        for method, (value, note) in stacked.items():
+    for (lo, idx), (values, notes) in zip(windows, stacks):
+        for method, value in values.items():
             entries.append(
                 LogEntry(
                     vaccine=vaccine,
@@ -504,7 +503,7 @@ def run_level1_backtest(
                     actual=float(actuals[idx]),
                     train_start=months[lo],
                     train_end=months[idx - 1],
-                    diagnostic=note,
+                    diagnostic=notes.get(method, ""),
                 )
             )
     return PredictionLog(tuple(entries))

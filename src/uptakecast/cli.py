@@ -32,7 +32,7 @@ from .backtest import (
     run_level0_backtest,
     summarize,
 )
-from .errors import ParseError, UptakecastError
+from .errors import InsufficientHistory, ParseError, UptakecastError
 from .ingest import compute_uptake, emit_report, load_cohorts, load_registry, load_trends
 from .timeseries import MonthStamp
 
@@ -239,6 +239,11 @@ def _cmd_predict(args) -> int:
     # weighted-majority weights carried into the next month.
     wm_sink: list[web.WmState] = []
     log0 = run_level0_backtest(uptake, panel, cfg, vaccine=name, wm_state_sink=wm_sink)
+    months, streams, actuals = level0_streams(log0, name, cfg)
+    warm = cfg.level1_warmup_months
+    # The backtest stacks month n of the level-0 log once n >= the warm-up.
+    if len(months) < warm:
+        raise InsufficientHistory(f"level-0 log covers {len(months)} months, need {warm}")
     panel, series = aligned_history(uptake, panel, cfg)
     target = series.end.plus(1)
     # Query frequencies for the unobserved month are not available; the web
@@ -247,13 +252,11 @@ def _cmd_predict(args) -> int:
         series, panel, panel.matrix[-1], cfg, derive_month_seed(cfg.seed, target)
     )
     level0_weigh(preds, notes, members, cfg, wm_sink[-1] if wm_sink else None)
-    months, streams, actuals = level0_streams(log0, name, cfg)
     lo = level1_window_start(len(months), cfg)
-    stacked = level1_step({m: s[lo:] for m, s in streams.items()}, actuals[lo:], preds, cfg)
-    for method, (value, note) in stacked.items():
-        preds[method] = value
-        if note:
-            notes[method] = note
+    window = {m: s[lo:] for m, s in streams.items()}
+    values, level1_notes = level1_step(window, actuals[lo:], preds, cfg)
+    preds.update(values)
+    notes.update(level1_notes)
     for method, note in notes.items():
         print(f"{method} {target}: {note}", file=sys.stderr)
 

@@ -13,10 +13,6 @@ class SeriesTooShort(UptakecastError):
     """A series has too few observations for the requested operation."""
 
 
-class MissingHistory(UptakecastError):
-    """The month required for a forecast is not present in the series."""
-
-
 class NonConvergence(UptakecastError):
     """An iterative solver exhausted its budget without reaching tolerance."""
 

@@ -205,6 +205,8 @@ def _fmt(value: float) -> str:
 
 
 def _markdown_cell(report: BacktestReport, method: str) -> str:
+    if method not in report.rmse:
+        return "-"
     value = _fmt(report.rmse[method])
     if report.is_row_min.get(method):
         value = f"[{value}]"
@@ -218,7 +220,7 @@ def emit_report(reports: Sequence[BacktestReport], format: str = "markdown") -> 
 
     CSV carries full float precision for lossless reload; Markdown prints
     3 decimals with **bold** marking beats-naive and [brackets] the row
-    minimum.
+    minimum, and ``-`` where a vaccine lacks another vaccine's method.
     """
     if not reports:
         raise ValueError("no reports to emit")
@@ -248,7 +250,7 @@ def emit_report(reports: Sequence[BacktestReport], format: str = "markdown") -> 
     failed = [r for r in reports if r.error]
     lines: list[str] = []
     if ok:
-        methods = list(ok[0].rmse)
+        methods = list(dict.fromkeys(m for rep in ok for m in rep.rmse))
         single = [m for m in methods if ":" not in m]
         lines.append("## Single-source methods")
         lines.append("")
@@ -282,55 +284,6 @@ def emit_report(reports: Sequence[BacktestReport], format: str = "markdown") -> 
     for rep in failed:
         lines.append(f"ERROR {rep.vaccine}: {rep.error}")
     return "\n".join(lines) + "\n"
-
-
-def parse_report_csv(text: str) -> list[BacktestReport]:
-    """Reload reports emitted by ``emit_report(..., "csv")``."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != ["vaccine", "method", "rmse", "beats_naive", "is_row_min"]:
-        raise SchemaError(f"unexpected report header {header}")
-    grouped: dict[str, dict[str, tuple[float, bool, bool]]] = {}
-    errors: dict[str, str] = {}
-    for row in reader:
-        if not row:
-            continue
-        vaccine, method, rmse_s, beats_s, row_min_s = row
-        if method == "ERROR":
-            errors[vaccine] = rmse_s
-            continue
-        grouped.setdefault(vaccine, {})[method] = (
-            float(rmse_s),
-            beats_s == "true",
-            row_min_s == "true",
-        )
-    reports = []
-    for vaccine, methods in grouped.items():
-        reports.append(
-            BacktestReport(
-                vaccine=vaccine,
-                window_start=None,
-                window_end=None,
-                n_months=0,
-                rmse={m: v[0] for m, v in methods.items()},
-                beats_naive={m: v[1] for m, v in methods.items()},
-                is_row_min={m: v[2] for m, v in methods.items()},
-            )
-        )
-    for vaccine, message in errors.items():
-        reports.append(
-            BacktestReport(
-                vaccine=vaccine,
-                window_start=None,
-                window_end=None,
-                n_months=0,
-                rmse={},
-                beats_naive={},
-                is_row_min={},
-                error=message,
-            )
-        )
-    return reports
 
 
 def published_query_table() -> Mapping[str, tuple[str, ...]]:

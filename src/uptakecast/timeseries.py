@@ -12,7 +12,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import EmptyOverlap, MissingHistory, SeriesTooShort
+from .errors import EmptyOverlap, SeriesTooShort
 
 
 @dataclass(frozen=True, order=True)
@@ -82,9 +82,6 @@ class TimeSeries:
             raise KeyError(f"{stamp} outside {self.start}..{self.end}")
         return stamp.to_index() - self.start.to_index()
 
-    def value_at(self, stamp: MonthStamp) -> float:
-        return float(self.values[self.index_of(stamp)])
-
     def slice(self, first: MonthStamp, last: MonthStamp) -> "TimeSeries":
         """Sub-series covering ``first..last`` inclusive (both must be in range)."""
         i, j = self.index_of(first), self.index_of(last)
@@ -126,14 +123,6 @@ def difference(s: TimeSeries, d: int) -> TimeSeries:
     for _ in range(d):
         out = np.diff(out)
     return TimeSeries(s.start.plus(d), out) if d else s
-
-
-def naive_forecast(E: TimeSeries, t: MonthStamp) -> float:
-    """The persistence baseline: predict month ``t`` as the observed value at ``t - 1``."""
-    prev = t.plus(-1)
-    if not E.contains(prev):
-        raise MissingHistory(f"{prev} not present in {E.start}..{E.end}")
-    return E.value_at(prev)
 
 
 def rmse(predicted: TimeSeries, actual: TimeSeries) -> float:

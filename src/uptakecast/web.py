@@ -305,19 +305,17 @@ def _lasso_path_alphas(gram: np.ndarray, cvec: np.ndarray, lambdas: np.ndarray) 
     lam_cur = abs_c.max(axis=1)
     edge = 1e-14 * np.maximum(lam_cur, 1.0)
     j0 = abs_c.argmax(axis=1).tolist()
-    # Per entry: the active features in join order with their signs, the
-    # inactive ones in index order, and the drop just taken (feature, lambda).
+    # Per entry: the active features in join order with their signs, and the
+    # inactive ones in index order.
     active = [[j] for j in j0]
     signs = [[s] for s in np.sign(cvec[np.arange(B), j0]).tolist()]
     inactive = [[f for f in range(F) if f != j] for j in j0]
-    last_drop: list[tuple[int, float] | None] = [None] * B
     # Emit grid points at or above the first breakpoint (all-zero solution).
     above = lambdas >= (lam_cur - edge)[:, None]
     grid_i = np.where(above.all(axis=1), L, above.argmin(axis=1))
     live = ((abs_c > 0).any(axis=1) & (grid_i < L)).nonzero()[0].tolist()
     grid_i = grid_i.tolist()
     grid = lambdas.tolist()
-    edges = edge.tolist()
     # Segments by active-set size: (entries, active sets, phi, theta, first
     # and past-the-last grid point), written into ``out`` after the walk.
     segments: dict[int, list[tuple]] = {}
@@ -380,21 +378,14 @@ def _lasso_path_alphas(gram: np.ndarray, cvec: np.ndarray, lambdas: np.ndarray) 
             # Event candidates below lam_cur, one per slot: an inactive feature
             # joins where a_j + lam * b_j = +lam (slots [0, m)) or -lam (slots
             # [m, 2m)); an active one drops where phi_k - lam * theta_k = 0
-            # (slots from 2m).
+            # (slots from 2m). After a drop lam_cur is the drop's lambda, so
+            # the window alone keeps the dropped feature from rejoining there.
             num = np.concatenate((a, -a, phi), axis=1)
             den = np.concatenate((1.0 - b, 1.0 + b, theta), axis=1)
             ok = np.abs(den) > 1e-14
             cand = num / np.where(ok, den, 1.0)
             e = edge[g2]
             ok &= (e < cand) & (cand < lam_cur[g2] - e)
-            for r, i in enumerate(members):
-                if last_drop[i] is not None:
-                    # The feature just dropped does not rejoin at the same breakpoint.
-                    j, lam_drop = last_drop[i]
-                    p = inactive[i].index(j)
-                    for slot in (p, m + p):
-                        if not abs(cand.item(r, slot) - lam_drop) > edges[i]:
-                            ok[r, slot] = False
             cand = np.where(ok, cand, 0.0)
             lam_event = cand.max(axis=1)
             lam_cur[g] = lam_event
@@ -420,17 +411,14 @@ def _lasso_path_alphas(gram: np.ndarray, cvec: np.ndarray, lambdas: np.ndarray) 
                     fallbacks.append((i, stop, None))
                     continue
                 if slot >= 2 * m:
-                    j = active[i].pop(slot - 2 * m)
+                    bisect.insort(inactive[i], active[i].pop(slot - 2 * m))
                     signs[i].pop(slot - 2 * m)
-                    bisect.insort(inactive[i], j)
-                    last_drop[i] = (j, ev)
                 else:
                     j_loc = slot % m
                     # Its sign, or +1 at 0: x is finite, as the feature's candidate is.
                     x = a.item(r, j_loc) + ev * b.item(r, j_loc)
                     active[i].append(inactive[i].pop(j_loc))
                     signs[i].append(-1.0 if x < 0 else 1.0)
-                    last_drop[i] = None
                 live.append(i)
             if starts != stops:
                 segments.setdefault(k, []).append((g, idx, phi, theta, starts, stops))
@@ -560,12 +548,6 @@ def fit_bagging(
         (tuple(int(i) for i in s), model) for s, model in zip(subsets, models, strict=True)
     )
     return BaggedModel(members=members, n_queries=n)
-
-
-def predict_bagging(model: BaggedModel, row: Sequence[float]) -> float:
-    """Unweighted mean of the member predictions on one frequency row."""
-    preds = member_predictions(model, row)
-    return float(preds.mean())
 
 
 def member_predictions(model: BaggedModel, row: Sequence[float]) -> np.ndarray:

@@ -235,7 +235,6 @@ def lasso_path_candidate_loop(gram: np.ndarray, cvec: np.ndarray, lambdas: np.nd
     signs = [float(np.sign(cvec[j0]))]
     grid_i = 0
     edge = 1e-14 * max(lam_cur, 1.0)
-    last_drop = None
 
     def cd_fallback(start_i, warm):
         alpha = warm[None].copy()
@@ -279,8 +278,6 @@ def lasso_path_candidate_loop(gram: np.ndarray, cvec: np.ndarray, lambdas: np.nd
                 if abs(denom) > 1e-14:
                     lam = num / denom
                     if edge < lam < lam_cur - edge:
-                        if last_drop and last_drop[0] == j and abs(lam - last_drop[1]) <= edge:
-                            continue
                         candidates.append((lam, "join", int(j)))
         for k_loc, j in enumerate(active):
             if abs(theta[k_loc]) > 1e-14:
@@ -302,12 +299,10 @@ def lasso_path_candidate_loop(gram: np.ndarray, cvec: np.ndarray, lambdas: np.nd
             k_loc = active.index(j)
             active.pop(k_loc)
             signs.pop(k_loc)
-            last_drop = (j, lam_ev)
         else:
             j_loc = int(np.where(inactive == j)[0][0])
             active.append(j)
             signs.append(float(np.sign(a[j_loc] + lam_ev * b[j_loc])) or 1.0)
-            last_drop = None
         lam_cur = lam_ev
 
     warm = out[grid_i - 1] if grid_i else np.zeros(F)

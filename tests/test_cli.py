@@ -321,6 +321,33 @@ class TestReport:
         assert ". Seed: 3." in direct
         assert out.read_text() == direct.replace(". Seed: 3.", ".")
 
+    def test_markdown_with_different_method_sets(self, tmp_path):
+        header = (
+            "vaccine,method,year,month,predicted,actual,train_start_year,"
+            "train_start_month,train_end_year,train_end_month,diagnostic\n"
+        )
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        (logs / "X.log.csv").write_text(
+            header
+            + "X,Naive,2013,1,49.0,50.0,2011,1,2012,12,\n"
+            + "X,HW,2013,1,49.5,50.0,2011,1,2012,12,\n"
+        )
+        (logs / "Y.log.csv").write_text(header + "Y,Naive,2013,1,10.0,11.0,2011,1,2012,12,\n")
+        out = tmp_path / "report.md"
+        assert main(["report", "--log-dir", str(logs), "--out", str(out)]) == 0
+        assert out.read_text() == (
+            "## Single-source methods\n"
+            "\n"
+            "| Vaccine | Naive | HW |\n"
+            "|---|---|---|\n"
+            "| X | 1.000 | **[0.500]** |\n"
+            "| Y | [1.000] | - |\n"
+            "\n"
+            "Evaluation windows: 2013-01..2013-01.\n"
+            "**bold**: beats naive; [brackets]: lowest RMSE for the vaccine.\n"
+        )
+
     def test_one_file_with_two_vaccines(self, markdown_run, tmp_path):
         _, logs = markdown_run
         a = (logs / "VAX-A.log.csv").read_text()
@@ -356,8 +383,14 @@ class TestPredict:
 
     @pytest.mark.parametrize(
         "overrides",
-        [{}, {"level1_sliding": "12"}, {"bagging_subset_size": "13"}],
-        ids=["defaults", "level1_sliding", "bagging_fallback"],
+        [
+            {},
+            {"level1_sliding": "12"},
+            {"bagging_subset_size": "13"},
+            # The fixture's 40 months leave 16 level-0 months: the warm-up boundary.
+            {"level1_warmup_months": "16"},
+        ],
+        ids=["defaults", "level1_sliding", "bagging_fallback", "level1_warmup"],
     )
     def test_matches_backtest_cell(self, experiment, tmp_path, capsys, overrides):
         """predict equals the backtest's cell for the month after the last one.
@@ -402,6 +435,18 @@ class TestPredict:
             assert predicted["B"] == predicted["WM"] == predicted["Naive"]
             for method in ("B", "WM"):
                 assert f"{method} {target}: fallback=naive (PanelTooNarrow: " in err
+
+    def test_level1_warmup_not_covered(self, experiment, tmp_path, capsys):
+        # The backtest has no level-1 cell for this month either.
+        config = tmp_path / "experiment.ini"
+        config.write_text(
+            (experiment / "experiment.ini").read_text() + "level1_warmup_months = 17\n"
+        )
+        code = main(["predict", "--config", str(config), "--vaccine", "VAX-A"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err == "error: level-0 log covers 16 months, need 17\n"
 
     def test_requires_single_vaccine(self, experiment, capsys):
         assert main(["predict", "--config", str(experiment / "experiment.ini")]) == 1

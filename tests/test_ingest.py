@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,6 @@ from uptakecast.ingest import (
     load_registry,
     load_trends,
     published_query_table,
-    parse_report_csv,
 )
 from uptakecast.timeseries import MonthStamp
 
@@ -123,13 +125,13 @@ class TestComputeUptake:
         registry = [RegistryRecord("MMR-1", M(2011, 1), 500)]
         cohorts = [CohortRecord(M(2011, 1), 1000)]
         uptake = compute_uptake(registry, cohorts)
-        assert uptake.series.value_at(M(2011, 1)) == 50.0
+        assert uptake.series.values[0] == 50.0
 
     def test_catchup_exceeds_100(self):
         uptake = compute_uptake(
             [RegistryRecord("MMR-1", M(2011, 1), 1100)], [CohortRecord(M(2011, 1), 1000)]
         )
-        assert uptake.series.value_at(M(2011, 1)) == 110.0
+        assert uptake.series.values[0] == 110.0
 
     def test_missing_cohort(self):
         with pytest.raises(MissingCohort):
@@ -170,14 +172,20 @@ def tiny_report():
     )
 
 
+def read_report_csv(text):
+    """The data rows of a CSV report, keyed (vaccine, method)."""
+    return {(row[0], row[1]): row[2:] for row in list(csv.reader(io.StringIO(text)))[1:]}
+
+
 class TestEmitReport:
     def test_csv_roundtrip_exact(self):
         report = tiny_report()
-        text = emit_report([report], format="csv")
-        reloaded = parse_report_csv(text)[0]
-        assert reloaded.rmse == report.rmse  # repr round-trips exactly
-        assert reloaded.beats_naive == report.beats_naive
-        assert reloaded.is_row_min == report.is_row_min
+        rows = read_report_csv(emit_report([report], format="csv"))
+        assert list(rows) == [("MMR-1", m) for m in report.rmse]
+        for (_, method), (rmse, beats, row_min) in rows.items():
+            assert float(rmse) == report.rmse[method]  # repr round-trips exactly
+            assert beats == str(report.beats_naive[method]).lower()
+            assert row_min == str(report.is_row_min[method]).lower()
 
     def test_markers(self):
         text = emit_report([tiny_report()], format="csv")
@@ -235,10 +243,9 @@ class TestEmitReport:
         assert "HPV-9,ERROR,InsufficientHistory: need 25 months" in csv_text
         md_text = emit_report([failed], format="markdown")
         assert "ERROR HPV-9" in md_text
-        reloaded = parse_report_csv(emit_report([tiny_report(), failed], format="csv"))
-        by_name = {r.vaccine: r for r in reloaded}
-        assert by_name["HPV-9"].error == "InsufficientHistory: need 25 months"
-        assert by_name["MMR-1"].error is None
+        rows = read_report_csv(emit_report([tiny_report(), failed], format="csv"))
+        assert rows[("HPV-9", "ERROR")] == ["InsufficientHistory: need 25 months", "", ""]
+        assert [m for v, m in rows if v == "MMR-1"] == list(tiny_report().rmse)
 
 
 class TestPublishedQueryTable:

@@ -3,14 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uptakecast.errors import EmptyOverlap, MissingHistory, SeriesTooShort
+from uptakecast.errors import EmptyOverlap, SeriesTooShort
 from uptakecast.timeseries import (
     MonthStamp,
     TimeSeries,
     UptakeSeries,
     align,
     difference,
-    naive_forecast,
     rmse,
 )
 
@@ -40,7 +39,7 @@ class TestTimeSeries:
     def test_end_and_lookup(self):
         s = make_series([1, 2, 3])
         assert s.end == MonthStamp(2011, 3)
-        assert s.value_at(MonthStamp(2011, 2)) == 2
+        assert s.values[s.index_of(MonthStamp(2011, 2))] == 2
 
     def test_rejects_empty_and_nonfinite(self):
         with pytest.raises(ValueError):
@@ -107,21 +106,6 @@ class TestDifference:
     def test_too_short(self):
         with pytest.raises(SeriesTooShort):
             difference(make_series([1, 2]), 2)
-
-
-class TestNaiveForecast:
-    def test_shift_by_one(self):
-        E = make_series([10, 20, 30], start=MonthStamp(2013, 1))
-        assert naive_forecast(E, MonthStamp(2013, 3)) == 20
-
-    def test_first_month_has_no_predecessor(self):
-        E = make_series([10, 20, 30], start=MonthStamp(2013, 1))
-        with pytest.raises(MissingHistory):
-            naive_forecast(E, MonthStamp(2013, 1))
-
-    def test_constant(self):
-        E = make_series([7, 7, 7, 7])
-        assert naive_forecast(E, MonthStamp(2011, 4)) == 7
 
 
 class TestRmse:

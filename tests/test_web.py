@@ -27,7 +27,6 @@ from uptakecast.web import (
     fit_web_ols,
     lasso_lambda_max,
     member_predictions,
-    predict_bagging,
     predict_web,
     select_lambda_cv,
     wm_init,
@@ -389,7 +388,9 @@ class TestBagging:
         lam = select_lambda_cv(panel, E)
         single = fit_lasso(panel, E, lam)
         row = panel.matrix[-1]
-        assert predict_bagging(bag, row) == pytest.approx(predict_web(single, row), abs=1e-9)
+        assert member_predictions(bag, row).mean() == pytest.approx(
+            predict_web(single, row), abs=1e-9
+        )
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(11)
@@ -432,7 +433,7 @@ class TestPredictBagging:
         m1 = fit_lasso(panel, E1, 1.0)
         m2 = fit_lasso(panel, E2, 1.0)
         bag = self._bag_of([m1, m2], 3)
-        assert predict_bagging(bag, panel.matrix[0]) == pytest.approx(15.0)
+        assert member_predictions(bag, panel.matrix[0]).mean() == pytest.approx(15.0)
 
     def test_identical_members(self):
         rng = np.random.default_rng(15)
@@ -441,18 +442,7 @@ class TestPredictBagging:
         m = fit_lasso(panel, E, 0.5)
         bag = self._bag_of([m, m, m], 3)
         row = panel.matrix[3]
-        assert predict_bagging(bag, row) == pytest.approx(predict_web(m, row))
-
-    def test_mean_verified_against_hand_sum(self):
-        rng = np.random.default_rng(16)
-        panel = random_panel(rng, 15, 12)
-        E = make_series(rng.uniform(20, 80, 15))
-        bag = fit_bagging(panel, E, n_subsets=7, subset_size=4, seed=9)
-        row = panel.matrix[-1]
-        members = member_predictions(bag, row)
-        hand_mean = sum(float(v) for v in members) / 7
-        assert predict_bagging(bag, row) == pytest.approx(hand_mean, abs=1e-12)
-        assert min(members) <= predict_bagging(bag, row) <= max(members)
+        assert member_predictions(bag, row) == pytest.approx([predict_web(m, row)] * 3)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(17)
@@ -460,7 +450,7 @@ class TestPredictBagging:
         E = make_series(rng.uniform(20, 80, 12))
         bag = fit_bagging(panel, E, n_subsets=2, subset_size=3, seed=1)
         with pytest.raises(DimensionMismatch):
-            predict_bagging(bag, np.ones(5))
+            member_predictions(bag, np.ones(5))
 
 
 class TestWeightedMajority:
