@@ -13,6 +13,7 @@ aborts a sweep.
 from __future__ import annotations
 
 import functools
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
@@ -53,7 +54,11 @@ class BacktestConfig:
     def __post_init__(self):
         # Reject here every value a fit would reject mid-sweep, where the
         # error would abort the run for every vaccine. `bagging_subsets` and
-        # `level1_sliding` may be None.
+        # `level1_sliding` may be None. An infinite setting passes the range
+        # checks below (`not inf > 0` is False), so finiteness comes first.
+        for name in ("wm_eta", "wm_epsilon", "svr_cost", "svr_tube_eps", "svr_gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         for name in (
             "level1_warmup_months",
             "ar_lags",

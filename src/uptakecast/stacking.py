@@ -8,6 +8,7 @@ inside the fit and the standardization travels with the model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,20 +96,24 @@ def _kernel_vector(Z: np.ndarray, z: np.ndarray, kernel: str, gamma: float | Non
     raise ValueError(f"unknown kernel {kernel!r}")
 
 
-def _bias_interval(beta: np.ndarray, G: np.ndarray, eps: float, C: float):
-    """Per-sample admissible interval for the bias implied by the KKT conditions.
+def _bound_offsets(b: float, eps: float, C: float) -> tuple[float, float]:
+    """Offsets that turn G_i into the ends of sample i's admissible bias interval.
 
-    A zero coefficient admits [G - eps, G + eps], a positive one G - eps and a
-    negative one G + eps; a coefficient at +C (-C) leaves the interval open
-    below (above).
+    The KKT conditions admit [G - eps, G + eps] for a zero coefficient, G - eps
+    for a positive one and G + eps for a negative one; a coefficient at +C (-C)
+    leaves the interval open below (above), and that test wins over the sign.
+    ``G + (-eps)`` is ``G - eps`` bit for bit, since IEEE subtraction is
+    addition of the negation.
     """
-    G_lo = G - eps
-    G_hi = G + eps
-    lo = np.where(beta < -_BOUND_ATOL, G_hi, G_lo)
-    hi = np.where(beta > _BOUND_ATOL, G_lo, G_hi)
-    lo[beta >= C - _BOUND_ATOL] = -np.inf
-    hi[beta <= -C + _BOUND_ATOL] = np.inf
-    return lo, hi
+    if b >= C - _BOUND_ATOL:
+        off_lo = -np.inf
+    else:
+        off_lo = eps if b < -_BOUND_ATOL else -eps
+    if b <= -C + _BOUND_ATOL:
+        off_hi = np.inf
+    else:
+        off_hi = -eps if b > _BOUND_ATOL else eps
+    return off_lo, off_hi
 
 
 def _pair_step(beta_i, beta_j, Fi, Fj, eta, eps, C) -> float:
@@ -116,25 +121,26 @@ def _pair_step(beta_i, beta_j, Fi, Fj, eta, eps, C) -> float:
 
     phi(d) = 0.5*eta*d^2 + (Fi - Fj)*d + eps*(|beta_i + d| + |beta_j - d|),
     a convex piecewise quadratic over the box-feasible interval; its minimum
-    is at an endpoint, a kink, or a per-piece stationary point.
+    is at an endpoint, a kink, or a per-piece stationary point. The candidates
+    are visited in that order and the first strict minimum of phi is kept.
     """
+    dF = Fi - Fj
+    half_eta = 0.5 * eta
     d_min = max(-C - beta_i, beta_j - C)
     d_max = min(C - beta_i, beta_j + C)
-    cands = [d_min, d_max]
-    for kink in (-beta_i, beta_j):
-        if d_min < kink < d_max:
-            cands.append(kink)
+    cands = (d_min, d_max, -beta_i, beta_j)
     if eta > 0:
-        for ui in (-1.0, 1.0):
-            for uj in (-1.0, 1.0):
-                d = -((Fi - Fj) + eps * (ui - uj)) / eta
-                if d_min < d < d_max:
-                    cands.append(d)
-
-    def phi(d: float) -> float:
-        return 0.5 * eta * d * d + (Fi - Fj) * d + eps * (abs(beta_i + d) + abs(beta_j - d))
-
-    return min(cands, key=phi)
+        # eps * (ui - uj) for the sign pairs (-1, -1), (-1, 1), (1, -1); (1, 1)
+        # gives the (-1, -1) point again, which a strict minimum never takes.
+        cands += (-(dF + eps * 0.0) / eta, -(dF + eps * -2.0) / eta, -(dF + eps * 2.0) / eta)
+    best = best_phi = None
+    for k, d in enumerate(cands):
+        if k > 1 and not d_min < d < d_max:  # kinks and stationary points strictly inside
+            continue
+        p = half_eta * d * d + dF * d + eps * (abs(beta_i + d) + abs(beta_j - d))
+        if k == 0 or p < best_phi:
+            best, best_phi = d, p
+    return best
 
 
 def solve_svr_dual(K: np.ndarray, y: np.ndarray, C: float, eps: float) -> tuple[np.ndarray, float]:
@@ -142,37 +148,50 @@ def solve_svr_dual(K: np.ndarray, y: np.ndarray, C: float, eps: float) -> tuple[
 
     Returns the dual coefficients and the bias. Terminates when the largest
     KKT violation (the gap between the per-sample bias bounds) is within
-    ``SVR_KKT_TOL``.
+    ``SVR_KKT_TOL``. A step moves two coefficients, so only their two bound
+    offsets are rewritten; the n-vectors live in buffers allocated once.
     """
     n = y.size
-    beta = np.zeros(n)
+    beta = [0.0] * n
     Kb = np.zeros(n)
+    G = np.empty(n)
+    lo = np.empty(n)
+    hi = np.empty(n)
+    diff = np.empty(n)
+    off0 = _bound_offsets(0.0, eps, C)
+    off_lo = np.full(n, off0[0])
+    off_hi = np.full(n, off0[1])
     # Python floats for the scalar work of each step; K is symmetric, so
     # row i stands in for column i and each step reads two contiguous rows.
     K_diag = np.diag(K).tolist()
     y_list = y.tolist()
     for _ in range(_SVR_MAX_STEPS):
-        G = y - Kb
-        lo, hi = _bias_interval(beta, G, eps, C)
+        np.subtract(y, Kb, out=G)
+        np.add(G, off_lo, out=lo)
+        np.add(G, off_hi, out=hi)
         i = int(lo.argmax())
         j = int(hi.argmin())
-        if lo[i] - hi[j] <= SVR_KKT_TOL:
-            b_lo, b_hi = lo[i], hi[j]
-            if not np.isfinite(b_lo):
-                b_lo = b_hi if np.isfinite(b_hi) else 0.0
-            if not np.isfinite(b_hi):
+        b_lo, b_hi = lo.item(i), hi.item(j)
+        if b_lo - b_hi <= SVR_KKT_TOL:
+            if not math.isfinite(b_lo):
+                b_lo = b_hi if math.isfinite(b_hi) else 0.0
+            if not math.isfinite(b_hi):
                 b_hi = b_lo
-            return beta, float((b_lo + b_hi) / 2.0)
+            return np.array(beta), (b_lo + b_hi) / 2.0
         K_i, K_j = K[i], K[j]
         eta = K_diag[i] + K_diag[j] - 2.0 * K_i.item(j)
-        beta_i, beta_j = beta.item(i), beta.item(j)
+        beta_i, beta_j = beta[i], beta[j]
         Fi, Fj = Kb.item(i) - y_list[i], Kb.item(j) - y_list[j]
         d = _pair_step(beta_i, beta_j, Fi, Fj, max(eta, 0.0), eps, C)
         if d == 0.0:
             raise NonConvergence("SVR pairwise step stalled above KKT tolerance")
         beta[i] = beta_i + d
         beta[j] = beta_j - d
-        Kb += d * (K_i - K_j)
+        off_lo[i], off_hi[i] = _bound_offsets(beta[i], eps, C)
+        off_lo[j], off_hi[j] = _bound_offsets(beta[j], eps, C)
+        np.subtract(K_i, K_j, out=diff)
+        diff *= d
+        Kb += diff
     raise NonConvergence(f"SVR solver exceeded {_SVR_MAX_STEPS} pairwise steps")
 
 
@@ -191,6 +210,8 @@ def fit_svr(
     gamma = 1 / (2 * n_features) for the Gaussian kernel.
     """
     X, y = _design(X, y, 2)
+    if not all(math.isfinite(v) for v in (C, eps, gamma)):
+        raise ValueError("C, eps and gamma must be finite")
     if C <= 0 or eps < 0:
         raise ValueError("C must be positive and eps non-negative")
     if kernel == "gaussian" and not gamma > 0:

@@ -16,7 +16,6 @@ import itertools
 
 import numpy as np
 
-from uptakecast.stacking import _pair_step
 from uptakecast.web import _cd_solve
 
 
@@ -309,6 +308,29 @@ def lasso_path_candidate_loop(gram: np.ndarray, cvec: np.ndarray, lambdas: np.nd
     return cd_fallback(grid_i, warm)
 
 
+def svr_pair_step_candidates(beta_i, beta_j, Fi, Fj, eta, eps, C) -> float:
+    """The exact pairwise line search as a candidate list and ``min`` over a
+    closure: endpoints, kinks strictly inside, then the per-piece stationary
+    points for each sign pair; the first minimum of phi wins."""
+    d_min = max(-C - beta_i, beta_j - C)
+    d_max = min(C - beta_i, beta_j + C)
+    cands = [d_min, d_max]
+    for kink in (-beta_i, beta_j):
+        if d_min < kink < d_max:
+            cands.append(kink)
+    if eta > 0:
+        for ui in (-1.0, 1.0):
+            for uj in (-1.0, 1.0):
+                d = -((Fi - Fj) + eps * (ui - uj)) / eta
+                if d_min < d < d_max:
+                    cands.append(d)
+
+    def phi(d: float) -> float:
+        return 0.5 * eta * d * d + (Fi - Fj) * d + eps * (abs(beta_i + d) + abs(beta_j - d))
+
+    return min(cands, key=phi)
+
+
 def svr_dual_column_loop(K: np.ndarray, y: np.ndarray, C: float, eps: float,
                          tol: float = 1e-4, max_steps: int = 200_000):
     """The pairwise SVR dual loop reading columns of K and numpy scalars."""
@@ -329,7 +351,7 @@ def svr_dual_column_loop(K: np.ndarray, y: np.ndarray, C: float, eps: float,
             return beta, float((b_lo + b_hi) / 2.0)
         eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
         Fi, Fj = Kb[i] - y[i], Kb[j] - y[j]
-        d = _pair_step(beta[i], beta[j], Fi, Fj, max(eta, 0.0), eps, C)
+        d = svr_pair_step_candidates(beta[i], beta[j], Fi, Fj, max(eta, 0.0), eps, C)
         if d == 0.0:
             raise RuntimeError("SVR pairwise step stalled above KKT tolerance")
         beta[i] += d

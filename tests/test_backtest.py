@@ -79,6 +79,14 @@ class TestConfig:
             ("svr_gamma", 0.0),
             ("svr_tube_eps", -0.1),
             ("seed", -1),
+            # `not inf > 0` is False: finiteness is its own check.
+            ("wm_eta", float("inf")),
+            ("wm_epsilon", float("inf")),
+            ("svr_cost", float("inf")),
+            ("svr_gamma", float("inf")),
+            ("svr_tube_eps", float("inf")),
+            ("svr_cost", float("nan")),
+            ("svr_tube_eps", float("nan")),
         ],
     )
     def test_field_guard(self, field, value):

@@ -85,6 +85,7 @@ class TestValidate:
             "bagging_subsets = 0",
             "hw_season_length = 0",
             "wm_eta = 0",
+            "svr_cost = inf",
             "ar_lags = x",
             "row_bagging = yes",  # removed; an unknown key like any other
         ],

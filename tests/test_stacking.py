@@ -9,8 +9,9 @@ from uptakecast.errors import TooFewSamples
 from uptakecast.stacking import (
     SvrStackModel,
     _BOUND_ATOL,
-    _bias_interval,
+    _bound_offsets,
     _kernel_matrix,
+    _pair_step,
     fit_stack_ols,
     fit_svr,
     predict_stack_ols,
@@ -24,11 +25,17 @@ from oracles import (
     svr_dual_column_loop,
     svr_dual_objective,
     svr_kkt_violation,
+    svr_pair_step_candidates,
 )
 
 def samples_from(e_c, e_w, targets):
     """The (n, 2) clinical/web design and the n targets the stack fits take."""
     return np.column_stack([e_c, e_w]).astype(float), np.asarray(targets, dtype=float)
+
+
+def same_bits(a, b) -> bool:
+    """Byte equality of two float arrays or floats: tells 0.0 from -0.0."""
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
 
 def svr_predictions(model, e_c, e_w):
@@ -157,32 +164,70 @@ class TestSvrSolver:
         data=st.data(),
     )
     def test_bias_interval_matches_the_mask_form_bit_for_bit(self, C, eps, inner, data):
-        # Every KKT case boundary, plus coefficients strictly inside the box.
+        # The solver's interval is G plus per-sample bound offsets. Every KKT
+        # case boundary, plus coefficients strictly inside the box.
         edges = [0.0, _BOUND_ATOL, -_BOUND_ATOL, C, -C, C - _BOUND_ATOL, -C + _BOUND_ATOL,
                  2 * _BOUND_ATOL, -2 * _BOUND_ATOL, _BOUND_ATOL / 2, -_BOUND_ATOL / 2]
         beta = np.array(edges + [C * v for v in inner])
         G = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=beta.size,
                                         max_size=beta.size)))
-        lo, hi = _bias_interval(beta, G, eps, C)
+        off_lo, off_hi = np.array([_bound_offsets(b, eps, C) for b in beta.tolist()]).T
         lo_ref, hi_ref = svr_bias_interval_masks(beta, G, eps, C, atol=_BOUND_ATOL)
-        assert np.array_equal(lo, lo_ref) and np.array_equal(hi, hi_ref)
+        assert same_bits(G + off_lo, lo_ref) and same_bits(G + off_hi, hi_ref)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=400, deadline=None)
+    @given(
+        C=st.sampled_from([1e-3, 1.0]) | st.floats(1e-3, 10.0),
+        eta=st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0.0, 4.0),
+        eps=st.sampled_from([0.0, 0.1]) | st.floats(0.0, 2.0),
+        dF=st.sampled_from([0.0, 0.2, -0.2]) | st.floats(-10.0, 10.0),
+        Fj=st.sampled_from([0.0, 1.0]) | st.floats(-10.0, 10.0),
+        data=st.data(),
+    )
+    def test_pair_step_matches_the_candidate_list_bit_for_bit(self, C, eta, eps, dF, Fj, data):
+        # Coefficients at the box and sign boundaries put the kinks on d_min
+        # or d_max; eta = 0 (duplicated rows) and dF = 0 make whole runs of
+        # candidates tie, where the first minimum must win.
+        edges = [0.0, C, -C, _BOUND_ATOL, -_BOUND_ATOL, C - _BOUND_ATOL, -C + _BOUND_ATOL,
+                 C / 2, -C / 2]
+        coefficient = st.sampled_from(edges) | st.floats(-C, C)
+        beta_i, beta_j = data.draw(coefficient), data.draw(coefficient)
+        Fi = Fj + dF
+        d = _pair_step(beta_i, beta_j, Fi, Fj, eta, eps, C)
+        d_ref = svr_pair_step_candidates(beta_i, beta_j, Fi, Fj, eta, eps, C)
+        assert same_bits(d, d_ref)
+
+    def test_pair_step_keeps_the_first_of_tied_candidates(self):
+        # phi is flat (eta = eps = 0, Fi = Fj): every candidate ties and the
+        # first, d_min, wins. With eps > 0 phi is flat between the kinks -0.5
+        # and 0.5 and steeper outside, so the endpoints -1.5 and 1.5 lose and
+        # the first kink wins the tie with the second.
+        for step in (_pair_step, svr_pair_step_candidates):
+            assert step(0.5, -0.5, 1.0, 1.0, 0.0, 0.0, 1.0) == -1.5
+            assert step(0.5, 0.5, 1.0, 1.0, 0.0, 0.3, 2.0) == -0.5
+
+    @settings(max_examples=80, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(2, 40),
         kernel=st.sampled_from(["linear", "gaussian"]),
-        C=st.sampled_from([0.5, 1.0, 2.5]),
-        eps=st.sampled_from([0.0, 0.1, 0.5]),
+        C=st.sampled_from([1e-3, 0.5, 1.0, 2.5]),
+        eps=st.sampled_from([0.0, 0.1, 0.5, 50.0]),
+        duplicated=st.booleans(),
     )
-    def test_dual_matches_the_column_loop_bit_for_bit(self, seed, n, kernel, C, eps):
+    def test_dual_matches_the_column_loop_bit_for_bit(self, seed, n, kernel, C, eps, duplicated):
+        # C = 1e-3 ends every coefficient at a bound, eps = 50 holds every
+        # target inside the tube at the first check, and duplicated rows give
+        # pairs with eta = 0: every bound-offset transition meets the oracle.
         rng = np.random.default_rng(seed)
         Z = rng.normal(0, 1, (n, 2))
+        if duplicated:
+            Z = Z[rng.integers(0, max(1, n // 2), n)]
         y = Z @ rng.normal(0, 1, 2) + rng.normal(0, 0.5, n)
         K = _kernel_matrix(Z, kernel, 0.25)
         beta, bias = solve_svr_dual(K, y, C, eps)
         beta_ref, bias_ref = svr_dual_column_loop(K, y, C, eps)
-        assert np.array_equal(beta, beta_ref) and bias == bias_ref
+        assert same_bits(beta, beta_ref) and same_bits(bias, bias_ref)
 
     def test_kkt_sample_classification(self):
         rng = np.random.default_rng(5)
@@ -258,6 +303,20 @@ class TestFitSvr:
             fit_svr(*good, C=0.0)
         with pytest.raises(ValueError):
             fit_svr(*good, kernel="gaussian", gamma=0.0)
+
+    @pytest.mark.parametrize("kernel", ["linear", "gaussian"])
+    @pytest.mark.parametrize(
+        "setting",
+        [{"C": np.nan}, {"C": np.inf}, {"eps": np.nan}, {"eps": np.inf},
+         {"gamma": np.nan}, {"gamma": np.inf}],
+        ids=["C_nan", "C_inf", "eps_nan", "eps_inf", "gamma_nan", "gamma_inf"],
+    )
+    def test_non_finite_setting_rejected(self, kernel, setting):
+        # Rejected before the solver runs: a NaN C runs the solver to its
+        # step cap, and an infinite eps makes every bias admissible, so the
+        # fit would predict 0 everywhere.
+        with pytest.raises(ValueError, match="finite"):
+            fit_svr(X_OK, Y_OK, kernel=kernel, **setting)
 
 
 class TestPredictSvr:
