@@ -8,6 +8,9 @@ through the months, in month order, in the calling process. Every model
 failure or non-finite forecast is caught per cell, replaced by the naive
 prediction and flagged in the entry diagnostics, so one bad window never
 aborts a sweep.
+
+``predict`` forecasts the month after the data as the backtest's next month:
+one more month of `run_level0_backtest`, then its one `level1_step`.
 """
 
 from __future__ import annotations
@@ -194,13 +197,17 @@ def derive_month_seed(seed: int, month: MonthStamp) -> int:
 def aligned_history(
     E: UptakeSeries, Q: web.QueryPanel, cfg: BacktestConfig
 ) -> tuple[web.QueryPanel, TimeSeries]:
-    """Panel and uptake over their shared months, cut at ``cfg.end_month``."""
+    """Panel and uptake over their shared months, cut at ``cfg.end_month``;
+    they must span the level-0 warm-up and one month to predict."""
     panel, series = web.align_panel(Q, E.series)
     if cfg.end_month is not None and cfg.end_month < series.start:
         raise InsufficientHistory(f"end_month {cfg.end_month} precedes the data ({series.start})")
     if cfg.end_month is not None and cfg.end_month < series.end:
         series = series.slice(series.start, cfg.end_month)
         panel = panel.slice(panel.start, cfg.end_month)
+    need = cfg.level0_warmup_months + 1
+    if len(series) < need:
+        raise InsufficientHistory(f"need {need} months, series spans {len(series)}")
     return panel, series
 
 
@@ -270,7 +277,7 @@ def level0_fit(
     method->note for each model that fell back to naive, and the bagged
     member predictions (None when bagging fell back). The result depends on
     the arguments alone, so the months of a backtest can be fitted in any
-    order and in any process; `level0_weigh` adds WM.
+    order and in any process; `run_level0_backtest` adds WM.
     """
     lags = cfg.ar_lags
 
@@ -320,35 +327,11 @@ def level0_fit(
     return preds, notes, members
 
 
-def level0_weigh(
-    preds: dict[str, float],
-    notes: dict[str, str],
-    members: np.ndarray | None,
-    cfg: BacktestConfig,
-    wm_state: web.WmState | None,
-) -> web.WmState | None:
-    """Add to ``preds`` the WM prediction: `level0_fit`'s ``members`` weighed
-    by the weighted-majority state ``wm_state``, or naive with B's note when
-    bagging fell back.
-
-    Returns the state the prediction used; the caller updates it once the
-    month's actual value is known.
-    """
-    if members is None:
-        preds["WM"], notes["WM"] = preds[NAIVE], notes["B"]
-        return wm_state
-    if wm_state is None:
-        wm_state = web.wm_init(members.size, cfg.wm_eta, cfg.wm_epsilon)
-    preds["WM"] = web.wm_predict(wm_state, members)
-    return wm_state
-
-
 def run_level0_backtest(
     E: UptakeSeries,
     Q: web.QueryPanel,
     cfg: BacktestConfig,
     vaccine: str = "series",
-    wm_state_sink: list[web.WmState] | None = None,
 ) -> PredictionLog:
     """Refit every level-0 model each month on all data strictly before it.
 
@@ -361,9 +344,6 @@ def run_level0_backtest(
     panel, series = aligned_history(E, Q, cfg)
     T = len(series)
     warm = cfg.level0_warmup_months
-    if T < warm + 1:
-        raise InsufficientHistory(f"need {warm + 1} months, series spans {T}")
-
     values = series.values
     train_start = series.start
     months = [series.start.plus(k) for k in range(T)]
@@ -383,9 +363,14 @@ def run_level0_backtest(
     entries: list[LogEntry] = []
     wm_state: web.WmState | None = None
     for k, (preds, notes, members) in enumerate(fits, start=warm):
-        wm_state = level0_weigh(preds, notes, members, cfg, wm_state)
         actual = float(values[k])
-        if members is not None:
+        if members is None:
+            # Bagging fell back: WM has no members to weigh.
+            preds["WM"], notes["WM"] = preds[NAIVE], notes["B"]
+        else:
+            if wm_state is None:
+                wm_state = web.wm_init(members.size, cfg.wm_eta, cfg.wm_epsilon)
+            preds["WM"] = web.wm_predict(wm_state, members)
             wm_state = web.wm_update(wm_state, members, preds["WM"], actual)
 
         for method in (NAIVE,) + cfg.clinical_methods() + WEB_METHODS:
@@ -401,8 +386,6 @@ def run_level0_backtest(
                     diagnostic=notes.get(method, ""),
                 )
             )
-    if wm_state_sink is not None and wm_state is not None:
-        wm_state_sink.append(wm_state)
     return PredictionLog(tuple(entries))
 
 
@@ -420,10 +403,11 @@ def level0_streams(
     return months, streams, np.array([e.actual for e in naive.values()])
 
 
-def level1_window_start(n: int, cfg: BacktestConfig) -> int:
-    """Index of the first level-1 training month among the ``n`` level-0 months
-    before a target: 0 (growing window), or the start of the last ``cfg.level1_sliding``."""
-    return 0 if cfg.level1_sliding is None else max(0, n - cfg.level1_sliding)
+def level1_window_start(idx: int, cfg: BacktestConfig) -> int:
+    """Index of the first level-1 training month for level-0 month ``idx``:
+    0 (growing window), or the start of the last ``cfg.level1_sliding`` months
+    before it."""
+    return 0 if cfg.level1_sliding is None else max(0, idx - cfg.level1_sliding)
 
 
 def _stack(meta: str, X: np.ndarray, y: np.ndarray, e_c: float, e_w: float,
@@ -443,25 +427,28 @@ def _stack(meta: str, X: np.ndarray, y: np.ndarray, e_c: float, e_w: float,
 
 def level1_step(
     streams: Mapping[str, np.ndarray],
-    targets: np.ndarray,
-    target_preds: Mapping[str, float],
+    actuals: np.ndarray,
+    idx: int,
     cfg: BacktestConfig,
 ) -> tuple[dict[str, float], dict[str, str]]:
-    """Stack each (clinical, web) stream pair with each level-1 model.
+    """The level-1 cell of level-0 month ``idx``: each (clinical, web) stream
+    pair stacked with each level-1 model.
 
-    Every model is fitted on the level-0 ``streams`` over the training months
-    against the observed ``targets`` of those months, and combines the target
-    month's level-0 predictions ``target_preds``. Returns method->prediction
-    and method->note for each model that fell back to the target month's
-    naive prediction.
+    Every model is fitted on the level-0 ``streams`` over the training window
+    before ``idx`` (`level1_window_start`) against the observed ``actuals`` of
+    those months, and combines month ``idx``'s level-0 predictions. Returns
+    method->prediction and method->note for each model that fell back to
+    month ``idx``'s naive prediction.
     """
+    lo = level1_window_start(idx, cfg)
+    target_preds = {m: float(s[idx]) for m, s in streams.items()}
     fits = {}
     for clin in cfg.clinical_methods():
         for wm in WEB_METHODS:
-            X = np.column_stack([streams[clin], streams[wm]])
+            X = np.column_stack([streams[clin][lo:idx], streams[wm][lo:idx]])
             for meta in META_MODELS:
                 fits[f"{meta}:{clin}+{wm}"] = functools.partial(
-                    _stack, meta, X, targets, target_preds[clin], target_preds[wm], cfg
+                    _stack, meta, X, actuals[lo:idx], target_preds[clin], target_preds[wm], cfg
                 )
     return _fit_each(fits, target_preds[NAIVE])
 
@@ -483,21 +470,10 @@ def run_level1_backtest(
             f"level-0 log covers {len(months)} months, need {warm + 1}"
         )
 
-    windows = [(level1_window_start(idx, cfg), idx) for idx in range(warm, len(months))]
-    stacks = _map_months(
-        level1_step,
-        [
-            (
-                {m: s[lo:idx] for m, s in streams.items()},
-                actuals[lo:idx],
-                {m: float(s[idx]) for m, s in streams.items()},
-                cfg,
-            )
-            for lo, idx in windows
-        ],
-    )
+    targets = range(warm, len(months))
+    stacks = _map_months(level1_step, [(streams, actuals, idx, cfg) for idx in targets])
     entries: list[LogEntry] = []
-    for (lo, idx), (values, notes) in zip(windows, stacks):
+    for idx, (values, notes) in zip(targets, stacks):
         for method, value in values.items():
             entries.append(
                 LogEntry(
@@ -506,7 +482,7 @@ def run_level1_backtest(
                     month=months[idx],
                     predicted=float(value),
                     actual=float(actuals[idx]),
-                    train_start=months[lo],
+                    train_start=months[level1_window_start(idx, cfg)],
                     train_end=months[idx - 1],
                     diagnostic=notes.get(method, ""),
                 )

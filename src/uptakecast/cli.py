@@ -16,25 +16,23 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
+
 from . import web
 from .backtest import (
     BacktestConfig,
     LogEntry,
     PredictionLog,
     aligned_history,
-    derive_month_seed,
-    level0_fit,
     level0_streams,
-    level0_weigh,
     level1_step,
-    level1_window_start,
     run_full_experiment,
     run_level0_backtest,
     summarize,
 )
 from .errors import InsufficientHistory, ParseError, UptakecastError
 from .ingest import compute_uptake, emit_report, load_cohorts, load_registry, load_trends
-from .timeseries import MonthStamp
+from .timeseries import MonthStamp, TimeSeries, UptakeSeries
 
 
 def _parse_month_flag(text: str) -> MonthStamp:
@@ -215,16 +213,19 @@ def _cmd_backtest(args) -> int:
         log_dir.mkdir(parents=True, exist_ok=True)
         for name, log in logs.items():
             (log_dir / f"{name}.log.csv").write_text(write_log_csv(log), encoding="utf-8")
-    text = emit_report(reports, format=args.format)
+    extra = []
     if args.level0_window:
-        extra = []
         for name, log in logs.items():
             level0 = PredictionLog(
                 tuple(e for e in log.entries if ":" not in e.method)
             )
             rep = summarize(level0, name, seed=cfg.seed)
             extra.append(dataclasses.replace(rep, vaccine=f"{name} (level0 window)"))
-        text += emit_report(extra, format=args.format)
+    if extra and args.format == "markdown":
+        # Markdown gives each window its own set of tables; CSV is one table.
+        text = emit_report(reports, format="markdown") + emit_report(extra, format="markdown")
+    else:
+        text = emit_report(reports + extra, format=args.format)
     _write_out(text, args.out)
     return 0
 
@@ -234,31 +235,31 @@ def _cmd_predict(args) -> int:
         raise UptakecastError("predict needs exactly one --vaccine")
     datasets, cfg = _load_experiment(args.config, args.vaccine, args.seed)
     name = args.vaccine[0]
-    uptake, panel = datasets[name]
-    # The replay over the history yields the level-1 training streams and the
-    # weighted-majority weights carried into the next month.
-    wm_sink: list[web.WmState] = []
-    log0 = run_level0_backtest(uptake, panel, cfg, vaccine=name, wm_state_sink=wm_sink)
+    panel, series = aligned_history(*datasets[name], cfg)
+    # The target is the backtest's next month. Its query frequencies are not
+    # observed, so its panel row repeats the last observed row, the standard
+    # nowcast input; its uptake value repeats the last one, which no fit reads.
+    target = series.end.plus(1)
+    history = UptakeSeries(TimeSeries(series.start, np.append(series.values, series.values[-1])))
+    panel = web.QueryPanel(
+        panel.start, panel.query_names, np.vstack([panel.matrix, panel.matrix[-1]])
+    )
+    log0 = run_level0_backtest(history, panel, dataclasses.replace(cfg, end_month=target), name)
     months, streams, actuals = level0_streams(log0, name, cfg)
     warm = cfg.level1_warmup_months
-    # The backtest stacks month n of the level-0 log once n >= the warm-up.
-    if len(months) < warm:
-        raise InsufficientHistory(f"level-0 log covers {len(months)} months, need {warm}")
-    panel, series = aligned_history(uptake, panel, cfg)
-    target = series.end.plus(1)
-    # Query frequencies for the unobserved month are not available; the web
-    # models score the most recent observed row, the standard nowcast input.
-    preds, notes, members = level0_fit(
-        series, panel, panel.matrix[-1], cfg, derive_month_seed(cfg.seed, target)
-    )
-    level0_weigh(preds, notes, members, cfg, wm_sink[-1] if wm_sink else None)
-    lo = level1_window_start(len(months), cfg)
-    window = {m: s[lo:] for m, s in streams.items()}
-    values, level1_notes = level1_step(window, actuals[lo:], preds, cfg)
-    preds.update(values)
-    notes.update(level1_notes)
-    for method, note in notes.items():
-        print(f"{method} {target}: {note}", file=sys.stderr)
+    idx = len(months) - 1  # the target's index: the level-0 months before it
+    # The backtest stacks month idx of the level-0 log once idx >= the warm-up.
+    if idx < warm:
+        raise InsufficientHistory(f"level-0 log covers {idx} months, need {warm}")
+    preds, notes = level1_step(streams, actuals, idx, cfg)
+    for method in streams:  # the target's level-0 cells
+        entry = log0.cells[(name, method)][target]
+        preds[method] = entry.predicted
+        if entry.diagnostic:
+            notes[method] = entry.diagnostic
+    for method in cfg.method_order():
+        if method in notes:
+            print(f"{method} {target}: {notes[method]}", file=sys.stderr)
 
     lines = [f"next-month predictions for {name}, target {target}:"]
     lines += [f"{method},{preds[method]!r}" for method in cfg.method_order()]

@@ -1,5 +1,7 @@
 import configparser
+import csv
 import dataclasses
+import io
 import re
 import subprocess
 import sys
@@ -52,6 +54,25 @@ def experiment(tmp_path_factory):
     )
     (root / "experiment.ini").write_text(config)
     return root
+
+
+def with_settings(experiment, directory, **settings):
+    """A copy of the experiment config with ``settings`` added to [backtest]."""
+    parser = configparser.ConfigParser()
+    parser.optionxform = str
+    parser.read(experiment / "experiment.ini")
+    parser["backtest"].update(settings)
+    directory.mkdir(parents=True, exist_ok=True)
+    config = directory / "experiment.ini"
+    with open(config, "w") as fh:
+        parser.write(fh)
+    return config
+
+
+def run_predict(config, capsys):
+    code = main(["predict", "--config", str(config), "--vaccine", "VAX-A"])
+    out, err = capsys.readouterr()
+    return code, out, err
 
 
 class TestValidate:
@@ -240,7 +261,26 @@ class TestBacktest:
             "--level0-window",
             "--out", str(out),
         ]) == 0
-        assert "VAX-A (level0 window),Naive," in out.read_text()
+        # One CSV table: the level-0 window rows follow under the one header.
+        header = ["vaccine", "method", "rmse", "beats_naive", "is_row_min"]
+        rows = list(csv.reader(io.StringIO(out.read_text())))
+        assert [row for row in rows if row == header] == [header] == rows[:1]
+        assert [row[0] for row in rows[1:]] == ["VAX-A"] * 44 + ["VAX-A (level0 window)"] * 8
+        assert rows[45][:2] == ["VAX-A (level0 window)", "Naive"]
+
+    def test_level0_window_markdown_appends_tables(self, experiment, tmp_path):
+        args = [
+            "backtest",
+            "--config", str(experiment / "experiment.ini"),
+            "--vaccine", "VAX-A",
+        ]
+        assert main(args + ["--out", str(tmp_path / "plain.md")]) == 0
+        assert main(args + ["--level0-window", "--out", str(tmp_path / "both.md")]) == 0
+        plain = (tmp_path / "plain.md").read_text()
+        head, extra = (tmp_path / "both.md").read_text().split(plain, 1)
+        assert head == ""
+        assert extra.startswith("## Single-source methods\n")
+        assert "| VAX-A (level0 window) |" in extra and "Ensemble" not in extra
 
     def test_unknown_vaccine(self, experiment, capsys):
         assert main([
@@ -448,6 +488,55 @@ class TestPredict:
         assert code == 1
         assert out == ""
         assert err == "error: level-0 log covers 16 months, need 17\n"
+
+    # level0_warmup_months - 1 and level0_warmup_months observed months
+    @pytest.mark.parametrize("n_months", [23, 24])
+    def test_short_history_counts_observed_months(self, experiment, tmp_path, capsys,
+                                                  n_months):
+        end = MonthStamp(2011, 1).plus(n_months - 1)
+        config = with_settings(experiment, tmp_path, end_month=str(end))
+        code, out, err = run_predict(config, capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: need 25 months, series spans {n_months}\n"
+
+    def test_notes_in_method_order(self, experiment, tmp_path, capsys):
+        # 13-query bagging subsets on a 12-query panel: B and WM fall back.
+        config = with_settings(experiment, tmp_path, bagging_subset_size="13")
+        code, _, err = run_predict(config, capsys)
+        assert code == 0
+        methods = [line.split(" ", 1)[0] for line in err.splitlines()]
+        order = BacktestConfig().method_order()
+        assert methods == sorted(set(methods), key=order.index)
+        assert methods.index("WM") < methods.index("B")
+
+    def test_end_month_equals_cut_inputs(self, experiment, tmp_path, capsys):
+        """predict with ``end_month`` inside the data equals predict on the
+        inputs cut at that month."""
+        end = MonthStamp(2014, 2)
+        config = with_settings(experiment, tmp_path / "end", end_month=str(end))
+        cut = tmp_path / "cut"
+        cut.mkdir()
+        parser = configparser.ConfigParser()
+        parser.optionxform = str
+        parser.read(experiment / "experiment.ini")
+        for section, key in [("data", "registry"), ("vaccines", "VAX-A"), ("vaccines", "VAX-B")]:
+            source = Path(parser[section][key])
+            header, *rows = source.read_text().splitlines()
+            year = header.split(",").index("year")
+            kept = [
+                row for row in rows
+                if MonthStamp(*map(int, row.split(",")[year : year + 2])) <= end
+            ]
+            (cut / source.name).write_text("\n".join([header] + kept) + "\n")
+            parser[section][key] = str(cut / source.name)
+        with open(cut / "experiment.ini", "w") as fh:
+            parser.write(fh)
+
+        ended = run_predict(config, capsys)
+        assert ended[0] == 0
+        assert ended[1].startswith(f"next-month predictions for VAX-A, target {end.plus(1)}:")
+        assert run_predict(cut / "experiment.ini", capsys) == ended
 
     def test_requires_single_vaccine(self, experiment, capsys):
         assert main(["predict", "--config", str(experiment / "experiment.ini")]) == 1
