@@ -263,6 +263,19 @@ def _fit_each(fits: Mapping[str, Callable[[], Any]], naive: float) -> tuple[dict
     return values, notes
 
 
+def _log_cells(
+    vaccine: str, month: MonthStamp, values: Mapping[str, float], notes: Mapping[str, str],
+    actual: float, train_start: MonthStamp, train_end: MonthStamp,
+) -> list[LogEntry]:
+    """One month's entries, one per method in the order of ``values``, each
+    with its method's note as the diagnostic."""
+    return [
+        LogEntry(vaccine, method, month, float(value), actual, train_start, train_end,
+                 notes.get(method, ""))
+        for method, value in values.items()
+    ]
+
+
 def level0_fit(
     hist: TimeSeries,
     panel_hist: web.QueryPanel,
@@ -373,19 +386,9 @@ def run_level0_backtest(
             preds["WM"] = web.wm_predict(wm_state, members)
             wm_state = web.wm_update(wm_state, members, preds["WM"], actual)
 
-        for method in (NAIVE,) + cfg.clinical_methods() + WEB_METHODS:
-            entries.append(
-                LogEntry(
-                    vaccine=vaccine,
-                    method=method,
-                    month=months[k],
-                    predicted=float(preds[method]),
-                    actual=actual,
-                    train_start=train_start,
-                    train_end=months[k - 1],
-                    diagnostic=notes.get(method, ""),
-                )
-            )
+        level0 = {m: preds[m] for m in (NAIVE,) + cfg.clinical_methods() + WEB_METHODS}
+        entries += _log_cells(vaccine, months[k], level0, notes, actual, train_start,
+                              months[k - 1])
     return PredictionLog(tuple(entries))
 
 
@@ -474,19 +477,8 @@ def run_level1_backtest(
     stacks = _map_months(level1_step, [(streams, actuals, idx, cfg) for idx in targets])
     entries: list[LogEntry] = []
     for idx, (values, notes) in zip(targets, stacks):
-        for method, value in values.items():
-            entries.append(
-                LogEntry(
-                    vaccine=vaccine,
-                    method=method,
-                    month=months[idx],
-                    predicted=float(value),
-                    actual=float(actuals[idx]),
-                    train_start=months[level1_window_start(idx, cfg)],
-                    train_end=months[idx - 1],
-                    diagnostic=notes.get(method, ""),
-                )
-            )
+        entries += _log_cells(vaccine, months[idx], values, notes, float(actuals[idx]),
+                              months[level1_window_start(idx, cfg)], months[idx - 1])
     return PredictionLog(tuple(entries))
 
 

@@ -110,15 +110,15 @@ def _css_residuals(y: np.ndarray, mu: float, betas: np.ndarray, phis: np.ndarray
 def _ols_init(y: np.ndarray, p: int) -> np.ndarray:
     """Normal-equations AR(p) start point for the CSS optimizer."""
     X, t = _lag_design(y, p)
-    G = X.T @ X
     try:
-        coef = np.linalg.solve(G, X.T @ t)
+        coef = np.linalg.solve(X.T @ X, X.T @ t)
+        if np.all(np.isfinite(coef)):
+            return coef
     except np.linalg.LinAlgError:
-        coef = np.zeros(p + 1)
-        coef[0] = float(y.mean())
-    if not np.all(np.isfinite(coef)):
-        coef = np.zeros(p + 1)
-        coef[0] = float(y.mean())
+        pass
+    # A singular or overflowing system starts from the mean alone.
+    coef = np.zeros(p + 1)
+    coef[0] = float(y.mean())
     return coef
 
 
@@ -158,7 +158,9 @@ def fit_arima(E: TimeSeries, p: int = 1, d: int = 1, q: int = 1) -> ArimaModel:
             )
             if not res.success:
                 raise NonConvergence(f"CSS optimizer failed twice: {res.message}")
-        x = res.x if res.fun <= objective(x0) else x0
+        # Nelder-Mead's first vertex is its start and it returns its best
+        # vertex, so res.x is never worse than x0.
+        x = res.x
     else:
         x = x0  # intercept-only model is closed form
     mu, betas, phis = float(x[0]), x[1 : 1 + p], x[1 + p :]

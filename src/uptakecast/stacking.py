@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonConvergence, TooFewSamples
+from .timeseries import _freeze
+from .web import _standardize
 
 SVR_KKT_TOL = 1e-4
 _SVR_MAX_STEPS = 200_000
@@ -43,9 +45,7 @@ class SvrStackModel:
 
     def __post_init__(self):
         for name in ("dual_coefficients", "support_inputs", "feature_means", "feature_scales"):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
 
 
 def _design(X: np.ndarray, y: np.ndarray, minimum: int) -> tuple[np.ndarray, np.ndarray]:
@@ -79,20 +79,13 @@ def predict_stack_ols(model: OlsStackModel, e_c: float, e_w: float) -> float:
     return float(model.mu + model.beta1 * e_c + model.beta2 * e_w)
 
 
-def _kernel_matrix(Z: np.ndarray, kernel: str, gamma: float | None) -> np.ndarray:
+def _kernel(A: np.ndarray, B: np.ndarray, kernel: str, gamma: float | None) -> np.ndarray:
+    """Kernel values between every row of ``A`` and every row of ``B``, (len(A), len(B))."""
     if kernel == "linear":
-        return Z @ Z.T
+        return A @ B.T
     if kernel == "gaussian":
-        sq = ((Z[:, None, :] - Z[None, :, :]) ** 2).sum(axis=2)
+        sq = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
         return np.exp(-gamma * sq)
-    raise ValueError(f"unknown kernel {kernel!r}")
-
-
-def _kernel_vector(Z: np.ndarray, z: np.ndarray, kernel: str, gamma: float | None) -> np.ndarray:
-    if kernel == "linear":
-        return Z @ z
-    if kernel == "gaussian":
-        return np.exp(-gamma * ((Z - z) ** 2).sum(axis=1))
     raise ValueError(f"unknown kernel {kernel!r}")
 
 
@@ -202,7 +195,7 @@ def fit_svr(
     kernel: str = "gaussian",
     C: float = 1.0,
     eps: float = 0.1,
-    gamma: float = 0.25,
+    gamma: float | None = 0.25,
 ) -> SvrStackModel:
     """Fit epsilon-insensitive SVR on standardized (e_c, e_w) rows ``X`` and targets ``y``.
 
@@ -210,17 +203,16 @@ def fit_svr(
     gamma = 1 / (2 * n_features) for the Gaussian kernel.
     """
     X, y = _design(X, y, 2)
-    if not all(math.isfinite(v) for v in (C, eps, gamma)):
+    # The linear kernel reads no gamma, and its model stores None.
+    settings = (C, eps) if gamma is None else (C, eps, gamma)
+    if not all(math.isfinite(v) for v in settings):
         raise ValueError("C, eps and gamma must be finite")
     if C <= 0 or eps < 0:
         raise ValueError("C must be positive and eps non-negative")
-    if kernel == "gaussian" and not gamma > 0:
+    if kernel == "gaussian" and (gamma is None or gamma <= 0):
         raise ValueError("gamma must be positive for the gaussian kernel")
-    means = X.mean(axis=0)
-    scales = X.std(axis=0)
-    scales = np.where(scales > 0, scales, 1.0)
-    Z = (X - means) / scales
-    K = _kernel_matrix(Z, kernel, gamma)
+    Z, means, scales = _standardize(X)
+    K = _kernel(Z, Z, kernel, gamma)
     beta, bias = solve_svr_dual(K, y, C, eps)
     return SvrStackModel(
         kernel=kernel,
@@ -238,5 +230,5 @@ def fit_svr(
 def predict_svr(model: SvrStackModel, e_c: float, e_w: float) -> float:
     """Kernel expansion over the training inputs plus the bias."""
     z = (np.array([e_c, e_w]) - model.feature_means) / model.feature_scales
-    k = _kernel_vector(model.support_inputs, z, model.kernel, model.gamma)
+    k = _kernel(model.support_inputs, z[None], model.kernel, model.gamma)[:, 0]
     return float(model.dual_coefficients @ k + model.bias)

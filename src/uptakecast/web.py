@@ -25,7 +25,7 @@ from .errors import (
     SeriesTooShort,
     TooFewRows,
 )
-from .timeseries import MonthStamp, TimeSeries
+from .timeseries import MonthStamp, TimeSeries, _freeze
 
 CD_TOL = 1e-7
 CD_MAX_SWEEPS = 100_000
@@ -43,18 +43,18 @@ class QueryPanel:
     matrix: np.ndarray = field(repr=False)  # (months, queries)
 
     def __post_init__(self):
-        arr = np.asarray(self.matrix, dtype=float).copy()
-        if arr.ndim != 2 or arr.shape[0] < 1:
-            raise ValueError("matrix must be 2-d with at least one row")
+        arr = _freeze(self.matrix)
+        # A panel without columns leaves the web fits nothing to reduce over.
+        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+            raise ValueError("matrix must be 2-d with at least one row and one column")
         if arr.shape[1] != len(self.query_names):
             raise ValueError("one column per query name required")
         if len(set(self.query_names)) != len(self.query_names) or any(
             not n for n in self.query_names
         ):
             raise ValueError("query names must be unique and non-empty")
-        if not np.all(np.isfinite(arr)) or arr.min(initial=0.0) < 0 or arr.max(initial=0.0) > 100:
+        if not np.all(np.isfinite(arr)) or arr.min() < 0 or arr.max() > 100:
             raise ValueError("frequencies must be finite and within [0, 100]")
-        arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
         object.__setattr__(self, "query_names", tuple(self.query_names))
 
@@ -94,9 +94,7 @@ class WebLinearModel:
 
     def __post_init__(self):
         for name in ("alphas", "feature_means", "feature_scales"):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
 
     @property
     def n_queries(self) -> int:
@@ -124,12 +122,12 @@ class WmState:
     epsilon_tol: float = 2.0
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float).copy()
-        if w.ndim != 1 or w.size < 1 or np.any(w <= 0):
-            raise ValueError("weights must be a non-empty vector of positive reals")
-        if self.eta <= 0 or self.epsilon_tol <= 0:
-            raise ValueError("eta and epsilon_tol must be positive")
-        w.setflags(write=False)
+        w = _freeze(self.weights)
+        # Written as "not inside" so that NaN, which fails every comparison, is rejected.
+        if w.ndim != 1 or w.size < 1 or not np.all((0 < w) & (w < np.inf)):
+            raise ValueError("weights must be a non-empty vector of positive finite reals")
+        if not (0 < self.eta < np.inf and 0 < self.epsilon_tol < np.inf):
+            raise ValueError("eta and epsilon_tol must be positive and finite")
         object.__setattr__(self, "weights", w)
 
     @property
@@ -235,7 +233,7 @@ def lasso_lambda_max(Q: QueryPanel, E: TimeSeries) -> float:
     Xs, _, _ = _standardize(Q.matrix)
     y = E.values
     c = Xs.T @ (y - y.mean()) / y.size
-    return float(np.max(np.abs(c))) if c.size else 0.0
+    return float(np.max(np.abs(c)))
 
 
 def fit_lasso(Q: QueryPanel, E: TimeSeries, lam: float) -> WebLinearModel:
@@ -246,7 +244,7 @@ def fit_lasso(Q: QueryPanel, E: TimeSeries, lam: float) -> WebLinearModel:
     standardized scale together with the standardization.
     """
     _check_aligned(Q, E)
-    if lam < 0:
+    if not lam >= 0:  # NaN fails this too; an infinite lambda gives the zero model
         raise ValueError("lambda must be >= 0")
     Xs, means, scales = _standardize(Q.matrix)
     y = E.values
@@ -299,8 +297,6 @@ def _lasso_path_alphas(gram: np.ndarray, cvec: np.ndarray, lambdas: np.ndarray) 
     B, L = lambdas.shape
     F = cvec.shape[1]
     out = np.zeros((B, L, F))
-    if F == 0:
-        return out
     abs_c = np.abs(cvec)
     lam_cur = abs_c.max(axis=1)
     edge = 1e-14 * np.maximum(lam_cur, 1.0)
@@ -311,11 +307,11 @@ def _lasso_path_alphas(gram: np.ndarray, cvec: np.ndarray, lambdas: np.ndarray) 
     signs = [[s] for s in np.sign(cvec[np.arange(B), j0]).tolist()]
     inactive = [[f for f in range(F) if f != j] for j in j0]
     # Emit grid points at or above the first breakpoint (all-zero solution).
-    above = lambdas >= (lam_cur - edge)[:, None]
-    grid_i = np.where(above.all(axis=1), L, above.argmin(axis=1))
+    # Rows descend, so the points at or above a lambda are a prefix of the
+    # row, and their count is the index of the first point below it.
+    grid_i = np.count_nonzero(lambdas >= (lam_cur - edge)[:, None], axis=1)
     live = ((abs_c > 0).any(axis=1) & (grid_i < L)).nonzero()[0].tolist()
     grid_i = grid_i.tolist()
-    grid = lambdas.tolist()
     # Segments by active-set size: (entries, active sets, phi, theta, first
     # and past-the-last grid point), written into ``out`` after the walk.
     segments: dict[int, list[tuple]] = {}
@@ -396,19 +392,16 @@ def _lasso_path_alphas(gram: np.ndarray, cvec: np.ndarray, lambdas: np.ndarray) 
             if np.count_nonzero(cand == lam_event[:, None]) > n:
                 key = np.concatenate((inact + F, inact + F, idx), axis=1)
                 slots = np.where(cand == lam_event[:, None], key, 2 * F).argmin(axis=1)
-            starts, stops = [], []
-            for r, (i, ev, slot) in enumerate(zip(members, lam_event.tolist(), slots.tolist())):
-                # Grid points on this segment: lambdas descend, so they lead the rest.
-                start = stop = grid_i[i]
-                while stop < L and grid[i][stop] >= ev:
-                    stop += 1
-                starts.append(start)
-                stops.append(stop)
+            # Grid points on this segment: from the last one emitted down to
+            # the event. With no event left lam_event is 0 and every point is
+            # on the segment.
+            starts = [grid_i[i] for i in members]
+            stops = np.count_nonzero(lambdas[g] >= lam_event[:, None], axis=1).tolist()
+            for r, (i, ev, slot, stop) in enumerate(
+                zip(members, lam_event.tolist(), slots.tolist(), stops)
+            ):
                 grid_i[i] = stop
-                if stop >= L:
-                    continue
-                if ev <= 0.0:
-                    fallbacks.append((i, stop, None))
+                if stop == L:
                     continue
                 if slot >= 2 * m:
                     bisect.insort(inactive[i], active[i].pop(slot - 2 * m))

@@ -10,7 +10,7 @@ from uptakecast.stacking import (
     SvrStackModel,
     _BOUND_ATOL,
     _bound_offsets,
-    _kernel_matrix,
+    _kernel,
     _pair_step,
     fit_stack_ols,
     fit_svr,
@@ -224,7 +224,7 @@ class TestSvrSolver:
         if duplicated:
             Z = Z[rng.integers(0, max(1, n // 2), n)]
         y = Z @ rng.normal(0, 1, 2) + rng.normal(0, 0.5, n)
-        K = _kernel_matrix(Z, kernel, 0.25)
+        K = _kernel(Z, Z, kernel, 0.25)
         beta, bias = solve_svr_dual(K, y, C, eps)
         beta_ref, bias_ref = svr_dual_column_loop(K, y, C, eps)
         assert same_bits(beta, beta_ref) and same_bits(bias, bias_ref)
@@ -303,6 +303,43 @@ class TestFitSvr:
             fit_svr(*good, C=0.0)
         with pytest.raises(ValueError):
             fit_svr(*good, kernel="gaussian", gamma=0.0)
+
+    def test_linear_model_refits_from_its_own_parameters(self):
+        # The linear kernel reads no gamma and its model stores None, so a
+        # refit from the model's own settings must accept gamma=None.
+        model = fit_svr(X_OK, Y_OK, kernel="linear", gamma=None)
+        assert model.gamma is None
+        refit = fit_svr(X_OK, Y_OK, kernel=model.kernel, C=model.cost, eps=model.tube_eps,
+                        gamma=model.gamma)
+        assert same_bits(refit.dual_coefficients, model.dual_coefficients)
+        assert same_bits(refit.bias, model.bias)
+        with pytest.raises(ValueError, match="gaussian"):
+            fit_svr(X_OK, Y_OK, kernel="gaussian", gamma=None)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 30),
+        kernel=st.sampled_from(["linear", "gaussian"]),
+        gamma=st.sampled_from([0.05, 0.25, 3.0]),
+        duplicated=st.booleans(),
+    )
+    def test_predict_at_a_training_input_is_the_in_sample_fit(
+        self, seed, n, kernel, gamma, duplicated
+    ):
+        # Fit and predict evaluate one kernel: the prediction at training
+        # input i is row i of the fit's kernel matrix against the duals.
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(0, 100, (n, 2))
+        if duplicated:
+            X = X[rng.integers(0, max(1, n // 2), n)]
+        y = 30 + 0.4 * X[:, 0] + 0.2 * X[:, 1] + rng.normal(0, 3, n)
+        model = fit_svr(X, y, kernel=kernel, C=2.0, eps=0.5, gamma=gamma)
+        Z = model.support_inputs
+        K = _kernel(Z, Z, kernel, model.gamma)
+        in_sample = K @ model.dual_coefficients + model.bias
+        for i in range(n):
+            assert predict_svr(model, X[i, 0], X[i, 1]) == pytest.approx(in_sample[i], abs=1e-12)
 
     @pytest.mark.parametrize("kernel", ["linear", "gaussian"])
     @pytest.mark.parametrize(

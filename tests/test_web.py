@@ -58,6 +58,12 @@ class TestQueryPanel:
         with pytest.raises(ValueError):
             QueryPanel(JAN2011, ("a", "a"), np.zeros((2, 2)))
 
+    def test_rejects_a_panel_without_queries(self):
+        # Such a panel would leave the web fits an empty reduction, a numpy
+        # error outside the per-vaccine fallback that aborts every vaccine's run.
+        with pytest.raises(ValueError, match="one column"):
+            QueryPanel(JAN2011, (), np.empty((30, 0)))
+
     def test_slice_and_select(self):
         panel = random_panel(RNG, 12, 4)
         sub = panel.slice(MonthStamp(2011, 3), MonthStamp(2011, 8))
@@ -110,6 +116,18 @@ class TestLasso:
         assert model.mu == pytest.approx(E.values.mean())
         just_below = fit_lasso(panel, E, lam_max * 0.999)
         assert np.any(just_below.alphas != 0)
+
+    def test_lambda_must_be_a_number_at_least_zero(self):
+        rng = np.random.default_rng(3)
+        panel = random_panel(rng, 10, 5)
+        E = make_series(rng.uniform(20, 80, 10))
+        for lam in (-1e-12, np.nan):
+            with pytest.raises(ValueError, match="lambda"):
+                fit_lasso(panel, E, lam)
+        # An infinite penalty is a valid one: it zeroes every coefficient.
+        model = fit_lasso(panel, E, np.inf)
+        assert np.all(model.alphas == 0)
+        assert predict_web(model, panel.matrix[0]) == pytest.approx(E.values.mean())
 
     def test_lambda_zero_matches_ols_oracle(self):
         rng = np.random.default_rng(4)
@@ -461,6 +479,17 @@ class TestWeightedMajority:
         assert state.eta == 5.0 and state.epsilon_tol == 2.0
         with pytest.raises(ValueError):
             wm_init(0)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_settings_must_be_positive_and_finite(self, bad):
+        # NaN fails every comparison: a check written as `eta <= 0` lets it
+        # through, and one penalized update turns a weight into NaN.
+        with pytest.raises(ValueError, match="eta"):
+            wm_init(3, eta=bad)
+        with pytest.raises(ValueError, match="epsilon_tol"):
+            wm_init(3, epsilon_tol=bad)
+        with pytest.raises(ValueError, match="weights"):
+            WmState(np.array([1.0, bad, 1.0]))
 
     def test_predict_uniform_is_mean(self):
         state = wm_init(4)
