@@ -1,16 +1,16 @@
 """Level-0 forecasters for the clinical uptake series: AR, ARIMA, Holt-Winters.
 
 All fits are pure functions of their inputs and return immutable model values;
-each model exposes a one-step-ahead prediction.
+each model exposes a one-step-ahead prediction. ARIMA and Holt-Winters are fitted
+by the bounded Nelder-Mead simplex of ``minimize``, written in this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import Bounds, minimize
 
 from .errors import LagMismatch, NonConvergence, SeriesTooShort
 from .timeseries import TimeSeries, difference
@@ -18,6 +18,147 @@ from .timeseries import TimeSeries, difference
 # The iteration budget is the binding limit; fatol carries the objective
 # tolerance, xatol stays permissive so a converged objective terminates.
 _NM_OPTIONS = {"maxiter": 2000, "maxfev": 10000, "fatol": 1e-8, "xatol": 1e-5}
+
+# scipy's status messages; NonConvergence carries them into the log's notes.
+_NM_SUCCESS = "Optimization terminated successfully."
+_NM_MAXFEV = "Maximum number of function evaluations has been exceeded."
+_NM_MAXITER = "Maximum number of iterations has been exceeded."
+
+
+@dataclass(frozen=True)
+class NelderMeadResult:
+    """Best vertex ``x``, its objective ``fun``, the work done and the stop reason."""
+
+    x: np.ndarray
+    fun: float
+    nfev: int
+    nit: int
+    success: bool
+    message: str
+
+
+class _BudgetSpent(Exception):
+    """The objective was asked for one evaluation more than ``maxfev``."""
+
+
+def _clip(x: list[float], lower: list[float], upper: list[float]) -> list[float]:
+    """Each coordinate into its box; a NaN passes through, as in ``np.clip``.
+
+    On a tie the coordinate is kept, so a zero on a zero bound keeps its sign;
+    ``np.clip``'s choice there depends on the loop numpy picks for the array
+    shapes. No fit here has a zero bound but Holt-Winters' lower 0, where no
+    vertex is ever -0.0.
+    """
+    return [min(max(v, lo), hi) for v, lo, hi in zip(x, lower, upper)]
+
+
+def minimize(
+    fun: Callable[[np.ndarray], float],
+    x0: Sequence[float],
+    lower: Sequence[float],
+    upper: Sequence[float],
+) -> NelderMeadResult:
+    """Bounded Nelder-Mead (Nelder & Mead 1965) under ``_NM_OPTIONS``.
+
+    Every float operation, in its order, is that of scipy 1.17.1's
+    ``minimize(method="Nelder-Mead", bounds=...)`` (non-adaptive), so a fit
+    keeps its bits: the simplex starts at x0 and 1.05 x_k (0.00025 for a zero
+    coordinate), reflected at the upper bound; every trial point is clipped
+    to the box; ties in f are ordered by ``np.argsort``, which need not be
+    stable. Evaluation ``maxfev + 1`` ends the iteration it falls in without
+    counting it, keeping any vertex a shrink has already moved.
+    """
+    opts = _NM_OPTIONS
+    maxiter, maxfev = opts["maxiter"], opts["maxfev"]
+    xatol, fatol = opts["xatol"], opts["fatol"]
+    lower = [float(v) for v in lower]
+    upper = [float(v) for v in upper]
+    x0 = _clip([float(v) for v in np.ravel(x0)], lower, upper)
+    n = len(x0)
+    sim = [x0]
+    for k in range(n):
+        y = list(x0)
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    sim = [[2 * hi - v if v > hi else v for v, hi in zip(s, upper)] for s in sim]
+    sim = [_clip(s, lower, upper) for s in sim]
+    fsim = [np.inf] * (n + 1)
+    nfev = 0
+
+    def f(x: list[float]) -> float:
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _BudgetSpent
+        nfev += 1
+        return float(fun(np.array(x)))
+
+    def by_f(sim, fsim):
+        order = np.argsort(fsim).tolist()
+        return [sim[i] for i in order], [fsim[i] for i in order]
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    sim, fsim = by_f(*by_f(sim, fsim))  # twice, as scipy does: argsort may move ties
+
+    nit = 1
+    while nfev < maxfev and nit < maxiter:
+        try:
+            best = sim[0]
+            if all(abs(v - b) <= xatol for s in sim[1:] for v, b in zip(s, best)) and all(
+                abs(fsim[0] - g) <= fatol for g in fsim[1:]
+            ):
+                break
+            xbar = [0.0] * n  # np.add.reduce's order: from 0.0, row by row
+            for s in sim[:-1]:
+                xbar = [a + v for a, v in zip(xbar, s)]
+            xbar = [a / n for a in xbar]
+            worst = sim[-1]
+            xr = _clip([2 * a - w for a, w in zip(xbar, worst)], lower, upper)
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = _clip([3 * a - 2 * w for a, w in zip(xbar, worst)], lower, upper)
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = _clip([1.5 * a - 0.5 * w for a, w in zip(xbar, worst)], lower, upper)
+                    fxc = f(xc)
+                    shrink = not fxc <= fxr
+                else:  # inside contraction
+                    xc = _clip([0.5 * a + 0.5 * w for a, w in zip(xbar, worst)], lower, upper)
+                    fxc = f(xc)
+                    shrink = not fxc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        moved = [b + 0.5 * (v - b) for v, b in zip(sim[j], best)]
+                        sim[j] = _clip(moved, lower, upper)
+                        fsim[j] = f(sim[j])
+            nit += 1
+        except _BudgetSpent:
+            pass
+        sim, fsim = by_f(sim, fsim)
+
+    if nfev >= maxfev:
+        message = _NM_MAXFEV
+    elif nit >= maxiter:
+        message = _NM_MAXITER
+    else:
+        message = _NM_SUCCESS
+    return NelderMeadResult(
+        x=np.array(sim[0]),
+        fun=float(np.min(fsim)),
+        nfev=nfev,
+        nit=nit,
+        success=message == _NM_SUCCESS,
+        message=message,
+    )
 
 
 @dataclass(frozen=True)
@@ -147,15 +288,11 @@ def fit_arima(E: TimeSeries, p: int = 1, d: int = 1, q: int = 1) -> ArimaModel:
         # MA coefficients stay inside the invertibility box; outside it the
         # residual recursion explodes and the surface turns into a canyon the
         # simplex crawls forever.
-        bounds = Bounds(
-            np.concatenate([np.full(1 + p, -np.inf), np.full(q, -0.99)]),
-            np.concatenate([np.full(1 + p, np.inf), np.full(q, 0.99)]),
-        )
-        res = minimize(objective, x0, method="Nelder-Mead", bounds=bounds, options=_NM_OPTIONS)
+        lower = [-np.inf] * (1 + p) + [-0.99] * q
+        upper = [np.inf] * (1 + p) + [0.99] * q
+        res = minimize(objective, x0, lower, upper)
         if not res.success:
-            res = minimize(
-                objective, res.x, method="Nelder-Mead", bounds=bounds, options=_NM_OPTIONS
-            )
+            res = minimize(objective, res.x, lower, upper)
             if not res.success:
                 raise NonConvergence(f"CSS optimizer failed twice: {res.message}")
         # Nelder-Mead's first vertex is its start and it returns its best
@@ -298,12 +435,10 @@ def fit_holt_winters(E: TimeSeries, season_length: int = 12) -> HwModel:
         err = preds[skip:] - values[skip:]
         return float(err @ err)
 
-    bounds = [(0.0, 1.0)] * 3
-    res = minimize(objective, _HW_START, method="Nelder-Mead", bounds=bounds, options=_NM_OPTIONS)
+    lower, upper = (0.0, 0.0, 0.0), (1.0, 1.0, 1.0)
+    res = minimize(objective, _HW_START, lower, upper)
     if not res.success:
-        res = minimize(
-            objective, _HW_FALLBACK_START, method="Nelder-Mead", bounds=bounds, options=_NM_OPTIONS
-        )
+        res = minimize(objective, _HW_FALLBACK_START, lower, upper)
         if not res.success:
             raise NonConvergence(f"Holt-Winters optimizer failed twice: {res.message}")
     alpha, beta, gamma = (float(v) for v in res.x)

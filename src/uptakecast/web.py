@@ -533,6 +533,8 @@ def fit_bagging(
         n_subsets = n
     if n_subsets < 1:
         raise ValueError("n_subsets must be >= 1")
+    if subset_size < 1:
+        raise ValueError("subset_size must be >= 1")
     rng = np.random.default_rng(seed)
     subsets = [np.sort(rng.choice(n, size=subset_size, replace=False)) for _ in range(n_subsets)]
     X = np.stack([Q.matrix[:, s] for s in subsets])  # (B, T, F)

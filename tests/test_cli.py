@@ -2,6 +2,7 @@ import configparser
 import csv
 import dataclasses
 import io
+import os
 import re
 import subprocess
 import sys
@@ -553,3 +554,21 @@ class TestSubprocessEntry:
         )
         assert result.returncode == 0
         assert "config ok" in result.stdout
+
+    def test_the_program_imports_no_scipy(self):
+        # scipy is a test dependency only (the Nelder-Mead oracle); importing
+        # scipy.optimize used to be most of the start-up cost of every command.
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys, uptakecast.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"

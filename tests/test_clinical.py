@@ -1,10 +1,13 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uptakecast import clinical
 from uptakecast.clinical import (
     ArimaModel,
     _css_residuals,
@@ -301,3 +304,129 @@ class TestFinitePredictions:
             assert np.isfinite(predict_ar(fit_ar(series, 3), vals[-1:-4:-1]))
             assert np.isfinite(predict_arima(fit_arima(series, 1, 1, 1), series))
             assert np.isfinite(predict_hw(fit_holt_winters(series, 12)))
+
+
+def scipy_minimize(fun, x0, lower, upper):
+    """The reference: scipy's bounded Nelder-Mead under the same options."""
+    with np.errstate(all="ignore"):
+        return scipy.optimize.minimize(
+            fun, x0, method="Nelder-Mead", bounds=scipy.optimize.Bounds(lower, upper),
+            options=clinical._NM_OPTIONS,
+        )
+
+
+def same_float(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def assert_same_result(got, ref):
+    # array_equal: on a zero bound, np.clip's sign of a zero depends on the
+    # array shapes (see clinical._clip); the fits' own test compares bytes.
+    assert np.array_equal(got.x, ref.x)
+    assert same_float(got.fun, ref.fun)
+    assert (got.nfev, got.nit, got.success, got.message) == (
+        ref.nfev, ref.nit, ref.success, ref.message
+    )
+
+
+# One coordinate's box: finite, half-open or free, and the start drawn on a
+# bound, at (signed) zero or inside.
+BOXES = st.sampled_from(
+    [(0.0, 1.0), (-1.0, 1.0), (-0.99, 0.99), (-np.inf, np.inf), (-np.inf, 0.5),
+     (-2.0, np.inf), (0.25, 0.25), (-0.0, 0.0), (0.0, 0.0)]
+)
+
+
+@st.composite
+def nm_problems(draw):
+    n = draw(st.integers(1, 5))
+    boxes = [draw(BOXES) for _ in range(n)]
+    x0 = []
+    for lo, hi in boxes:
+        edges = [v for v in (lo, hi, 0.0, -0.0) if np.isfinite(v) and lo <= v <= hi]
+        x0.append(draw(st.floats(max(lo, -3.0), min(hi, 3.0)) | st.sampled_from(edges)))
+    center = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+    # A zero weight makes the objective flat in that coordinate.
+    weights = np.array(
+        draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=n, max_size=n))
+    )
+    kind = draw(st.sampled_from(["smooth", "plateaus", "inf region", "nan region"]))
+    cut = draw(st.floats(-1.0, 1.0))
+
+    def fun(x):
+        d = x - center
+        f = float(np.dot(weights, d * d))
+        if kind == "plateaus":
+            return round(f, 1)  # many equal vertex values
+        if kind == "inf region" and x[0] > cut:
+            return np.inf
+        if kind == "nan region" and x[-1] < cut:
+            return np.nan
+        return f
+
+    return fun, x0, [lo for lo, _ in boxes], [hi for _, hi in boxes]
+
+
+class TestMinimize:
+    """The in-package Nelder-Mead against scipy's, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(problem=nm_problems())
+    def test_matches_scipy_bit_for_bit(self, problem):
+        fun, x0, lower, upper = problem
+        # A quarter of the examples never converge (a NaN vertex, a flat
+        # coordinate); 300 iterations instead of 2,000 keeps them cheap.
+        with mock.patch.dict(clinical._NM_OPTIONS, maxiter=300):
+            got = clinical.minimize(fun, x0, lower, upper)
+            ref = scipy_minimize(fun, x0, lower, upper)
+        assert_same_result(got, ref)
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=nm_problems(), maxfev=st.integers(1, 60), maxiter=st.integers(1, 30))
+    def test_matches_scipy_when_a_limit_is_reached(self, problem, maxfev, maxiter):
+        fun, x0, lower, upper = problem
+        with mock.patch.dict(clinical._NM_OPTIONS, maxfev=maxfev, maxiter=maxiter):
+            got = clinical.minimize(fun, x0, lower, upper)
+            ref = scipy_minimize(fun, x0, lower, upper)
+        assert_same_result(got, ref)
+
+    def test_every_budget_on_a_kinked_problem(self):
+        # The kink makes the simplex shrink 15 times in its 104 evaluations,
+        # so 45 of these budgets run out inside a shrink, others inside a
+        # contraction or an expansion.
+        def fun(x):
+            return float(np.abs(x - [0.3, 0.7, 0.1]).max())
+
+        problem = (fun, (0.5, 0.1, 0.1), (0.0,) * 3, (1.0,) * 3)
+        limits = [{"maxfev": k} for k in range(1, 120)] + [{"maxiter": k} for k in range(1, 40)]
+        messages = set()
+        for limit in limits:
+            with mock.patch.dict(clinical._NM_OPTIONS, limit):
+                got = clinical.minimize(*problem)
+                assert_same_result(got, scipy_minimize(*problem))
+            messages.add(got.message)
+        assert messages == {
+            "Optimization terminated successfully.",
+            "Maximum number of function evaluations has been exceeded.",
+            "Maximum number of iterations has been exceeded.",
+        }
+
+    def test_holt_winters_and_arima_fits_match_scipy(self, monkeypatch):
+        ours, compared = clinical.minimize, []
+
+        def both(fun, x0, lower, upper):
+            got, ref = ours(fun, x0, lower, upper), scipy_minimize(fun, x0, lower, upper)
+            assert_same_result(got, ref)
+            assert got.x.tobytes() == ref.x.tobytes()
+            compared.append(got.nfev)
+            return got
+
+        monkeypatch.setattr(clinical, "minimize", both)
+        rng = np.random.default_rng(3)
+        t = np.arange(40)
+        series = make_series(60 + 0.3 * t + 8 * np.sin(2 * np.pi * t / 12) + rng.normal(0, 2, 40))
+        fit_holt_winters(series, 12)
+        select_arima_orders(series)
+        # On a constant series every vertex scores 0: all vertices tie.
+        fit_holt_winters(make_series([50.0] * 30), 12)
+        assert len(compared) >= 18

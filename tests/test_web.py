@@ -435,6 +435,12 @@ class TestBagging:
         with pytest.raises(PanelTooNarrow):
             fit_bagging(panel, make_series(np.ones(10)), subset_size=10, seed=0)
 
+    @pytest.mark.parametrize("subset_size", [0, -1])
+    def test_subset_size_must_be_at_least_one(self, subset_size):
+        panel = random_panel(RNG, 30, 12)
+        with pytest.raises(ValueError, match="subset_size must be >= 1"):
+            fit_bagging(panel, make_series(np.ones(30)), subset_size=subset_size, seed=0)
+
 
 class TestPredictBagging:
     def _bag_of(self, models, n_queries):
