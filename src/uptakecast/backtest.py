@@ -219,15 +219,16 @@ def _usable_cpus() -> int:
 
 
 def _map_months(fn: Callable, tasks: Sequence[tuple]) -> list:
-    """``[fn(*task) for task in tasks]``, one task per month, in month order.
+    """``[fn(*task) for task in tasks]``: one task per month (level 0) or per
+    chunk of months (level 1), in order.
 
     The tasks run in forked worker processes, one per usable CPU and at most
     one per task; in-process when that is one worker or the platform cannot
     fork. Forked workers inherit the loaded numpy/BLAS build, its settings and
     the warning filters, so every fit does the same arithmetic as in-process.
-    The last (longest) month is submitted first, so that it does not run
-    alone at the end. An error is raised for the first failing month, as in a
-    serial run, and no worker outlives the call.
+    The last task (a backtest's longest month) is submitted first, so that it
+    does not run alone at the end. An error is raised for the first failing
+    task, as in a serial run, and no worker outlives the call.
     """
     workers = min(_usable_cpus(), len(tasks))
     if workers <= 1 or not hasattr(os, "fork"):
@@ -413,19 +414,105 @@ def level1_window_start(idx: int, cfg: BacktestConfig) -> int:
     return 0 if cfg.level1_sliding is None else max(0, idx - cfg.level1_sliding)
 
 
-def _stack(meta: str, X: np.ndarray, y: np.ndarray, e_c: float, e_w: float,
-           cfg: BacktestConfig) -> float:
-    if meta == "OLS":
-        return stacking.predict_stack_ols(stacking.fit_stack_ols(X, y), e_c, e_w)
-    model = stacking.fit_svr(
-        X,
-        y,
-        kernel="linear" if meta == "SVR-linear" else "gaussian",
-        C=cfg.svr_cost,
-        eps=cfg.svr_tube_eps,
-        gamma=cfg.svr_gamma,
-    )
+_SVR_KERNELS = {"SVR-linear": "linear", "SVR-gaussian": "gaussian"}
+
+
+def _ols_forecast(X: np.ndarray, y: np.ndarray, e_c: float, e_w: float) -> float:
+    return stacking.predict_stack_ols(stacking.fit_stack_ols(X, y), e_c, e_w)
+
+
+def _svr_forecast(outcome, kernel: str, standardized, e_c: float, e_w: float,
+                  cfg: BacktestConfig) -> float:
+    """The forecast of a solved SVR dual; a dual that failed raises its error."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    model = stacking._svr_model(kernel, cfg.svr_cost, cfg.svr_tube_eps, cfg.svr_gamma,
+                                standardized, *outcome)
     return stacking.predict_svr(model, e_c, e_w)
+
+
+def level1_chunk(
+    streams: Mapping[str, np.ndarray],
+    actuals: np.ndarray,
+    indices: Sequence[int],
+    cfg: BacktestConfig,
+) -> list:
+    """The level-1 cells of the level-0 months ``indices``, in their order.
+
+    The cell of month ``idx`` stacks each (clinical, web) stream pair with
+    each level-1 model. Every model is fitted on the level-0 ``streams`` over
+    the training window before ``idx`` (`level1_window_start`) against the
+    observed ``actuals`` of those months, and combines month ``idx``'s
+    level-0 predictions. A cell is method->prediction and method->note for
+    each model that fell back to month ``idx``'s naive prediction.
+
+    The months are fitted in order, each in method order, as in a serial
+    run, except that an SVR fit only checks its inputs and queues its dual.
+    The queued duals of all the months are solved together
+    (`stacking.solve_svr_duals`); a dual's pair is standardized, once for
+    both kernels, only when the solver takes it. An error that is not a
+    model failure (non-finite stack inputs) takes the place of its month's
+    cell and ends the list, so that a caller with several chunks can raise
+    the error of the earliest month.
+    """
+    C, eps, gamma = cfg.svr_cost, cfg.svr_tube_eps, cfg.svr_gamma
+    cells: list = []
+    months: list = []  # (window start, target predictions) per cell
+    queued: list = []  # (cell, clin, wm, method, kernel) per queued dual
+    problems: list = []  # (kernel builder, targets) per queued dual
+    pair: list = [None, None]  # the last pair standardized, and its standardization
+    standardized: dict = {}  # queued dual -> its pair's standardization, until its forecast
+
+    def enqueue(entry: tuple, X: np.ndarray, y: np.ndarray) -> float:
+        kernel = entry[-1]
+        X, y = stacking._svr_inputs(X, y, kernel, C, eps, gamma)
+        problems.append((functools.partial(kernel_matrix, len(queued)), y))
+        queued.append(entry)
+        return 0.0  # a finite placeholder until the solve
+
+    def kernel_matrix(q: int) -> np.ndarray:
+        cell, clin, wm, _, kernel = queued[q]
+        if pair[0] != (cell, clin, wm):
+            lo, idx = months[cell][0], indices[cell]
+            X = np.column_stack([streams[clin][lo:idx], streams[wm][lo:idx]])
+            pair[:] = (cell, clin, wm), web._standardize(X)
+        Z = pair[1][0]
+        standardized[q] = pair[1]
+        return stacking._kernel(Z, Z, kernel, gamma)
+
+    for cell, idx in enumerate(indices):
+        lo = level1_window_start(idx, cfg)
+        y = actuals[lo:idx]
+        target_preds = {m: float(s[idx]) for m, s in streams.items()}
+        months.append((lo, target_preds))
+        fits = {}
+        for clin in cfg.clinical_methods():
+            for wm in WEB_METHODS:
+                X = np.column_stack([streams[clin][lo:idx], streams[wm][lo:idx]])
+                e_c, e_w = target_preds[clin], target_preds[wm]
+                for meta in META_MODELS:
+                    method = f"{meta}:{clin}+{wm}"
+                    if meta == "OLS":
+                        fits[method] = functools.partial(_ols_forecast, X, y, e_c, e_w)
+                    else:
+                        entry = (cell, clin, wm, method, _SVR_KERNELS[meta])
+                        fits[method] = functools.partial(enqueue, entry, X, y)
+        try:
+            cells.append(_fit_each(fits, target_preds[NAIVE]))
+        except Exception as err:
+            cells.append(err)
+            return cells
+
+    for q, outcome in stacking.solve_svr_duals(problems, C, eps):
+        cell, clin, wm, method, kernel = queued[q]
+        target_preds = months[cell][1]
+        fit = functools.partial(_svr_forecast, outcome, kernel, standardized.pop(q),
+                                target_preds[clin], target_preds[wm], cfg)
+        value, note = _fit_each({method: fit}, target_preds[NAIVE])
+        values, notes = cells[cell]
+        values[method] = value[method]
+        notes.update(note)
+    return cells
 
 
 def level1_step(
@@ -434,26 +521,11 @@ def level1_step(
     idx: int,
     cfg: BacktestConfig,
 ) -> tuple[dict[str, float], dict[str, str]]:
-    """The level-1 cell of level-0 month ``idx``: each (clinical, web) stream
-    pair stacked with each level-1 model.
-
-    Every model is fitted on the level-0 ``streams`` over the training window
-    before ``idx`` (`level1_window_start`) against the observed ``actuals`` of
-    those months, and combines month ``idx``'s level-0 predictions. Returns
-    method->prediction and method->note for each model that fell back to
-    month ``idx``'s naive prediction.
-    """
-    lo = level1_window_start(idx, cfg)
-    target_preds = {m: float(s[idx]) for m, s in streams.items()}
-    fits = {}
-    for clin in cfg.clinical_methods():
-        for wm in WEB_METHODS:
-            X = np.column_stack([streams[clin][lo:idx], streams[wm][lo:idx]])
-            for meta in META_MODELS:
-                fits[f"{meta}:{clin}+{wm}"] = functools.partial(
-                    _stack, meta, X, actuals[lo:idx], target_preds[clin], target_preds[wm], cfg
-                )
-    return _fit_each(fits, target_preds[NAIVE])
+    """The level-1 cell of level-0 month ``idx`` (`level1_chunk`): the chunk of one month."""
+    [cell] = level1_chunk(streams, actuals, [idx], cfg)
+    if isinstance(cell, Exception):
+        raise cell
+    return cell
 
 
 def run_level1_backtest(
@@ -463,8 +535,9 @@ def run_level1_backtest(
 
     Training uses the level-0 one-step predictions themselves over a growing
     window (or a fixed sliding window when configured), against the actual
-    values the level-0 log records; everything refits at every month, and
-    the months are fitted in parallel (`_map_months`).
+    values the level-0 log records; everything refits at every month. The
+    months are fitted in parallel (`_map_months`), one chunk per worker:
+    with w chunks, month k after the warm-up goes to chunk k mod w.
     """
     months, streams, actuals = level0_streams(level0_log, vaccine, cfg)
     warm = cfg.level1_warmup_months
@@ -474,9 +547,16 @@ def run_level1_backtest(
         )
 
     targets = range(warm, len(months))
-    stacks = _map_months(level1_step, [(streams, actuals, idx, cfg) for idx in targets])
+    w = min(_usable_cpus(), len(targets))
+    chunks = _map_months(level1_chunk, [(streams, actuals, targets[c::w], cfg) for c in range(w)])
     entries: list[LogEntry] = []
-    for idx, (values, notes) in zip(targets, stacks):
+    for k, idx in enumerate(targets):
+        # A chunk ends at its first failing month, and every month before
+        # that one, in any chunk, comes first here.
+        cell = chunks[k % w][k // w]
+        if isinstance(cell, Exception):
+            raise cell
+        values, notes = cell
         entries += _log_cells(vaccine, months[idx], values, notes, float(actuals[idx]),
                               months[level1_window_start(idx, cfg)], months[idx - 1])
     return PredictionLog(tuple(entries))

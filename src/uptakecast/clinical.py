@@ -240,6 +240,12 @@ def _css_residuals(y: np.ndarray, mu: float, betas: np.ndarray, phis: np.ndarray
     if q == 0:
         return base
     ph = phis.tolist()
+    if q == 1:  # the configured ARIMA(1,1,1): one multiply-subtract per residual
+        f, e_prev, out = ph[0], 0.0, []
+        for e in base.tolist():
+            e_prev = e - f * e_prev
+            out.append(e_prev)
+        return np.array(out)
     eps = [0.0] * q  # zero pre-sample residuals, then eps_0, eps_1, ...
     for e in base.tolist():
         for j, f in enumerate(ph, start=1):
@@ -400,15 +406,20 @@ def hw_filter(
     l = season_length
     a, b = float(level), float(trend)
     alpha, beta, gamma = float(alpha), float(beta), float(gamma)
+    keep_a, keep_b, keep_s = 1.0 - alpha, 1.0 - beta, 1.0 - gamma
     preds = []
-    for t, y in enumerate(np.asarray(values, dtype=float).tolist()):
-        pos = t % l
+    pos = 0  # t mod l
+    for y in np.asarray(values, dtype=float).tolist():
         s_old = s[pos]
-        preds.append(a + b + s_old)
-        a_new = alpha * (y - s_old) + (1.0 - alpha) * (a + b)
-        b = beta * (a_new - a) + (1.0 - beta) * b
-        s[pos] = gamma * (y - a_new) + (1.0 - gamma) * s_old
+        ab = a + b
+        preds.append(ab + s_old)
+        a_new = alpha * (y - s_old) + keep_a * ab
+        b = beta * (a_new - a) + keep_b * b
+        s[pos] = gamma * (y - a_new) + keep_s * s_old
         a = a_new
+        pos += 1
+        if pos == l:
+            pos = 0
     return np.array(preds), a, b, s
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -136,29 +137,81 @@ def _pair_step(beta_i, beta_j, Fi, Fj, eta, eps, C) -> float:
     return best
 
 
-def solve_svr_dual(K: np.ndarray, y: np.ndarray, C: float, eps: float) -> tuple[np.ndarray, float]:
+@np.errstate(over="ignore", invalid="ignore")  # Python floats overflow silently too
+def _pair_steps(beta_i, beta_j, Fi, Fj, eta, eps, C) -> np.ndarray:
+    """`_pair_step` element by element over arrays, bit for bit.
+
+    The box ends need no tie rule: with C > 0 and finite coefficients none
+    of the four bounds is -0.0 or NaN, so ``np.maximum`` and ``np.minimum``
+    pick what ``max`` and ``min`` pick. The candidates, each computed with
+    `_pair_step`'s float operations, go to one argmin: invalid ones and NaNs
+    after the first count as +inf, so it returns the first strict minimum
+    and a NaN never wins.
+    """
+    dF = Fi - Fj
+    half_eta = 0.5 * eta
+    d_min = np.maximum(-C - beta_i, beta_j - C)
+    d_max = np.minimum(C - beta_i, beta_j + C)
+    curved = eta > 0
+    # The stationary points -(dF + eps * (ui - uj)) / eta, in `_pair_step`'s order.
+    stationary = -(dF + np.array([[eps * 0.0], [eps * -2.0], [eps * 2.0]])) / np.where(
+        curved, eta, 1.0
+    )
+    d = np.concatenate(((d_min, d_max, -beta_i, beta_j), stationary))
+    phi = half_eta * d * d + dF * d + eps * (np.abs(beta_i + d) + np.abs(beta_j - d))
+    valid = (d_min < d) & (d < d_max)
+    valid[:2] = True
+    valid[4:] &= curved
+    valid[1:] &= phi[1:] == phi[1:]  # not NaN
+    k = np.where(valid, phi, np.inf).argmin(axis=0)
+    return d[k, np.arange(k.size)]
+
+
+def _bias(b_lo: float, b_hi: float) -> float:
+    """The bias at a passed KKT check: the midpoint of the admissible interval,
+    an open end replaced by the other one (0 when both are open)."""
+    if not math.isfinite(b_lo):
+        b_lo = b_hi if math.isfinite(b_hi) else 0.0
+    if not math.isfinite(b_hi):
+        b_hi = b_lo
+    return (b_lo + b_hi) / 2.0
+
+
+def _stalled() -> NonConvergence:
+    return NonConvergence("SVR pairwise step stalled above KKT tolerance")
+
+
+def _exceeded() -> NonConvergence:
+    return NonConvergence(f"SVR solver exceeded {_SVR_MAX_STEPS} pairwise steps")
+
+
+def solve_svr_dual(
+    K: np.ndarray, y: np.ndarray, C: float, eps: float, *, start: tuple | None = None
+) -> tuple[np.ndarray, float]:
     """Solve min 0.5*b'Kb - y'b + eps*|b|_1 s.t. sum(b) = 0, |b_i| <= C.
 
     Returns the dual coefficients and the bias. Terminates when the largest
     KKT violation (the gap between the per-sample bias bounds) is within
     ``SVR_KKT_TOL``. A step moves two coefficients, so only their two bound
     offsets are rewritten; the n-vectors live in buffers allocated once.
+    ``start`` continues a solve that `solve_svr_duals` began: the
+    coefficients as a list, ``Kb``, the two offset arrays and the number of
+    steps taken, which count against ``_SVR_MAX_STEPS``.
     """
     n = y.size
-    beta = [0.0] * n
-    Kb = np.zeros(n)
+    if start is None:
+        off0 = _bound_offsets(0.0, eps, C)
+        start = [0.0] * n, np.zeros(n), np.full(n, off0[0]), np.full(n, off0[1]), 0
+    beta, Kb, off_lo, off_hi, steps = start
     G = np.empty(n)
     lo = np.empty(n)
     hi = np.empty(n)
     diff = np.empty(n)
-    off0 = _bound_offsets(0.0, eps, C)
-    off_lo = np.full(n, off0[0])
-    off_hi = np.full(n, off0[1])
     # Python floats for the scalar work of each step; K is symmetric, so
     # row i stands in for column i and each step reads two contiguous rows.
     K_diag = np.diag(K).tolist()
     y_list = y.tolist()
-    for _ in range(_SVR_MAX_STEPS):
+    for _ in range(_SVR_MAX_STEPS - steps):
         np.subtract(y, Kb, out=G)
         np.add(G, off_lo, out=lo)
         np.add(G, off_hi, out=hi)
@@ -166,18 +219,14 @@ def solve_svr_dual(K: np.ndarray, y: np.ndarray, C: float, eps: float) -> tuple[
         j = int(hi.argmin())
         b_lo, b_hi = lo.item(i), hi.item(j)
         if b_lo - b_hi <= SVR_KKT_TOL:
-            if not math.isfinite(b_lo):
-                b_lo = b_hi if math.isfinite(b_hi) else 0.0
-            if not math.isfinite(b_hi):
-                b_hi = b_lo
-            return np.array(beta), (b_lo + b_hi) / 2.0
+            return np.array(beta), _bias(b_lo, b_hi)
         K_i, K_j = K[i], K[j]
         eta = K_diag[i] + K_diag[j] - 2.0 * K_i.item(j)
         beta_i, beta_j = beta[i], beta[j]
         Fi, Fj = Kb.item(i) - y_list[i], Kb.item(j) - y_list[j]
         d = _pair_step(beta_i, beta_j, Fi, Fj, max(eta, 0.0), eps, C)
         if d == 0.0:
-            raise NonConvergence("SVR pairwise step stalled above KKT tolerance")
+            raise _stalled()
         beta[i] = beta_i + d
         beta[j] = beta_j - d
         off_lo[i], off_hi[i] = _bound_offsets(beta[i], eps, C)
@@ -185,7 +234,154 @@ def solve_svr_dual(K: np.ndarray, y: np.ndarray, C: float, eps: float) -> tuple[
         np.subtract(K_i, K_j, out=diff)
         diff *= d
         Kb += diff
-    raise NonConvergence(f"SVR solver exceeded {_SVR_MAX_STEPS} pairwise steps")
+    raise _exceeded()
+
+
+# `solve_svr_duals` runs up to _SVR_SLOTS problems in lockstep. Once its queue
+# is empty and at most _SVR_TAIL problems remain, each finishes alone in
+# `solve_svr_dual`; a call with at most _SVR_TAIL problems uses it throughout.
+# BENCH_17.json records the measurement that chose both.
+_SVR_SLOTS = 48
+_SVR_TAIL = 24
+
+
+def solve_svr_duals(
+    problems: Sequence[tuple[Callable[[], np.ndarray], np.ndarray]], C: float, eps: float
+) -> Iterator[tuple[int, tuple[np.ndarray, float] | NonConvergence]]:
+    """`solve_svr_dual` for many problems, bit for bit.
+
+    A problem is a function that builds its kernel matrix, called when a slot
+    takes the problem, and its targets. Yields each problem's index and
+    outcome as it finishes: the coefficients and the bias, or the
+    ``NonConvergence`` that `solve_svr_dual` raises for it.
+
+    The slots hold their problems padded to the largest n and take one step
+    each per round; a finished problem's slot takes the next problem from the
+    queue. A round does, slot by slot, exactly the float operations of a
+    `solve_svr_dual` step. Padded entries have zero kernel rows and -inf/+inf
+    bound offsets, so they are never picked and never move, and `_pair_step`
+    and `_bound_offsets` become element-wise selections that keep their
+    choices. So every problem takes the steps it would take alone.
+    """
+    if len(problems) > _SVR_TAIL:
+        tail = yield from _lockstep_rounds(problems, C, eps)
+    else:
+        tail = [(p, None, None) for p in range(len(problems))]
+    for p, K, start in tail:
+        make_K, y = problems[p]
+        try:
+            outcome = solve_svr_dual(make_K() if K is None else K, y, C, eps, start=start)
+        except NonConvergence as err:
+            outcome = err
+        yield p, outcome
+
+
+def _lockstep_rounds(problems, C, eps):
+    """The slot rounds of `solve_svr_duals`: yields the problems that finish
+    in them and returns the tail, each problem with its kernel and state."""
+    queue = iter(range(len(problems)))
+    S = min(_SVR_SLOTS, len(problems))
+    W = max(y.size for _, y in problems)
+    Kbuf = np.zeros((S, W, W))
+    y = np.zeros((S, W))
+    Kb = np.zeros((S, W))
+    beta = np.zeros((S, W))
+    off_lo = np.full((S, W), -np.inf)
+    off_hi = np.full((S, W), np.inf)
+    diag = np.zeros((S, W))
+    G, lo, hi = np.empty((S, W)), np.empty((S, W)), np.empty((S, W))
+    steps = np.zeros(S, dtype=int)
+    size, owner = [0] * S, [0] * S
+    off0 = _bound_offsets(0.0, eps, C)
+    top, bottom = C - _BOUND_ATOL, -C + _BOUND_ATOL
+
+    def fill(s: int, p: int) -> None:
+        make_K, target = problems[p]
+        n = target.size
+        Kbuf[s, :n, :n] = make_K()
+        Kbuf[s, :n, n:] = 0.0
+        Kbuf[s, n:] = 0.0
+        diag[s] = np.diagonal(Kbuf[s])
+        y[s, :n], y[s, n:] = target, 0.0
+        Kb[s] = beta[s] = 0.0
+        off_lo[s, :n], off_lo[s, n:] = off0[0], -np.inf
+        off_hi[s, :n], off_hi[s, n:] = off0[1], np.inf
+        steps[s] = 0
+        size[s], owner[s] = n, p
+
+    def move(src: int, dst: int) -> None:
+        for a in (Kbuf, y, Kb, beta, off_lo, off_hi, diag, steps):
+            a[dst] = a[src]
+        size[dst], owner[dst] = size[src], owner[src]
+
+    for s, p in zip(range(S), queue):
+        fill(s, p)
+    m = S  # slots [0, m) hold a problem each
+    drained = False
+    # Flat views: entry i of slot s, and row i of its kernel, are at s * W + i.
+    beta_f, Kb_f, y_f, diag_f, off_lo_f, off_hi_f = (
+        a.reshape(-1) for a in (beta, Kb, y, diag, off_lo, off_hi)
+    )
+    K_rows = Kbuf.reshape(S * W, W)
+    lo_v, hi_v = lo.reshape(-1), hi.reshape(-1)
+    base = np.arange(S) * W
+    while True:
+        np.subtract(y[:m], Kb[:m], out=G[:m])
+        np.add(G[:m], off_lo[:m], out=lo[:m])
+        np.add(G[:m], off_hi[:m], out=hi[:m])
+        i = lo[:m].argmax(axis=1)
+        j = hi[:m].argmin(axis=1)
+        fi, fj = base[:m] + i, base[:m] + j
+        b_lo, b_hi = lo_v[fi], hi_v[fj]
+        out_of_steps = steps[:m] >= _SVR_MAX_STEPS
+        converged = (b_lo - b_hi <= SVR_KKT_TOL) & ~out_of_steps
+        finished = converged | out_of_steps
+        done = [
+            (owner[s], (beta[s, : size[s]].copy(), _bias(b_lo.item(s), b_hi.item(s))))
+            for s in np.flatnonzero(converged).tolist()
+        ]
+
+        # A step on every live slot; the slots that finished this round are
+        # refilled or dropped below, so their step is never read.
+        K_i = K_rows[fi]
+        eta = diag_f[fi] + diag_f[fj] - 2.0 * K_i.reshape(-1)[fj]
+        beta_i, beta_j = beta_f[fi], beta_f[fj]
+        d = _pair_steps(beta_i, beta_j, Kb_f[fi] - y_f[fi], Kb_f[fj] - y_f[fj],
+                        np.where(0.0 > eta, 0.0, eta), eps, C)
+        stalled = (d == 0.0) & ~finished
+        finished |= stalled
+        # `_bound_offsets` of the new beta_i (first m) and beta_j (last m).
+        b = np.concatenate((beta_i + d, beta_j - d))
+        new_lo = np.where(b >= top, -np.inf, np.where(b < -_BOUND_ATOL, eps, -eps))
+        new_hi = np.where(b <= bottom, np.inf, np.where(b > _BOUND_ATOL, -eps, eps))
+        for f, part in ((fi, slice(None, m)), (fj, slice(m, None))):
+            beta_f[f] = b[part]
+            off_lo_f[f] = new_lo[part]
+            off_hi_f[f] = new_hi[part]
+        K_i -= K_rows[fj]
+        K_i *= d[:, None]
+        Kb[:m] += K_i
+        steps[:m] += 1
+
+        # Highest slot first, so that a dropped slot takes a live problem.
+        for s in np.flatnonzero(finished)[::-1].tolist():
+            if not converged[s]:
+                done.append((owner[s], _exceeded() if out_of_steps[s] else _stalled()))
+            p = next(queue, None)
+            if p is None:
+                drained = True
+                m -= 1
+                move(m, s)
+            else:
+                fill(s, p)
+        yield from done
+        if drained and m <= _SVR_TAIL:
+            return [
+                (owner[s], Kbuf[s, : size[s], : size[s]],
+                 (beta[s, : size[s]].tolist(), Kb[s, : size[s]].copy(),
+                  off_lo[s, : size[s]].copy(), off_hi[s, : size[s]].copy(), int(steps[s])))
+                for s in range(m)
+            ]
 
 
 def fit_svr(
@@ -202,6 +398,14 @@ def fit_svr(
     Defaults follow conventional library settings: C = 1, tube eps = 0.1,
     gamma = 1 / (2 * n_features) for the Gaussian kernel.
     """
+    X, y = _svr_inputs(X, y, kernel, C, eps, gamma)
+    Z, means, scales = _standardize(X)
+    beta, bias = solve_svr_dual(_kernel(Z, Z, kernel, gamma), y, C, eps)
+    return _svr_model(kernel, C, eps, gamma, (Z, means, scales), beta, bias)
+
+
+def _svr_inputs(X, y, kernel: str, C: float, eps: float, gamma: float | None):
+    """`_design` for an SVR fit, then its settings: the checks of `fit_svr`, in its order."""
     X, y = _design(X, y, 2)
     # The linear kernel reads no gamma, and its model stores None.
     settings = (C, eps) if gamma is None else (C, eps, gamma)
@@ -211,9 +415,13 @@ def fit_svr(
         raise ValueError("C must be positive and eps non-negative")
     if kernel == "gaussian" and (gamma is None or gamma <= 0):
         raise ValueError("gamma must be positive for the gaussian kernel")
-    Z, means, scales = _standardize(X)
-    K = _kernel(Z, Z, kernel, gamma)
-    beta, bias = solve_svr_dual(K, y, C, eps)
+    return X, y
+
+
+def _svr_model(kernel, C, eps, gamma, standardized, beta, bias) -> SvrStackModel:
+    """The model of a solved dual; ``standardized`` is what `_standardize`
+    returned for the training rows."""
+    Z, means, scales = standardized
     return SvrStackModel(
         kernel=kernel,
         gamma=gamma if kernel == "gaussian" else None,

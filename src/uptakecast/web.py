@@ -217,9 +217,13 @@ def _cd_solve(
             new = np.where(movable[:, j], shrunk / np.where(movable[:, j], dj, 1.0), alpha[:, j])
             new = np.where(active, new, alpha[:, j])
             delta = new - alpha[:, j]
-            if np.any(delta != 0.0):
-                resid -= gram[:, :, j] * delta[:, None]
-                alpha[:, j] = new
+            # Only the entries that moved are written: a batch entry whose
+            # update is a signed zero keeps its coefficient and residual bits,
+            # as it does alone.
+            moved = np.flatnonzero(delta)
+            if moved.size:
+                resid[moved] -= gram[moved, :, j] * delta[moved, None]
+                alpha[moved, j] = new[moved]
                 np.maximum(max_delta, np.abs(delta), out=max_delta)
         active &= max_delta >= CD_TOL
         if not active.any():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uptakecast import backtest
+from uptakecast import backtest, stacking
 from uptakecast.backtest import (
     NAIVE,
     BacktestConfig,
@@ -324,6 +324,51 @@ class TestMonthPool:
             errors.append(str(info.value))
             assert multiprocessing.active_children() == []
         assert errors[0] == errors[1] == "stack sample values must be finite"
+
+    def test_the_earliest_failing_month_over_the_chunks_is_raised(self, monkeypatch):
+        # With two chunks, month 13 (window of 13) falls in chunk 1 and month
+        # 14 in chunk 0, which its worker reaches first. A serial run raises
+        # month 13's error, and so must the pooled one.
+        months = tuple(MonthStamp(2013, 1).plus(k) for k in range(20))
+        log0 = fabricate_level0_log(BacktestConfig(), months)
+        fit = stacking.fit_stack_ols
+
+        def failing_fit(X, y):
+            if len(y) in (13, 14):
+                raise ValueError(f"window of {len(y)}")
+            return fit(X, y)
+
+        monkeypatch.setattr(stacking, "fit_stack_ols", failing_fit)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(backtest, "_usable_cpus", lambda: cpus)
+            with pytest.raises(ValueError, match="^window of 13$"):
+                run_level1_backtest(log0, BacktestConfig(), vaccine="V")
+            assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("sliding", [None, 6])
+    def test_chunks_equal_one_month_at_a_time(self, monkeypatch, level0_run, sliding):
+        # One chunk, two and three chunks, and predict's path (one month at a
+        # time, level1_step) give the same log bytes. 16 level-0 months
+        # leave 4 level-1 months, 96 SVR duals: one chunk refills its 48
+        # slots, two chunks of 48 duals drain into a tail, and chunks of one
+        # month (24 duals) run the sequential loop throughout.
+        _, _, log0 = level0_run
+        cfg = dataclasses.replace(CFG, level1_sliding=sliding)
+        logs = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(backtest, "_usable_cpus", lambda: cpus)
+            logs.append(write_log_csv(run_level1_backtest(log0, cfg, vaccine="V")))
+        months, streams, actuals = backtest.level0_streams(log0, "V", cfg)
+        entries = []
+        for idx in range(cfg.level1_warmup_months, len(months)):
+            values, notes = backtest.level1_step(streams, actuals, idx, cfg)
+            entries += backtest._log_cells(
+                "V", months[idx], values, notes, float(actuals[idx]),
+                months[backtest.level1_window_start(idx, cfg)], months[idx - 1],
+            )
+        logs.append(write_log_csv(PredictionLog(tuple(entries))))
+        assert logs[0].count("\n") > 4 * 36
+        assert logs[1] == logs[0] and logs[2] == logs[0] and logs[3] == logs[0]
 
     @pytest.mark.parametrize("cpus, n_tasks", [(1, 5), (2, 1), (2, 5), (8, 3)])
     def test_pool_size(self, monkeypatch, cpus, n_tasks):

@@ -1,3 +1,4 @@
+import functools
 import warnings
 
 import numpy as np
@@ -5,18 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uptakecast.errors import TooFewSamples
+from uptakecast import stacking
+from uptakecast.errors import NonConvergence, TooFewSamples
 from uptakecast.stacking import (
+    SVR_KKT_TOL,
     SvrStackModel,
     _BOUND_ATOL,
     _bound_offsets,
     _kernel,
     _pair_step,
+    _pair_steps,
     fit_stack_ols,
     fit_svr,
     predict_stack_ols,
     predict_svr,
     solve_svr_dual,
+    solve_svr_duals,
 )
 from oracles import (
     ols_normal_equations,
@@ -228,6 +233,141 @@ class TestSvrSolver:
         beta, bias = solve_svr_dual(K, y, C, eps)
         beta_ref, bias_ref = svr_dual_column_loop(K, y, C, eps)
         assert same_bits(beta, beta_ref) and same_bits(bias, bias_ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        C=st.sampled_from([1e-3, 1.0]) | st.floats(1e-3, 10.0),
+        eps=st.sampled_from([0.0, 0.1]) | st.floats(0.0, 2.0),
+        count=st.integers(1, 12),
+        data=st.data(),
+    )
+    def test_vector_pair_step_matches_the_scalar_one_bit_for_bit(self, C, eps, count, data):
+        # The scalar test's edges, several rows at once: each row must get
+        # exactly what _pair_step gives it alone.
+        edges = [0.0, C, -C, _BOUND_ATOL, -_BOUND_ATOL, C - _BOUND_ATOL, -C + _BOUND_ATOL,
+                 C / 2, -C / 2]
+        coefficient = st.sampled_from(edges) | st.floats(-C, C)
+        row = st.tuples(
+            coefficient,
+            coefficient,
+            st.sampled_from([0.0, 0.2, -0.2]) | st.floats(-10.0, 10.0),
+            st.sampled_from([0.0, 1.0]) | st.floats(-10.0, 10.0),
+            st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0.0, 4.0),
+        )
+        rows = [data.draw(row) for _ in range(count)]
+        beta_i, beta_j, dF, Fj, eta = (np.array(col) for col in zip(*rows))
+        d = _pair_steps(beta_i, beta_j, Fj + dF, Fj, eta, eps, C)
+        for k, (bi, bj, dFk, Fjk, etak) in enumerate(rows):
+            assert same_bits(d[k], _pair_step(bi, bj, Fjk + dFk, Fjk, etak, eps, C))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(1, 12),
+        C=st.sampled_from([1e-3, 0.5, 1.0, 2.5]),
+        eps=st.sampled_from([0.0, 0.1, 0.5, 50.0]),
+        slots=st.integers(1, 5),
+        tail=st.integers(0, 3),
+        max_steps=st.sampled_from([3, 40, 400]),
+        tol=st.sampled_from([SVR_KKT_TOL, -1.0]),
+    )
+    def test_batched_duals_match_one_by_one_bit_for_bit(
+        self, seed, count, C, eps, slots, tail, max_steps, tol
+    ):
+        # One batch mixes n, both kernels, duplicated rows (eta = 0), integer
+        # targets and constant ones; C = 1e-3 ends every coefficient at a bound and
+        # eps = 50 passes the first check. Fewer slots than problems make
+        # slots refill, and a tail hands problems to solve_svr_dual mid-solve.
+        # A small step limit stops some problems while others finish, and a
+        # negative KKT tolerance drives problems into the stalled step.
+        rng = np.random.default_rng(seed)
+        problems = []
+        for _ in range(count):
+            n = int(rng.integers(2, 25))
+            Z = rng.normal(0, 1, (n, 2))
+            if rng.random() < 0.3:
+                Z = Z[rng.integers(0, max(1, n // 2), n)]
+            y = Z @ rng.normal(0, 1, 2) + rng.normal(0, 0.5, n)
+            if rng.random() < 0.3:
+                y = np.round(y)  # with duplicated rows: tied pair-step candidates
+            if rng.random() < 0.2:
+                y = np.full(n, y[0])
+            problems.append((_kernel(Z, Z, str(rng.choice(["linear", "gaussian"])), 0.25), y))
+        built = []
+
+        def build(k):
+            built.append(k)
+            return problems[k][0]
+
+        def outcome(solve, *args, **kwargs):
+            try:
+                return solve(*args, **kwargs)
+            except (NonConvergence, RuntimeError) as err:
+                return err
+
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in (("_SVR_SLOTS", slots), ("_SVR_TAIL", tail),
+                                ("_SVR_MAX_STEPS", max_steps), ("SVR_KKT_TOL", tol)):
+                mp.setattr(stacking, name, value)
+            batch = [(functools.partial(build, k), y) for k, (_, y) in enumerate(problems)]
+            got = list(solve_svr_duals(batch, C, eps))
+            alone = [outcome(solve_svr_dual, K, y, C, eps) for K, y in problems]
+        assert sorted(k for k, _ in got) == sorted(built) == list(range(count))
+        for k, result in got:
+            K, y = problems[k]
+            refs = [alone[k]]
+            # A negative tolerance lets the loops step a pair with i == j,
+            # where the column loop's in-place += and -= cancel and
+            # solve_svr_dual's two assignments do not; the oracle covers the
+            # reachable tolerances.
+            if tol >= 0:
+                refs.append(outcome(svr_dual_column_loop, K, y, C, eps, max_steps=max_steps))
+            for ref in refs:
+                if isinstance(ref, Exception):
+                    assert isinstance(result, NonConvergence) and str(result) == str(ref)
+                else:
+                    assert not isinstance(result, Exception)
+                    assert same_bits(result[0], ref[0]) and same_bits(result[1], ref[1])
+
+    @pytest.mark.parametrize("C, eps", [(1.0, 0.0), (0.5, 0.5), (1e-3, 0.0)])
+    def test_batched_duals_keep_the_first_of_tied_candidates(self, monkeypatch, C, eps):
+        # Duplicated rows and integer targets make pair steps whose
+        # candidates tie (about 1 problem in 100 here); the first must win in
+        # the batch as it does in _pair_step.
+        monkeypatch.setattr(stacking, "_SVR_SLOTS", 8)
+        monkeypatch.setattr(stacking, "_SVR_TAIL", 2)
+        rng = np.random.default_rng(1)
+        problems = []
+        for k in range(240):
+            n = int(rng.integers(2, 12))
+            Z = rng.normal(0, 1, (n, 2))[rng.integers(0, max(1, n // 2), n)]
+            y = np.round(Z @ rng.normal(0, 1, 2) + rng.normal(0, 0.5, n))
+            K = _kernel(Z, Z, "linear" if k % 2 else "gaussian", 0.25)
+            problems.append((lambda K=K: K, y))
+        for k, result in solve_svr_duals(problems, C, eps):
+            ref = solve_svr_dual(problems[k][0](), problems[k][1], C, eps)
+            assert same_bits(result[0], ref[0]) and same_bits(result[1], ref[1])
+
+    def test_a_problem_out_of_steps_fails_alone(self, monkeypatch):
+        # Constant targets pass the first check; the others need more than
+        # three steps. Two slots and a tail of one cover both solvers.
+        monkeypatch.setattr(stacking, "_SVR_SLOTS", 2)
+        monkeypatch.setattr(stacking, "_SVR_TAIL", 1)
+        monkeypatch.setattr(stacking, "_SVR_MAX_STEPS", 3)
+        rng = np.random.default_rng(3)
+        problems = []
+        for k in range(7):
+            Z = rng.normal(0, 1, (12, 2))
+            y = np.full(12, 5.0) if k % 2 else Z @ [1.0, -2.0] + rng.normal(0, 0.5, 12)
+            K = _kernel(Z, Z, "gaussian", 0.25)
+            problems.append((lambda K=K: K, y))
+        outcomes = dict(solve_svr_duals(problems, 1.0, 0.1))
+        for k in range(7):
+            if k % 2:
+                beta, bias = outcomes[k]
+                assert not beta.any() and bias == 5.0
+            else:
+                assert str(outcomes[k]) == "SVR solver exceeded 3 pairwise steps"
 
     def test_kkt_sample_classification(self):
         rng = np.random.default_rng(5)

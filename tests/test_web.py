@@ -358,8 +358,22 @@ class TestLasso:
         for b in range(B):
             assert lams[b] == _cv_choose_lambda(X[b : b + 1], y)[0]
             single = _fit_lasso_batch(X[b : b + 1], y, lams[b : b + 1])[0]
-            assert np.array_equal(models[b].alphas, single.alphas)
-            assert models[b].mu == single.mu
+            assert models[b].alphas.tobytes() == single.alphas.tobytes()
+            assert np.float64(models[b].mu).tobytes() == np.float64(single.mu).tobytes()
+
+    def test_an_entry_that_does_not_move_keeps_its_zero(self):
+        # Entry 0 moves its coefficient; entry 1's update is sign(-0.1) * 0,
+        # a -0.0 that equals its +0.0 start. Alone, entry 1 writes nothing,
+        # and in the batch it must keep +0.0 too.
+        gram = np.ones((2, 1, 1))
+        cvec = np.array([[1.0], [-0.1]])
+        lam = np.array([0.5, 0.5])
+        batch = web._cd_solve(gram, cvec, lam, np.zeros((2, 1)))
+        for b in range(2):
+            one = slice(b, b + 1)
+            alone = web._cd_solve(gram[one], cvec[one], lam[one], np.zeros((1, 1)))
+            assert batch[b].tobytes() == alone[0].tobytes()
+        assert np.signbit(batch[1, 0]) == False  # noqa: E712
 
 class TestSelectLambdaCv:
     def test_informative_query_survives(self):
