@@ -226,8 +226,8 @@ def _map_months(fn: Callable, tasks: Sequence[tuple]) -> list:
     one per task; in-process when that is one worker or the platform cannot
     fork. Forked workers inherit the loaded numpy/BLAS build, its settings and
     the warning filters, so every fit does the same arithmetic as in-process.
-    The last task (a backtest's longest month) is submitted first, so that it
-    does not run alone at the end. An error is raised for the first failing
+    The last task is submitted first: at level 0 it is the longest month, so
+    it does not run alone at the end. An error is raised for the first failing
     task, as in a serial run, and no worker outlives the call.
     """
     workers = min(_usable_cpus(), len(tasks))
@@ -421,14 +421,11 @@ def _ols_forecast(X: np.ndarray, y: np.ndarray, e_c: float, e_w: float) -> float
     return stacking.predict_stack_ols(stacking.fit_stack_ols(X, y), e_c, e_w)
 
 
-def _svr_forecast(outcome, kernel: str, standardized, e_c: float, e_w: float,
-                  cfg: BacktestConfig) -> float:
-    """The forecast of a solved SVR dual; a dual that failed raises its error."""
+def _svr_forecast(outcome, e_c: float, e_w: float) -> float:
+    """The forecast of a fitted SVR; a fit that failed raises its error."""
     if isinstance(outcome, Exception):
         raise outcome
-    model = stacking._svr_model(kernel, cfg.svr_cost, cfg.svr_tube_eps, cfg.svr_gamma,
-                                standardized, *outcome)
-    return stacking.predict_svr(model, e_c, e_w)
+    return stacking.predict_svr(outcome, e_c, e_w)
 
 
 def level1_chunk(
@@ -447,44 +444,27 @@ def level1_chunk(
     each model that fell back to month ``idx``'s naive prediction.
 
     The months are fitted in order, each in method order, as in a serial
-    run, except that an SVR fit only checks its inputs and queues its dual.
-    The queued duals of all the months are solved together
-    (`stacking.solve_svr_duals`); a dual's pair is standardized, once for
-    both kernels, only when the solver takes it. An error that is not a
-    model failure (non-finite stack inputs) takes the place of its month's
-    cell and ends the list, so that a caller with several chunks can raise
-    the error of the earliest month.
+    run, except that an SVR fit only checks its inputs and queues its
+    design; `stacking.fit_svrs` fits the queued designs of all the months
+    together. An error that is not a model failure (non-finite stack
+    inputs) takes the place of its month's cell and ends the list, so that
+    a caller with several chunks can raise the error of the earliest month.
     """
     C, eps, gamma = cfg.svr_cost, cfg.svr_tube_eps, cfg.svr_gamma
     cells: list = []
-    months: list = []  # (window start, target predictions) per cell
-    queued: list = []  # (cell, clin, wm, method, kernel) per queued dual
-    problems: list = []  # (kernel builder, targets) per queued dual
-    pair: list = [None, None]  # the last pair standardized, and its standardization
-    standardized: dict = {}  # queued dual -> its pair's standardization, until its forecast
+    designs: list = []  # (X, y, kernel) per queued SVR fit
+    queued: list = []  # (cell, method, e_c, e_w, naive) per queued SVR fit
 
-    def enqueue(entry: tuple, X: np.ndarray, y: np.ndarray) -> float:
-        kernel = entry[-1]
-        X, y = stacking._svr_inputs(X, y, kernel, C, eps, gamma)
-        problems.append((functools.partial(kernel_matrix, len(queued)), y))
+    def enqueue(entry: tuple, X: np.ndarray, y: np.ndarray, kernel: str) -> float:
+        designs.append((*stacking._svr_inputs(X, y, kernel, C, eps, gamma), kernel))
         queued.append(entry)
-        return 0.0  # a finite placeholder until the solve
-
-    def kernel_matrix(q: int) -> np.ndarray:
-        cell, clin, wm, _, kernel = queued[q]
-        if pair[0] != (cell, clin, wm):
-            lo, idx = months[cell][0], indices[cell]
-            X = np.column_stack([streams[clin][lo:idx], streams[wm][lo:idx]])
-            pair[:] = (cell, clin, wm), web._standardize(X)
-        Z = pair[1][0]
-        standardized[q] = pair[1]
-        return stacking._kernel(Z, Z, kernel, gamma)
+        return 0.0  # a finite placeholder until the fit
 
     for cell, idx in enumerate(indices):
         lo = level1_window_start(idx, cfg)
         y = actuals[lo:idx]
         target_preds = {m: float(s[idx]) for m, s in streams.items()}
-        months.append((lo, target_preds))
+        naive = target_preds[NAIVE]
         fits = {}
         for clin in cfg.clinical_methods():
             for wm in WEB_METHODS:
@@ -495,20 +475,18 @@ def level1_chunk(
                     if meta == "OLS":
                         fits[method] = functools.partial(_ols_forecast, X, y, e_c, e_w)
                     else:
-                        entry = (cell, clin, wm, method, _SVR_KERNELS[meta])
-                        fits[method] = functools.partial(enqueue, entry, X, y)
+                        entry = (cell, method, e_c, e_w, naive)
+                        fits[method] = functools.partial(enqueue, entry, X, y, _SVR_KERNELS[meta])
         try:
-            cells.append(_fit_each(fits, target_preds[NAIVE]))
+            cells.append(_fit_each(fits, naive))
         except Exception as err:
             cells.append(err)
             return cells
 
-    for q, outcome in stacking.solve_svr_duals(problems, C, eps):
-        cell, clin, wm, method, kernel = queued[q]
-        target_preds = months[cell][1]
-        fit = functools.partial(_svr_forecast, outcome, kernel, standardized.pop(q),
-                                target_preds[clin], target_preds[wm], cfg)
-        value, note = _fit_each({method: fit}, target_preds[NAIVE])
+    for q, outcome in stacking.fit_svrs(designs, C, eps, gamma):
+        cell, method, e_c, e_w, naive = queued[q]
+        value, note = _fit_each({method: functools.partial(_svr_forecast, outcome, e_c, e_w)},
+                                naive)
         values, notes = cells[cell]
         values[method] = value[method]
         notes.update(note)
@@ -521,7 +499,11 @@ def level1_step(
     idx: int,
     cfg: BacktestConfig,
 ) -> tuple[dict[str, float], dict[str, str]]:
-    """The level-1 cell of level-0 month ``idx`` (`level1_chunk`): the chunk of one month."""
+    """The level-1 cell of level-0 month ``idx`` (`level1_chunk`): the chunk of one
+    month. As in the backtest, a month inside the level-1 warm-up has no cell."""
+    warm = cfg.level1_warmup_months
+    if idx < warm:
+        raise InsufficientHistory(f"level-0 log covers {idx} months, need {warm}")
     [cell] = level1_chunk(streams, actuals, [idx], cfg)
     if isinstance(cell, Exception):
         raise cell

@@ -30,7 +30,7 @@ from .backtest import (
     run_level0_backtest,
     summarize,
 )
-from .errors import InsufficientHistory, ParseError, UptakecastError
+from .errors import ParseError, UptakecastError
 from .ingest import compute_uptake, emit_report, load_cohorts, load_registry, load_trends
 from .timeseries import MonthStamp, TimeSeries, UptakeSeries
 
@@ -246,11 +246,7 @@ def _cmd_predict(args) -> int:
     )
     log0 = run_level0_backtest(history, panel, dataclasses.replace(cfg, end_month=target), name)
     months, streams, actuals = level0_streams(log0, name, cfg)
-    warm = cfg.level1_warmup_months
     idx = len(months) - 1  # the target's index: the level-0 months before it
-    # The backtest stacks month idx of the level-0 log once idx >= the warm-up.
-    if idx < warm:
-        raise InsufficientHistory(f"level-0 log covers {idx} months, need {warm}")
     preds, notes = level1_step(streams, actuals, idx, cfg)
     for method in streams:  # the target's level-0 cells
         entry = log0.cells[(name, method)][target]

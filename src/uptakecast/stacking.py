@@ -8,6 +8,7 @@ inside the fit and the standardization travels with the model.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
@@ -399,9 +400,10 @@ def fit_svr(
     gamma = 1 / (2 * n_features) for the Gaussian kernel.
     """
     X, y = _svr_inputs(X, y, kernel, C, eps, gamma)
-    Z, means, scales = _standardize(X)
-    beta, bias = solve_svr_dual(_kernel(Z, Z, kernel, gamma), y, C, eps)
-    return _svr_model(kernel, C, eps, gamma, (Z, means, scales), beta, bias)
+    [(_, model)] = fit_svrs([(X, y, kernel)], C, eps, gamma)
+    if isinstance(model, NonConvergence):
+        raise model
+    return model
 
 
 def _svr_inputs(X, y, kernel: str, C: float, eps: float, gamma: float | None):
@@ -418,21 +420,37 @@ def _svr_inputs(X, y, kernel: str, C: float, eps: float, gamma: float | None):
     return X, y
 
 
-def _svr_model(kernel, C, eps, gamma, standardized, beta, bias) -> SvrStackModel:
-    """The model of a solved dual; ``standardized`` is what `_standardize`
-    returned for the training rows."""
-    Z, means, scales = standardized
-    return SvrStackModel(
-        kernel=kernel,
-        gamma=gamma if kernel == "gaussian" else None,
-        cost=C,
-        tube_eps=eps,
-        dual_coefficients=beta,
-        bias=bias,
-        support_inputs=Z,
-        feature_means=means,
-        feature_scales=scales,
-    )
+def fit_svrs(
+    designs: Sequence[tuple[np.ndarray, np.ndarray, str]], C: float, eps: float, gamma: float | None
+) -> Iterator[tuple[int, SvrStackModel | NonConvergence]]:
+    """`fit_svr` for many designs, bit for bit.
+
+    A design is ``(X, y, kernel)`` as `_svr_inputs` returned it. Yields each
+    design's index and its model, or the ``NonConvergence`` of its dual, as
+    it finishes (`solve_svr_duals`). A design's standardization and kernel
+    are built when a solver slot takes it; consecutive designs over the same
+    ``X`` object (the kernels of one stream pair) share one standardization.
+    """
+    last: list = [None, None]  # the last X standardized, and its standardization
+    standardized: dict = {}  # design index -> its standardization, until it finishes
+
+    def kernel_matrix(q: int) -> np.ndarray:
+        X, _, kernel = designs[q]
+        if last[0] is not X:
+            last[:] = X, _standardize(X)
+        standardized[q] = last[1]
+        Z = last[1][0]
+        return _kernel(Z, Z, kernel, gamma)
+
+    problems = [(functools.partial(kernel_matrix, q), y) for q, (_, y, _) in enumerate(designs)]
+    for q, outcome in solve_svr_duals(problems, C, eps):
+        Z, means, scales = standardized.pop(q)
+        if not isinstance(outcome, NonConvergence):
+            kernel, (beta, bias) = designs[q][2], outcome
+            outcome = SvrStackModel(kernel=kernel, gamma=gamma if kernel == "gaussian" else None,
+                                    cost=C, tube_eps=eps, dual_coefficients=beta, bias=bias,
+                                    support_inputs=Z, feature_means=means, feature_scales=scales)
+        yield q, outcome
 
 
 def predict_svr(model: SvrStackModel, e_c: float, e_w: float) -> float:

@@ -481,6 +481,64 @@ class TestFitSvr:
         for i in range(n):
             assert predict_svr(model, X[i, 0], X[i, 1]) == pytest.approx(in_sample[i], abs=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        groups=st.lists(st.sampled_from(["one", "shared", "copied"]), min_size=1, max_size=8),
+        slots=st.integers(1, 4),
+        tail=st.integers(0, 2),
+        max_steps=st.sampled_from([3, 40, stacking._SVR_MAX_STEPS]),
+    )
+    def test_fit_svrs_matches_fit_svr_one_design_at_a_time(
+        self, seed, groups, slots, tail, max_steps
+    ):
+        # Each group is one design, two designs (both kernels) over one X
+        # object, or two over equal-valued but distinct copies. n is drawn
+        # from a narrow range, so consecutive groups often share n with other
+        # values: a standardization shared by anything but X's identity shows.
+        # Few slots refill and hand problems to a tail; a small step limit
+        # stops some designs while others (constant targets) finish.
+        rng = np.random.default_rng(seed)
+        C, eps, gamma = 1.0, 0.1, 0.25
+        designs = []
+        for group in groups:
+            n = int(rng.integers(4, 7))
+            X = rng.uniform(0, 100, (n, 2))
+            y = 30 + 0.4 * X[:, 0] + 0.2 * X[:, 1] + rng.normal(0, 3, n)
+            if rng.random() < 0.3:
+                y = np.full(n, y[0])
+            kernel = str(rng.choice(["linear", "gaussian"]))
+            if group == "one":
+                designs.append((X, y, kernel))
+            else:
+                X2 = X if group == "shared" else X.copy()
+                designs += [(X, y, "linear"), (X2, y, "gaussian")]
+
+        def fit_alone(X, y, kernel):
+            try:
+                return fit_svr(X, y, kernel=kernel, C=C, eps=eps, gamma=gamma)
+            except NonConvergence as err:
+                return err
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stacking, "_SVR_MAX_STEPS", max_steps)
+            alone = [fit_alone(*design) for design in designs]
+            mp.setattr(stacking, "_SVR_SLOTS", slots)
+            mp.setattr(stacking, "_SVR_TAIL", tail)
+            got = list(stacking.fit_svrs(designs, C, eps, gamma))
+        assert sorted(q for q, _ in got) == list(range(len(designs)))
+        for q, model in got:
+            ref = alone[q]
+            if isinstance(ref, NonConvergence):
+                assert isinstance(model, NonConvergence) and str(model) == str(ref)
+                continue
+            assert isinstance(model, SvrStackModel)
+            assert (model.kernel, model.gamma, model.cost, model.tube_eps) == (
+                ref.kernel, ref.gamma, ref.cost, ref.tube_eps)
+            for name in ("dual_coefficients", "bias", "support_inputs", "feature_means",
+                         "feature_scales"):
+                assert same_bits(getattr(model, name), getattr(ref, name)), name
+
     @pytest.mark.parametrize("kernel", ["linear", "gaussian"])
     @pytest.mark.parametrize(
         "setting",
