@@ -64,9 +64,11 @@ def minimize(
     ``minimize(method="Nelder-Mead", bounds=...)`` (non-adaptive), so a fit
     keeps its bits: the simplex starts at x0 and 1.05 x_k (0.00025 for a zero
     coordinate), reflected at the upper bound; every trial point is clipped
-    to the box; ties in f are ordered by ``np.argsort``, which need not be
-    stable. Evaluation ``maxfev + 1`` ends the iteration it falls in without
-    counting it, keeping any vertex a shrink has already moved.
+    to the box. Vertices are ordered by f with a stable sort, so tied
+    vertices keep their order on every CPU; scipy's plain ``np.argsort``
+    leaves the order of ties to the sort numpy dispatches. Evaluation
+    ``maxfev + 1`` ends the iteration it falls in without counting it,
+    keeping any vertex a shrink has already moved.
     """
     opts = _NM_OPTIONS
     maxiter, maxfev = opts["maxiter"], opts["maxfev"]
@@ -93,7 +95,7 @@ def minimize(
         return float(fun(np.array(x)))
 
     def by_f(sim, fsim):
-        order = np.argsort(fsim).tolist()
+        order = np.argsort(fsim, kind="stable").tolist()
         return [sim[i] for i in order], [fsim[i] for i in order]
 
     try:
@@ -101,7 +103,7 @@ def minimize(
             fsim[k] = f(sim[k])
     except _BudgetSpent:
         pass
-    sim, fsim = by_f(*by_f(sim, fsim))  # twice, as scipy does: argsort may move ties
+    sim, fsim = by_f(sim, fsim)
 
     nit = 1
     while nfev < maxfev and nit < maxiter:

@@ -238,10 +238,10 @@ def solve_svr_dual(
     raise _exceeded()
 
 
-# `solve_svr_duals` runs up to _SVR_SLOTS problems in lockstep. Once its queue
-# is empty and at most _SVR_TAIL problems remain, each finishes alone in
-# `solve_svr_dual`; a call with at most _SVR_TAIL problems uses it throughout.
-# BENCH_17.json records the measurement that chose both.
+# `solve_svr_duals` runs up to _SVR_SLOTS problems in lockstep. Once no
+# problem waits for a slot and at most _SVR_TAIL slots are live, each finishes
+# alone in `solve_svr_dual`; a call with at most _SVR_TAIL problems takes no
+# round. BENCH_17.json records the measurement that chose both.
 _SVR_SLOTS = 48
 _SVR_TAIL = 24
 
@@ -256,40 +256,25 @@ def solve_svr_duals(
     outcome as it finishes: the coefficients and the bias, or the
     ``NonConvergence`` that `solve_svr_dual` raises for it.
 
-    The slots hold their problems padded to the largest n and take one step
-    each per round; a finished problem's slot takes the next problem from the
-    queue. A round does, slot by slot, exactly the float operations of a
-    `solve_svr_dual` step. Padded entries have zero kernel rows and -inf/+inf
-    bound offsets, so they are never picked and never move, and `_pair_step`
-    and `_bound_offsets` become element-wise selections that keep their
-    choices. So every problem takes the steps it would take alone.
+    The slots take the problems in index order, padded to the largest n, and
+    take one step each per round; a finished problem's slot takes the next
+    waiting problem. A round does, slot by slot, exactly the float operations
+    of a `solve_svr_dual` step. Padded entries have zero kernel rows and
+    -inf/+inf bound offsets, so they are never picked and never move, and
+    `_pair_step` and `_bound_offsets` become element-wise selections that keep
+    their choices. So every problem takes the steps it would take alone.
+    Rounds run while a problem waits or more than ``_SVR_TAIL`` slots are
+    live; then each live slot finishes in slot order in `solve_svr_dual`, from
+    its state. A call with at most ``_SVR_TAIL`` problems takes no round.
     """
-    if len(problems) > _SVR_TAIL:
-        tail = yield from _lockstep_rounds(problems, C, eps)
-    else:
-        tail = [(p, None, None) for p in range(len(problems))]
-    for p, K, start in tail:
-        make_K, y = problems[p]
-        try:
-            outcome = solve_svr_dual(make_K() if K is None else K, y, C, eps, start=start)
-        except NonConvergence as err:
-            outcome = err
-        yield p, outcome
-
-
-def _lockstep_rounds(problems, C, eps):
-    """The slot rounds of `solve_svr_duals`: yields the problems that finish
-    in them and returns the tail, each problem with its kernel and state."""
-    queue = iter(range(len(problems)))
     S = min(_SVR_SLOTS, len(problems))
-    W = max(y.size for _, y in problems)
+    W = max((y.size for _, y in problems), default=0)
     Kbuf = np.zeros((S, W, W))
     y = np.zeros((S, W))
     Kb = np.zeros((S, W))
     beta = np.zeros((S, W))
     off_lo = np.full((S, W), -np.inf)
     off_hi = np.full((S, W), np.inf)
-    diag = np.zeros((S, W))
     G, lo, hi = np.empty((S, W)), np.empty((S, W)), np.empty((S, W))
     steps = np.zeros(S, dtype=int)
     size, owner = [0] * S, [0] * S
@@ -302,7 +287,6 @@ def _lockstep_rounds(problems, C, eps):
         Kbuf[s, :n, :n] = make_K()
         Kbuf[s, :n, n:] = 0.0
         Kbuf[s, n:] = 0.0
-        diag[s] = np.diagonal(Kbuf[s])
         y[s, :n], y[s, n:] = target, 0.0
         Kb[s] = beta[s] = 0.0
         off_lo[s, :n], off_lo[s, n:] = off0[0], -np.inf
@@ -311,22 +295,20 @@ def _lockstep_rounds(problems, C, eps):
         size[s], owner[s] = n, p
 
     def move(src: int, dst: int) -> None:
-        for a in (Kbuf, y, Kb, beta, off_lo, off_hi, diag, steps):
+        for a in (Kbuf, y, Kb, beta, off_lo, off_hi, steps):
             a[dst] = a[src]
         size[dst], owner[dst] = size[src], owner[src]
 
-    for s, p in zip(range(S), queue):
-        fill(s, p)
+    for s in range(S):
+        fill(s, s)
     m = S  # slots [0, m) hold a problem each
-    drained = False
+    waiting = len(problems) - S  # the last `waiting` problems have no slot yet
     # Flat views: entry i of slot s, and row i of its kernel, are at s * W + i.
-    beta_f, Kb_f, y_f, diag_f, off_lo_f, off_hi_f = (
-        a.reshape(-1) for a in (beta, Kb, y, diag, off_lo, off_hi)
-    )
+    beta_f, Kb_f, y_f, off_lo_f, off_hi_f = (a.reshape(-1) for a in (beta, Kb, y, off_lo, off_hi))
     K_rows = Kbuf.reshape(S * W, W)
     lo_v, hi_v = lo.reshape(-1), hi.reshape(-1)
     base = np.arange(S) * W
-    while True:
+    while waiting or m > _SVR_TAIL:
         np.subtract(y[:m], Kb[:m], out=G[:m])
         np.add(G[:m], off_lo[:m], out=lo[:m])
         np.add(G[:m], off_hi[:m], out=hi[:m])
@@ -343,9 +325,12 @@ def _lockstep_rounds(problems, C, eps):
         ]
 
         # A step on every live slot; the slots that finished this round are
-        # refilled or dropped below, so their step is never read.
-        K_i = K_rows[fi]
-        eta = diag_f[fi] + diag_f[fj] - 2.0 * K_i.reshape(-1)[fj]
+        # refilled or dropped below, so their step is never read. Gathered
+        # row r starts at r * W, as slot r does, so the flat index of an
+        # entry in the slots also finds it in the gathered rows: the
+        # diagonal entries of eta come from them.
+        K_i, K_j = K_rows[fi], K_rows[fj]
+        eta = K_i.reshape(-1)[fi] + K_j.reshape(-1)[fj] - 2.0 * K_i.reshape(-1)[fj]
         beta_i, beta_j = beta_f[fi], beta_f[fj]
         d = _pair_steps(beta_i, beta_j, Kb_f[fi] - y_f[fi], Kb_f[fj] - y_f[fj],
                         np.where(0.0 > eta, 0.0, eta), eps, C)
@@ -359,7 +344,7 @@ def _lockstep_rounds(problems, C, eps):
             beta_f[f] = b[part]
             off_lo_f[f] = new_lo[part]
             off_hi_f[f] = new_hi[part]
-        K_i -= K_rows[fj]
+        K_i -= K_j
         K_i *= d[:, None]
         Kb[:m] += K_i
         steps[:m] += 1
@@ -368,21 +353,22 @@ def _lockstep_rounds(problems, C, eps):
         for s in np.flatnonzero(finished)[::-1].tolist():
             if not converged[s]:
                 done.append((owner[s], _exceeded() if out_of_steps[s] else _stalled()))
-            p = next(queue, None)
-            if p is None:
-                drained = True
+            if waiting:
+                fill(s, len(problems) - waiting)
+                waiting -= 1
+            else:
                 m -= 1
                 move(m, s)
-            else:
-                fill(s, p)
         yield from done
-        if drained and m <= _SVR_TAIL:
-            return [
-                (owner[s], Kbuf[s, : size[s], : size[s]],
-                 (beta[s, : size[s]].tolist(), Kb[s, : size[s]].copy(),
-                  off_lo[s, : size[s]].copy(), off_hi[s, : size[s]].copy(), int(steps[s])))
-                for s in range(m)
-            ]
+    for s in range(m):
+        n = size[s]
+        state = (beta[s, :n].tolist(), Kb[s, :n].copy(), off_lo[s, :n].copy(),
+                 off_hi[s, :n].copy(), int(steps[s]))
+        try:
+            outcome = solve_svr_dual(Kbuf[s, :n, :n], y[s, :n], C, eps, start=state)
+        except NonConvergence as err:
+            outcome = err
+        yield owner[s], outcome
 
 
 def fit_svr(

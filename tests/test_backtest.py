@@ -370,6 +370,30 @@ class TestMonthPool:
         assert logs[0].count("\n") > 4 * 36
         assert logs[1] == logs[0] and logs[2] == logs[0] and logs[3] == logs[0]
 
+    def test_a_one_month_window_falls_back_in_every_cell(self, monkeypatch, level0_run):
+        # One sample per window fails every stack's input checks, so each
+        # chunk hands solve_svr_duals an empty batch.
+        _, _, log0 = level0_run
+        cfg = dataclasses.replace(CFG, level1_sliding=1)
+        solve, batches = stacking.solve_svr_duals, []
+
+        def recording(problems, C, eps):
+            batches.append(len(problems))
+            return solve(problems, C, eps)
+
+        monkeypatch.setattr(stacking, "solve_svr_duals", recording)
+        logs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(backtest, "_usable_cpus", lambda: cpus)
+            logs.append(run_level1_backtest(log0, cfg, vaccine="V"))
+        assert batches and not any(batches)
+        assert write_log_csv(logs[1]) == write_log_csv(logs[0])
+        assert len(logs[0].entries) == 4 * 36
+        for e in logs[0].entries:
+            assert e.diagnostic.startswith("fallback=naive (TooFewSamples: need at least ")
+            assert e.diagnostic.endswith(" stack samples, got 1)")
+            assert e.predicted == log0.prediction(NAIVE, e.month, "V")
+
     @pytest.mark.parametrize("cpus, n_tasks", [(1, 5), (2, 1), (2, 5), (8, 3)])
     def test_pool_size(self, monkeypatch, cpus, n_tasks):
         sizes = []

@@ -1,4 +1,10 @@
+import functools
+import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -308,8 +314,10 @@ class TestFinitePredictions:
 
 
 def scipy_minimize(fun, x0, lower, upper):
-    """The reference: scipy's bounded Nelder-Mead under the same options."""
-    with np.errstate(all="ignore"):
+    """The reference: scipy's bounded Nelder-Mead under the same options, with
+    its ``np.argsort`` calls made stable, the tie rule of `clinical.minimize`."""
+    stable = functools.partial(np.argsort, kind="stable")
+    with np.errstate(all="ignore"), mock.patch.object(np, "argsort", stable):
         return scipy.optimize.minimize(
             fun, x0, method="Nelder-Mead", bounds=scipy.optimize.Bounds(lower, upper),
             options=clinical._NM_OPTIONS,
@@ -368,6 +376,11 @@ def nm_problems(draw):
     return fun, x0, [lo for lo, _ in boxes], [hi for _, hi in boxes]
 
 
+# x86 features within numpy's build baseline: with NPY_ENABLE_CPU_FEATURES set
+# to these, numpy enables none of its dispatched SIMD loops.
+BASELINE_FEATURES = "SSE SSE2 SSE3"
+
+
 class TestMinimize:
     """The in-package Nelder-Mead against scipy's, bit for bit."""
 
@@ -411,6 +424,31 @@ class TestMinimize:
             "Maximum number of function evaluations has been exceeded.",
             "Maximum number of iterations has been exceeded.",
         }
+
+    @pytest.mark.skipif(
+        not all(np._core._multiarray_umath.__cpu_features__.get(name)
+                for name in BASELINE_FEATURES.split()),
+        reason=f"{BASELINE_FEATURES} are not CPU features here",
+    )
+    def test_ties_do_not_depend_on_the_simd_dispatch(self):
+        # The objective is 0 or 1, so vertices tie at every sort and the
+        # result rests on their order. numpy's unstable argsort orders ties
+        # differently with its dispatched loops and with the baseline ones.
+        code = (
+            "import json; from uptakecast import clinical; "
+            "r = clinical.minimize(lambda x: float(max(x[1], x[2]) <= 0.1), "
+            "(0.5, 0.1, 0.1), (0.0,) * 3, (1.0,) * 3); "
+            "print(json.dumps([r.x.tolist(), r.nfev]))"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "NPY_ENABLE_CPU_FEATURES": BASELINE_FEATURES}
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                timeout=120, env=env)
+        assert result.returncode == 0, result.stderr
+        got = clinical.minimize(lambda x: float(max(x[1], x[2]) <= 0.1),
+                                (0.5, 0.1, 0.1), (0.0,) * 3, (1.0,) * 3)
+        assert json.loads(result.stdout) == [got.x.tolist(), got.nfev]
 
     def test_holt_winters_and_arima_fits_match_scipy(self, monkeypatch):
         ours, compared = clinical.minimize, []

@@ -263,7 +263,7 @@ class TestSvrSolver:
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        count=st.integers(1, 12),
+        count=st.integers(0, 12),
         C=st.sampled_from([1e-3, 0.5, 1.0, 2.5]),
         eps=st.sampled_from([0.0, 0.1, 0.5, 50.0]),
         slots=st.integers(1, 5),
@@ -278,6 +278,7 @@ class TestSvrSolver:
         # targets and constant ones; C = 1e-3 ends every coefficient at a bound and
         # eps = 50 passes the first check. Fewer slots than problems make
         # slots refill, and a tail hands problems to solve_svr_dual mid-solve.
+        # An empty batch yields nothing.
         # A small step limit stops some problems while others finish, and a
         # negative KKT tolerance drives problems into the stalled step.
         rng = np.random.default_rng(seed)
