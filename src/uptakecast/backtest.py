@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
@@ -57,8 +58,16 @@ class BacktestConfig:
     def __post_init__(self):
         # Reject here every value a fit would reject mid-sweep, where the
         # error would abort the run for every vaccine. `bagging_subsets` and
-        # `level1_sliding` may be None. An infinite setting passes the range
-        # checks below (`not inf > 0` is False), so finiteness comes first.
+        # `level1_sliding` may be None. A count is what `operator.index`
+        # takes. An infinite setting passes the range checks below
+        # (`not inf > 0` is False), so finiteness comes first.
+        for name in ("level0_warmup_months", "level1_warmup_months", "ar_lags", "hw_season_length",
+                     "bagging_subset_size", "bagging_subsets", "seed", "level1_sliding"):
+            value = getattr(self, name)
+            try:
+                operator.index(0 if value is None else value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
         for name in ("wm_eta", "wm_epsilon", "svr_cost", "svr_tube_eps", "svr_gamma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -86,7 +95,10 @@ class BacktestConfig:
                 f"({2 * self.hw_season_length}), got {self.level0_warmup_months}"
             )
         if self.arima_orders != "auto":
-            p, d, q = self.arima_orders
+            try:
+                p, d, q = map(operator.index, self.arima_orders)
+            except (TypeError, ValueError):
+                raise ValueError('arima_orders must be "auto" or three integers') from None
             if min(p, d, q) < 0:
                 raise ValueError("arima orders must be >= 0")
 
@@ -396,15 +408,15 @@ def run_level0_backtest(
 def level0_streams(
     log: PredictionLog, vaccine: str, cfg: BacktestConfig
 ) -> tuple[tuple[MonthStamp, ...], dict[str, np.ndarray], np.ndarray]:
-    """The inputs of level 1: the level-0 months, each method's predictions
-    over them and the observed values the log holds for them."""
+    """The inputs of level 1: the level-0 months in time order, each method's
+    predictions over them and the observed values the log holds for them."""
     naive = log.cells.get((vaccine, NAIVE), {})
-    months = tuple(naive)
+    months = tuple(sorted(naive))
     streams = {
         m: np.array([log.prediction(m, t, vaccine) for t in months])
         for m in (NAIVE,) + cfg.clinical_methods() + WEB_METHODS
     }
-    return months, streams, np.array([e.actual for e in naive.values()])
+    return months, streams, np.array([naive[t].actual for t in months])
 
 
 def level1_window_start(idx: int, cfg: BacktestConfig) -> int:
@@ -414,18 +426,18 @@ def level1_window_start(idx: int, cfg: BacktestConfig) -> int:
     return 0 if cfg.level1_sliding is None else max(0, idx - cfg.level1_sliding)
 
 
-_SVR_KERNELS = {"SVR-linear": "linear", "SVR-gaussian": "gaussian"}
+_SVR_KERNELS = {"SVR-linear": "linear", "SVR-gaussian": "gaussian"}  # in META_MODELS order
 
 
 def _ols_forecast(X: np.ndarray, y: np.ndarray, e_c: float, e_w: float) -> float:
     return stacking.predict_stack_ols(stacking.fit_stack_ols(X, y), e_c, e_w)
 
 
-def _svr_forecast(outcome, e_c: float, e_w: float) -> float:
-    """The forecast of a fitted SVR; a fit that failed raises its error."""
-    if isinstance(outcome, Exception):
-        raise outcome
-    return stacking.predict_svr(outcome, e_c, e_w)
+def _svr_forecast(forecasts: Sequence, q: int) -> float:
+    """SVR fit ``q``'s entry of ``forecasts``: its forecast, or its error raised."""
+    if isinstance(forecasts[q], Exception):
+        raise forecasts[q]
+    return forecasts[q]
 
 
 def level1_chunk(
@@ -443,53 +455,47 @@ def level1_chunk(
     level-0 predictions. A cell is method->prediction and method->note for
     each model that fell back to month ``idx``'s naive prediction.
 
-    The months are fitted in order, each in method order, as in a serial
-    run, except that an SVR fit only checks its inputs and queues its
-    design; `stacking.fit_svrs` fits the queued designs of all the months
-    together. An error that is not a model failure (non-finite stack
-    inputs) takes the place of its month's cell and ends the list, so that
-    a caller with several chunks can raise the error of the earliest month.
+    `stacking.fit_svrs` fits the SVR designs of all the months together;
+    then each month's cell is settled once, in method order, as in a serial
+    run. An error that is not a model failure (non-finite stack inputs)
+    takes the place of its month's cell and ends the list, so that a caller
+    with several chunks can raise the error of the earliest month.
     """
-    C, eps, gamma = cfg.svr_cost, cfg.svr_tube_eps, cfg.svr_gamma
-    cells: list = []
-    designs: list = []  # (X, y, kernel) per queued SVR fit
-    queued: list = []  # (cell, method, e_c, e_w, naive) per queued SVR fit
-
-    def enqueue(entry: tuple, X: np.ndarray, y: np.ndarray, kernel: str) -> float:
-        designs.append((*stacking._svr_inputs(X, y, kernel, C, eps, gamma), kernel))
-        queued.append(entry)
-        return 0.0  # a finite placeholder until the fit
-
-    for cell, idx in enumerate(indices):
+    months: list = []  # (fits, naive) per month
+    designs: list = []  # (X, y, kernel) per SVR fit
+    forecasts: list = []  # per SVR fit: (e_c, e_w), then its forecast or the error of its fit
+    for idx in indices:
         lo = level1_window_start(idx, cfg)
         y = actuals[lo:idx]
         target_preds = {m: float(s[idx]) for m, s in streams.items()}
-        naive = target_preds[NAIVE]
         fits = {}
         for clin in cfg.clinical_methods():
             for wm in WEB_METHODS:
                 X = np.column_stack([streams[clin][lo:idx], streams[wm][lo:idx]])
                 e_c, e_w = target_preds[clin], target_preds[wm]
-                for meta in META_MODELS:
-                    method = f"{meta}:{clin}+{wm}"
-                    if meta == "OLS":
-                        fits[method] = functools.partial(_ols_forecast, X, y, e_c, e_w)
-                    else:
-                        entry = (cell, method, e_c, e_w, naive)
-                        fits[method] = functools.partial(enqueue, entry, X, y, _SVR_KERNELS[meta])
+                fits[f"OLS:{clin}+{wm}"] = functools.partial(_ols_forecast, X, y, e_c, e_w)
+                for meta, kernel in _SVR_KERNELS.items():
+                    fits[f"{meta}:{clin}+{wm}"] = functools.partial(_svr_forecast, forecasts,
+                                                                     len(designs))
+                    designs.append((X, y, kernel))
+                    forecasts.append((e_c, e_w))
+        months.append((fits, target_preds[NAIVE]))
+
+    for q, outcome in stacking.fit_svrs(designs, cfg.svr_cost, cfg.svr_tube_eps, cfg.svr_gamma):
+        if not isinstance(outcome, Exception):
+            try:
+                outcome = stacking.predict_svr(outcome, *forecasts[q])
+            except Exception as err:
+                outcome = err
+        forecasts[q] = outcome
+
+    cells: list = []
+    for fits, naive in months:
         try:
             cells.append(_fit_each(fits, naive))
         except Exception as err:
             cells.append(err)
-            return cells
-
-    for q, outcome in stacking.fit_svrs(designs, C, eps, gamma):
-        cell, method, e_c, e_w, naive = queued[q]
-        value, note = _fit_each({method: functools.partial(_svr_forecast, outcome, e_c, e_w)},
-                                naive)
-        values, notes = cells[cell]
-        values[method] = value[method]
-        notes.update(note)
+            break
     return cells
 
 

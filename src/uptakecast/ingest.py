@@ -17,7 +17,7 @@ import io
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -285,11 +285,3 @@ def emit_report(reports: Sequence[BacktestReport], format: str = "markdown") -> 
         lines.append(f"ERROR {rep.vaccine}: {rep.error}")
     return "\n".join(lines) + "\n"
 
-
-def published_query_table() -> Mapping[str, tuple[str, ...]]:
-    """The published query list as shipped package data: group -> terms."""
-    path = Path(__file__).parent / "data" / "published_queries.csv"
-    out: dict[str, list[str]] = {}
-    for _, (group, term) in _read_rows(path, ("vaccine_group", "term")):
-        out.setdefault(group, []).append(term)
-    return {g: tuple(terms) for g, terms in out.items()}

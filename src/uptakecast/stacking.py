@@ -385,9 +385,8 @@ def fit_svr(
     Defaults follow conventional library settings: C = 1, tube eps = 0.1,
     gamma = 1 / (2 * n_features) for the Gaussian kernel.
     """
-    X, y = _svr_inputs(X, y, kernel, C, eps, gamma)
     [(_, model)] = fit_svrs([(X, y, kernel)], C, eps, gamma)
-    if isinstance(model, NonConvergence):
+    if isinstance(model, Exception):
         raise model
     return model
 
@@ -408,28 +407,37 @@ def _svr_inputs(X, y, kernel: str, C: float, eps: float, gamma: float | None):
 
 def fit_svrs(
     designs: Sequence[tuple[np.ndarray, np.ndarray, str]], C: float, eps: float, gamma: float | None
-) -> Iterator[tuple[int, SvrStackModel | NonConvergence]]:
-    """`fit_svr` for many designs, bit for bit.
+) -> Iterator[tuple[int, SvrStackModel | Exception]]:
+    """`fit_svr` for many designs ``(X, y, kernel)``, bit for bit.
 
-    A design is ``(X, y, kernel)`` as `_svr_inputs` returned it. Yields each
-    design's index and its model, or the ``NonConvergence`` of its dual, as
-    it finishes (`solve_svr_duals`). A design's standardization and kernel
-    are built when a solver slot takes it; consecutive designs over the same
-    ``X`` object (the kernels of one stream pair) share one standardization.
+    Yields each design's index and its model, or the error `fit_svr` raises
+    for it, as it finishes: a design that fails `_svr_inputs` at once, the
+    others with the ``NonConvergence`` of their dual as `solve_svr_duals`
+    finishes them. A design's standardization and kernel are built when a
+    solver slot takes it; consecutive designs over the same ``X`` object (the
+    kernels of one stream pair) share one standardization.
     """
     last: list = [None, None]  # the last X standardized, and its standardization
     standardized: dict = {}  # design index -> its standardization, until it finishes
 
-    def kernel_matrix(q: int) -> np.ndarray:
-        X, _, kernel = designs[q]
+    def kernel_matrix(q: int, X: np.ndarray) -> np.ndarray:
         if last[0] is not X:
             last[:] = X, _standardize(X)
         standardized[q] = last[1]
         Z = last[1][0]
-        return _kernel(Z, Z, kernel, gamma)
+        return _kernel(Z, Z, designs[q][2], gamma)
 
-    problems = [(functools.partial(kernel_matrix, q), y) for q, (_, y, _) in enumerate(designs)]
-    for q, outcome in solve_svr_duals(problems, C, eps):
+    owners, problems = [], []
+    for q, (X, y, kernel) in enumerate(designs):
+        try:
+            X, y = _svr_inputs(X, y, kernel, C, eps, gamma)
+        except (TooFewSamples, ValueError) as err:
+            yield q, err
+        else:
+            owners.append(q)
+            problems.append((functools.partial(kernel_matrix, q, X), y))
+    for p, outcome in solve_svr_duals(problems, C, eps):
+        q = owners[p]
         Z, means, scales = standardized.pop(q)
         if not isinstance(outcome, NonConvergence):
             kernel, (beta, bias) = designs[q][2], outcome

@@ -93,6 +93,24 @@ class TestConfig:
         with pytest.raises(ValueError):
             BacktestConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("ar_lags", 12.0),
+            ("seed", 1.5),
+            ("level0_warmup_months", 24.0),
+            ("level1_sliding", 6.0),
+            ("bagging_subsets", "3"),
+            ("arima_orders", (1.0, 1, 1)),
+            ("arima_orders", "aut"),
+            ("arima_orders", (1, 1)),
+        ],
+    )
+    def test_counts_must_be_integers(self, field, value):
+        # Accepted, each would abort every vaccine of a run with a TypeError.
+        with pytest.raises(ValueError, match="integer"):
+            BacktestConfig(**{field: value})
+
     def test_method_order_counts(self):
         cfg = BacktestConfig()
         order = cfg.method_order()
@@ -278,6 +296,30 @@ class TestLevel1:
         with pytest.raises(KeyError) as info:
             run_level1_backtest(log0, cfg, vaccine="V")
         assert info.value.args[0] == ("B", months[-1], "V")
+
+    def test_a_log_out_of_month_order_gives_the_same_level1_log(self, level0_run):
+        # Level 1 trains on the months before each target in time order, not
+        # in the order the log holds them.
+        _, _, log0 = level0_run
+        in_order = write_log_csv(run_level1_backtest(log0, CFG, vaccine="V"))
+        reversed_log = PredictionLog(log0.entries[::-1])
+        assert write_log_csv(run_level1_backtest(reversed_log, CFG, vaccine="V")) == in_order
+
+    def test_a_chunk_settles_every_cell_before_its_error(self, level0_run):
+        # A NaN HW prediction in month 14 is month 15's training sample, which
+        # no stack accepts, so month 15's error ends the chunk. The cells
+        # before it are the cells each month gets alone, SVR fits included.
+        _, _, log0 = level0_run
+        _, streams, actuals = backtest.level0_streams(log0, "V", CFG)
+        streams = dict(streams, HW=streams["HW"].copy())
+        streams["HW"][14] = np.nan
+        cells = backtest.level1_chunk(streams, actuals, [12, 13, 14, 15], CFG)
+        assert len(cells) == 4
+        assert isinstance(cells[3], ValueError)
+        assert str(cells[3]) == "stack sample values must be finite"
+        for idx, cell in zip([12, 13, 14], cells):
+            assert cell == backtest.level1_step(streams, actuals, idx, CFG)
+        assert "SVR-linear:HW+WM" not in cells[0][1]  # fitted, not a fallback
 
     def test_insufficient_history(self):
         cfg = BacktestConfig()

@@ -21,7 +21,6 @@ from uptakecast.ingest import (
     load_cohorts,
     load_registry,
     load_trends,
-    published_query_table,
 )
 from uptakecast.timeseries import MonthStamp
 
@@ -247,12 +246,3 @@ class TestEmitReport:
         assert rows[("HPV-9", "ERROR")] == ["InsufficientHistory: need 25 months", "", ""]
         assert [m for v, m in rows if v == "MMR-1"] == list(tiny_report().rmse)
 
-
-class TestPublishedQueryTable:
-    def test_shipped_table(self):
-        table = published_query_table()
-        assert set(table) == {"MMR", "DiTeKiPol", "PCV", "HPV"}
-        assert len(table["MMR"]) == 21
-        assert "kighoste" in table["DiTeKiPol"]
-        union = set().union(*table.values())
-        assert len(union) == 57  # as printed in the published table

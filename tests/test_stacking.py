@@ -485,7 +485,8 @@ class TestFitSvr:
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        groups=st.lists(st.sampled_from(["one", "shared", "copied"]), min_size=1, max_size=8),
+        groups=st.lists(st.sampled_from(["one", "shared", "copied", "short", "non-finite"]),
+                        min_size=1, max_size=8),
         slots=st.integers(1, 4),
         tail=st.integers(0, 2),
         max_steps=st.sampled_from([3, 40, stacking._SVR_MAX_STEPS]),
@@ -497,8 +498,9 @@ class TestFitSvr:
         # object, or two over equal-valued but distinct copies. n is drawn
         # from a narrow range, so consecutive groups often share n with other
         # values: a standardization shared by anything but X's identity shows.
-        # Few slots refill and hand problems to a tail; a small step limit
-        # stops some designs while others (constant targets) finish.
+        # A short (one sample) or non-finite design fails its checks between
+        # the others. Few slots refill and hand problems to a tail; a small
+        # step limit stops some designs while others (constant targets) finish.
         rng = np.random.default_rng(seed)
         C, eps, gamma = 1.0, 0.1, 0.25
         designs = []
@@ -509,7 +511,12 @@ class TestFitSvr:
             if rng.random() < 0.3:
                 y = np.full(n, y[0])
             kernel = str(rng.choice(["linear", "gaussian"]))
-            if group == "one":
+            if group == "short":
+                designs.append((X[:1], y[:1], kernel))
+            elif group == "non-finite":
+                (X if rng.random() < 0.5 else y)[-1:] = rng.choice([np.nan, np.inf, -np.inf])
+                designs.append((X, y, kernel))
+            elif group == "one":
                 designs.append((X, y, kernel))
             else:
                 X2 = X if group == "shared" else X.copy()
@@ -518,7 +525,7 @@ class TestFitSvr:
         def fit_alone(X, y, kernel):
             try:
                 return fit_svr(X, y, kernel=kernel, C=C, eps=eps, gamma=gamma)
-            except NonConvergence as err:
+            except (NonConvergence, TooFewSamples, ValueError) as err:
                 return err
 
         with pytest.MonkeyPatch.context() as mp:
@@ -530,8 +537,8 @@ class TestFitSvr:
         assert sorted(q for q, _ in got) == list(range(len(designs)))
         for q, model in got:
             ref = alone[q]
-            if isinstance(ref, NonConvergence):
-                assert isinstance(model, NonConvergence) and str(model) == str(ref)
+            if isinstance(ref, Exception):
+                assert type(model) is type(ref) and str(model) == str(ref)
                 continue
             assert isinstance(model, SvrStackModel)
             assert (model.kernel, model.gamma, model.cost, model.tube_eps) == (
