@@ -59,8 +59,9 @@ class BacktestConfig:
         # Reject here every value a fit would reject mid-sweep, where the
         # error would abort the run for every vaccine. `bagging_subsets` and
         # `level1_sliding` may be None. A count is what `operator.index`
-        # takes. An infinite setting passes the range checks below
-        # (`not inf > 0` is False), so finiteness comes first.
+        # takes, a float setting what `math.isfinite` takes. An infinite
+        # setting passes the range checks below (`not inf > 0` is False), so
+        # finiteness comes first.
         for name in ("level0_warmup_months", "level1_warmup_months", "ar_lags", "hw_season_length",
                      "bagging_subset_size", "bagging_subsets", "seed", "level1_sliding"):
             value = getattr(self, name)
@@ -69,8 +70,14 @@ class BacktestConfig:
             except TypeError:
                 raise ValueError(f"{name} must be an integer") from None
         for name in ("wm_eta", "wm_epsilon", "svr_cost", "svr_tube_eps", "svr_gamma"):
-            if not math.isfinite(getattr(self, name)):
+            try:
+                finite = math.isfinite(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be a real number") from None
+            if not finite:
                 raise ValueError(f"{name} must be finite")
+        if not (self.end_month is None or isinstance(self.end_month, MonthStamp)):
+            raise ValueError("end_month must be a MonthStamp or None")
         for name in (
             "level1_warmup_months",
             "ar_lags",
@@ -232,15 +239,16 @@ def _usable_cpus() -> int:
 
 def _map_months(fn: Callable, tasks: Sequence[tuple]) -> list:
     """``[fn(*task) for task in tasks]``: one task per month (level 0) or per
-    chunk of months (level 1), in order.
+    run of consecutive months (level 1), in month order.
 
     The tasks run in forked worker processes, one per usable CPU and at most
     one per task; in-process when that is one worker or the platform cannot
     fork. Forked workers inherit the loaded numpy/BLAS build, its settings and
     the warning filters, so every fit does the same arithmetic as in-process.
     The last task is submitted first: at level 0 it is the longest month, so
-    it does not run alone at the end. An error is raised for the first failing
-    task, as in a serial run, and no worker outlives the call.
+    it does not run alone at the end. The error of the first failing task is
+    raised, which with the tasks in month order is a serial run's error, and
+    no worker outlives the call.
     """
     workers = min(_usable_cpus(), len(tasks))
     if workers <= 1 or not hasattr(os, "fork"):
@@ -457,9 +465,7 @@ def level1_chunk(
 
     `stacking.fit_svrs` fits the SVR designs of all the months together;
     then each month's cell is settled once, in method order, as in a serial
-    run. An error that is not a model failure (non-finite stack inputs)
-    takes the place of its month's cell and ends the list, so that a caller
-    with several chunks can raise the error of the earliest month.
+    run.
     """
     months: list = []  # (fits, naive) per month
     designs: list = []  # (X, y, kernel) per SVR fit
@@ -489,14 +495,7 @@ def level1_chunk(
                 outcome = err
         forecasts[q] = outcome
 
-    cells: list = []
-    for fits, naive in months:
-        try:
-            cells.append(_fit_each(fits, naive))
-        except Exception as err:
-            cells.append(err)
-            break
-    return cells
+    return [_fit_each(fits, naive) for fits, naive in months]
 
 
 def level1_step(
@@ -510,10 +509,7 @@ def level1_step(
     warm = cfg.level1_warmup_months
     if idx < warm:
         raise InsufficientHistory(f"level-0 log covers {idx} months, need {warm}")
-    [cell] = level1_chunk(streams, actuals, [idx], cfg)
-    if isinstance(cell, Exception):
-        raise cell
-    return cell
+    return level1_chunk(streams, actuals, [idx], cfg)[0]
 
 
 def run_level1_backtest(
@@ -524,8 +520,9 @@ def run_level1_backtest(
     Training uses the level-0 one-step predictions themselves over a growing
     window (or a fixed sliding window when configured), against the actual
     values the level-0 log records; everything refits at every month. The
-    months are fitted in parallel (`_map_months`), one chunk per worker:
-    with w chunks, month k after the warm-up goes to chunk k mod w.
+    months are fitted in parallel (`_map_months`), one chunk per worker: a
+    run of consecutive months, the runs balanced by their summed window
+    lengths, so the first failing run raises the serial error.
     """
     months, streams, actuals = level0_streams(level0_log, vaccine, cfg)
     warm = cfg.level1_warmup_months
@@ -536,15 +533,14 @@ def run_level1_backtest(
 
     targets = range(warm, len(months))
     w = min(_usable_cpus(), len(targets))
-    chunks = _map_months(level1_chunk, [(streams, actuals, targets[c::w], cfg) for c in range(w)])
+    # Cut where the summed window lengths pass each w-th of their total; a
+    # window longer than a w-th leaves an empty run, which is dropped.
+    load = np.cumsum([idx - level1_window_start(idx, cfg) for idx in targets])
+    ends = np.searchsorted(load, load[-1] * np.arange(1, w + 1) / w, side="right").tolist()
+    runs = [targets[a:b] for a, b in zip([0] + ends, ends) if a < b]
+    chunks = _map_months(level1_chunk, [(streams, actuals, run, cfg) for run in runs])
     entries: list[LogEntry] = []
-    for k, idx in enumerate(targets):
-        # A chunk ends at its first failing month, and every month before
-        # that one, in any chunk, comes first here.
-        cell = chunks[k % w][k // w]
-        if isinstance(cell, Exception):
-            raise cell
-        values, notes = cell
+    for idx, (values, notes) in zip(targets, [cell for chunk in chunks for cell in chunk]):
         entries += _log_cells(vaccine, months[idx], values, notes, float(actuals[idx]),
                               months[level1_window_start(idx, cfg)], months[idx - 1])
     return PredictionLog(tuple(entries))

@@ -70,7 +70,7 @@ def _load_experiment(config_path: str, vaccine_filter: list[str] | None, seed_fl
     parser = configparser.ConfigParser()
     parser.optionxform = str  # vaccine ids are case-sensitive
     try:
-        read = parser.read(config_path, encoding="utf-8")
+        read = parser.read(config_path, encoding="utf-8-sig")
         if not read:
             raise UptakecastError(f"config file not found: {config_path}")
         for section in ("data", "vaccines"):

@@ -49,7 +49,7 @@ class CohortRecord:
 
 def _read_rows(path: str | Path, expected_header: Sequence[str]) -> Iterable[tuple[int, list]]:
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

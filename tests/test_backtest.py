@@ -87,6 +87,9 @@ class TestConfig:
             ("svr_tube_eps", float("inf")),
             ("svr_cost", float("nan")),
             ("svr_tube_eps", float("nan")),
+            # Accepted, each would abort every vaccine of a run with a TypeError.
+            ("end_month", "2013-06"),
+            ("svr_cost", "1"),
         ],
     )
     def test_field_guard(self, field, value):
@@ -307,18 +310,17 @@ class TestLevel1:
 
     def test_a_chunk_settles_every_cell_before_its_error(self, level0_run):
         # A NaN HW prediction in month 14 is month 15's training sample, which
-        # no stack accepts, so month 15's error ends the chunk. The cells
-        # before it are the cells each month gets alone, SVR fits included.
+        # no stack accepts, so a chunk that holds month 15 raises its error.
+        # Without it, the cells are the cells each month gets alone, SVR fits
+        # included.
         _, _, log0 = level0_run
         _, streams, actuals = backtest.level0_streams(log0, "V", CFG)
         streams = dict(streams, HW=streams["HW"].copy())
         streams["HW"][14] = np.nan
-        cells = backtest.level1_chunk(streams, actuals, [12, 13, 14, 15], CFG)
-        assert len(cells) == 4
-        assert isinstance(cells[3], ValueError)
-        assert str(cells[3]) == "stack sample values must be finite"
-        for idx, cell in zip([12, 13, 14], cells):
-            assert cell == backtest.level1_step(streams, actuals, idx, CFG)
+        with pytest.raises(ValueError, match="^stack sample values must be finite$"):
+            backtest.level1_chunk(streams, actuals, [12, 13, 14, 15], CFG)
+        cells = backtest.level1_chunk(streams, actuals, [12, 13, 14], CFG)
+        assert cells == [backtest.level1_step(streams, actuals, idx, CFG) for idx in [12, 13, 14]]
         assert "SVR-linear:HW+WM" not in cells[0][1]  # fitted, not a fallback
 
     def test_insufficient_history(self):
@@ -368,24 +370,59 @@ class TestMonthPool:
         assert errors[0] == errors[1] == "stack sample values must be finite"
 
     def test_the_earliest_failing_month_over_the_chunks_is_raised(self, monkeypatch):
-        # With two chunks, month 13 (window of 13) falls in chunk 1 and month
-        # 14 in chunk 0, which its worker reaches first. A serial run raises
-        # month 13's error, and so must the pooled one.
+        # Level 1 has months 12..19, a window of idx months each. On 2 CPUs
+        # the runs are 12-15 and 16-19; on 3, 12-14, 15-16 and 17-19. The
+        # two failing months end one run and start the next, so the later
+        # run's worker reaches its failure first. A serial run raises the
+        # earlier month's error, and so must the pooled one.
         months = tuple(MonthStamp(2013, 1).plus(k) for k in range(20))
         log0 = fabricate_level0_log(BacktestConfig(), months)
-        fit = stacking.fit_stack_ols
+        fit, map_months = stacking.fit_stack_ols, backtest._map_months
+        failing, runs = (), []
 
         def failing_fit(X, y):
-            if len(y) in (13, 14):
+            if len(y) in failing:
                 raise ValueError(f"window of {len(y)}")
             return fit(X, y)
 
+        def recording(fn, tasks):
+            runs.append([list(task[2]) for task in tasks])
+            return map_months(fn, tasks)
+
         monkeypatch.setattr(stacking, "fit_stack_ols", failing_fit)
-        for cpus in (1, 2, 3):
+        monkeypatch.setattr(backtest, "_map_months", recording)
+        split = {1: [12, 20], 2: [12, 16, 20], 3: [12, 15, 17, 20]}
+        for cpus, failing in ((1, (15, 16)), (2, (15, 16)), (3, (14, 15))):
             monkeypatch.setattr(backtest, "_usable_cpus", lambda: cpus)
-            with pytest.raises(ValueError, match="^window of 13$"):
+            with pytest.raises(ValueError, match=f"^window of {failing[0]}$"):
                 run_level1_backtest(log0, BacktestConfig(), vaccine="V")
+            bounds = split[cpus]
+            assert runs.pop() == [list(range(a, b)) for a, b in zip(bounds, bounds[1:])]
             assert multiprocessing.active_children() == []
+
+    def test_runs_cover_the_months_in_order(self, monkeypatch, level0_run):
+        # With a one-month warm-up, level 1 has months 1..15 and windows of
+        # 1..15 months. On 15 CPUs the windows of 9 months and more each
+        # outweigh a fifteenth of the total (8), so three pairs of cuts
+        # coincide and their three empty runs are dropped.
+        _, _, log0 = level0_run
+        cfg = dataclasses.replace(CFG, level1_warmup_months=1)
+        runs = []
+
+        def in_process(fn, tasks):
+            runs.append([list(task[2]) for task in tasks])
+            return [fn(*task) for task in tasks]
+
+        monkeypatch.setattr(backtest, "_map_months", in_process)
+        logs = []
+        for cpus in (1, 2, 3, 15):
+            monkeypatch.setattr(backtest, "_usable_cpus", lambda: cpus)
+            logs.append(write_log_csv(run_level1_backtest(log0, cfg, vaccine="V")))
+        assert [len(r) for r in runs] == [1, 2, 3, 12]
+        for chunks in runs:
+            assert all(chunks)
+            assert [idx for run in chunks for idx in run] == list(range(1, 16))
+        assert logs[1] == logs[0] and logs[2] == logs[0] and logs[3] == logs[0]
 
     @pytest.mark.parametrize("sliding", [None, 6])
     def test_chunks_equal_one_month_at_a_time(self, monkeypatch, level0_run, sliding):

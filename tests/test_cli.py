@@ -89,6 +89,22 @@ class TestValidate:
     def test_config_flag_required(self, capsys):
         assert main(["validate"]) == 1
 
+    def test_byte_order_marks_are_allowed(self, experiment, tmp_path):
+        # Excel's "CSV UTF-8" starts a file with a UTF-8 byte-order mark.
+        for path in experiment.iterdir():
+            text = path.read_text(encoding="utf-8").replace(str(experiment), str(tmp_path))
+            (tmp_path / path.name).write_text("\ufeff" + text, encoding="utf-8")
+
+        def loaded(root):
+            datasets, cfg = _load_experiment(str(root / "experiment.ini"), None, None)
+            return cfg, {
+                name: (E.series.start, E.series.values.tolist(), Q.start, Q.query_names,
+                       Q.matrix.tolist())
+                for name, (E, Q) in datasets.items()
+            }
+
+        assert loaded(tmp_path) == loaded(experiment)
+
     def test_broken_data_file(self, experiment, tmp_path, capsys):
         (tmp_path / "bad.csv").write_text("vaccine,year,month,doses\nV,2011,99,1\n")
         config = (
