@@ -26,7 +26,7 @@ import numpy as np
 
 from . import clinical, stacking, web
 from .errors import EmptyLog, InsufficientHistory, SchemaError, UptakecastError
-from .timeseries import MonthStamp, TimeSeries, UptakeSeries, rmse
+from .timeseries import MonthStamp, TimeSeries, UptakeSeries, align, rmse
 
 NAIVE = "Naive"
 # Model failures that get a per-cell naive fallback instead of aborting a run.
@@ -195,17 +195,28 @@ class PredictionLog:
 
 @dataclass(frozen=True)
 class BacktestReport:
-    """Per-vaccine RMSE per method over one shared evaluation window."""
+    """Per-vaccine RMSE per method over one shared evaluation window; an error
+    row has an ``error`` and no RMSE."""
 
     vaccine: str
-    window_start: MonthStamp | None
-    window_end: MonthStamp | None
-    n_months: int
-    rmse: dict[str, float]
-    beats_naive: dict[str, bool]
-    is_row_min: dict[str, bool]
+    window_start: MonthStamp | None = None
+    window_end: MonthStamp | None = None
+    n_months: int = 0
+    rmse: dict[str, float] = field(default_factory=dict)
     seed: int | None = None
     error: str | None = None
+
+    @property
+    def beats_naive(self) -> dict[str, bool]:
+        """Per method: its RMSE is strictly below Naive's, and it is not Naive."""
+        naive = self.rmse.get(NAIVE)
+        return {m: naive is not None and m != NAIVE and v < naive for m, v in self.rmse.items()}
+
+    @property
+    def is_row_min(self) -> dict[str, bool]:
+        """Per method: its RMSE equals the lowest of the report."""
+        best = min(self.rmse.values(), default=None)
+        return {m: v == best for m, v in self.rmse.items()}
 
 
 def derive_month_seed(seed: int, month: MonthStamp) -> int:
@@ -218,7 +229,7 @@ def aligned_history(
 ) -> tuple[web.QueryPanel, TimeSeries]:
     """Panel and uptake over their shared months, cut at ``cfg.end_month``;
     they must span the level-0 warm-up and one month to predict."""
-    panel, series = web.align_panel(Q, E.series)
+    panel, series = align(Q, E.series)
     if cfg.end_month is not None and cfg.end_month < series.start:
         raise InsufficientHistory(f"end_month {cfg.end_month} precedes the data ({series.start})")
     if cfg.end_month is not None and cfg.end_month < series.end:
@@ -488,12 +499,8 @@ def level1_chunk(
         months.append((fits, target_preds[NAIVE]))
 
     for q, outcome in stacking.fit_svrs(designs, cfg.svr_cost, cfg.svr_tube_eps, cfg.svr_gamma):
-        if not isinstance(outcome, Exception):
-            try:
-                outcome = stacking.predict_svr(outcome, *forecasts[q])
-            except Exception as err:
-                outcome = err
-        forecasts[q] = outcome
+        forecasts[q] = (outcome if isinstance(outcome, Exception)
+                        else stacking.predict_svr(outcome, *forecasts[q]))
 
     return [_fit_each(fits, naive) for fits, naive in months]
 
@@ -578,24 +585,7 @@ def summarize(log: PredictionLog, vaccine: str, seed: int | None = None) -> Back
         pred = np.array([cells[m][t].predicted for t in window])
         act = np.array([cells[m][t].actual for t in window])
         rmse_by_method[m] = float(np.sqrt(np.mean((pred - act) ** 2)))
-
-    naive_rmse = rmse_by_method.get(NAIVE)
-    beats = {
-        m: (naive_rmse is not None and m != NAIVE and v < naive_rmse)
-        for m, v in rmse_by_method.items()
-    }
-    best = min(rmse_by_method.values())
-    row_min = {m: v == best for m, v in rmse_by_method.items()}
-    return BacktestReport(
-        vaccine=vaccine,
-        window_start=window[0],
-        window_end=window[-1],
-        n_months=len(window),
-        rmse=rmse_by_method,
-        beats_naive=beats,
-        is_row_min=row_min,
-        seed=seed,
-    )
+    return BacktestReport(vaccine, window[0], window[-1], len(window), rmse_by_method, seed=seed)
 
 
 def run_full_experiment(
@@ -621,17 +611,7 @@ def run_full_experiment(
             reports.append(summarize(merged, vaccine=name, seed=cfg.seed))
         except FIT_ERRORS as err:
             reports.append(
-                BacktestReport(
-                    vaccine=name,
-                    window_start=None,
-                    window_end=None,
-                    n_months=0,
-                    rmse={},
-                    beats_naive={},
-                    is_row_min={},
-                    seed=cfg.seed,
-                    error=f"{type(err).__name__}: {err}",
-                )
+                BacktestReport(vaccine=name, seed=cfg.seed, error=f"{type(err).__name__}: {err}")
             )
     return reports
 

@@ -30,9 +30,9 @@ from .backtest import (
     run_level0_backtest,
     summarize,
 )
-from .errors import ParseError, UptakecastError
+from .errors import GapInRegistry, MissingCohort, ParseError, UptakecastError
 from .ingest import compute_uptake, emit_report, load_cohorts, load_registry, load_trends
-from .timeseries import MonthStamp, TimeSeries, UptakeSeries
+from .timeseries import MonthStamp, TimeSeries, UptakeSeries, align
 
 
 def _parse_month_flag(text: str) -> MonthStamp:
@@ -100,7 +100,11 @@ def _load_experiment(config_path: str, vaccine_filter: list[str] | None, seed_fl
         slice_ = [r for r in registry if r.vaccine == name]
         if not slice_:
             raise UptakecastError(f"registry has no rows for vaccine {name!r}")
-        uptake = compute_uptake(slice_, cohorts)
+        try:
+            uptake = compute_uptake(slice_, cohorts)
+        except (GapInRegistry, MissingCohort) as err:
+            path = registry_path if isinstance(err, GapInRegistry) else cohorts_path
+            raise UptakecastError(f"{path}: vaccine {name!r}: {err}") from None
         panel = load_trends(trends_path)
         datasets[name] = (uptake, panel)
     if wanted is not None:
@@ -193,7 +197,7 @@ def _cmd_validate(args) -> int:
     datasets, cfg = _load_experiment(args.config, args.vaccine, args.seed)
     for name, (uptake, panel) in datasets.items():
         series = uptake.series
-        aligned_panel, aligned_series = web.align_panel(panel, series)
+        _, aligned_series = align(panel, series)
         print(
             f"{name}: uptake {series.start}..{series.end} ({len(series)} months), "
             f"panel {panel.n_queries} queries, shared window "
@@ -274,7 +278,7 @@ def _cmd_report(args) -> int:
     for path in paths:
         try:
             log = read_log_csv(path.read_text(encoding="utf-8"))
-        except UptakecastError as err:
+        except (OSError, UnicodeDecodeError, UptakecastError) as err:
             raise UptakecastError(f"{path}: {err}") from err
         if len(log) == 0:
             raise UptakecastError(f"{path}: no log entries")

@@ -29,6 +29,7 @@ from .errors import (
     MissingCohort,
     ParseError,
     SchemaError,
+    UptakecastError,
 )
 from .timeseries import MonthStamp, TimeSeries, UptakeSeries
 from .web import QueryPanel
@@ -49,22 +50,26 @@ class CohortRecord:
 
 def _read_rows(path: str | Path, expected_header: Sequence[str]) -> Iterable[tuple[int, list]]:
     path = Path(path)
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file", line=1) from None
-        if [h.strip() for h in header] != list(expected_header):
-            raise SchemaError(
-                f"{path}: expected header {','.join(expected_header)!r}, got {','.join(header)!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(expected_header):
-                raise ParseError(f"{path}: expected {len(expected_header)} fields", line=lineno)
-            yield lineno, [cell.strip() for cell in row]
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ParseError(f"{path}: empty file", line=1) from None
+            if [h.strip() for h in header] != list(expected_header):
+                raise SchemaError(
+                    f"{path}: expected header {','.join(expected_header)!r}, "
+                    f"got {','.join(header)!r}"
+                )
+            for lineno, row in enumerate(reader, start=2):
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if len(row) != len(expected_header):
+                    raise ParseError(f"{path}: expected {len(expected_header)} fields", line=lineno)
+                yield lineno, [cell.strip() for cell in row]
+    except (OSError, UnicodeDecodeError) as err:
+        raise UptakecastError(f"{path}: {err}") from None
 
 
 def _parse_month(year_s: str, month_s: str, path, lineno: int) -> MonthStamp:

@@ -47,6 +47,22 @@ def _freeze(values) -> np.ndarray:
     return arr
 
 
+def _month_row(stamp: MonthStamp, start: MonthStamp, n: int) -> int:
+    """Row of ``stamp`` among ``n`` monthly rows from ``start``."""
+    k = stamp.to_index() - start.to_index()
+    if not 0 <= k < n:
+        raise KeyError(f"{stamp} outside {start}..{start.plus(n - 1)}")
+    return k
+
+
+def _month_rows(first: MonthStamp, last: MonthStamp, start: MonthStamp, n: int) -> slice:
+    """Rows ``first..last`` inclusive among ``n`` monthly rows from ``start``."""
+    i, j = _month_row(first, start, n), _month_row(last, start, n)
+    if j < i:
+        raise ValueError("last precedes first")
+    return slice(i, j + 1)
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """Contiguous monthly observations: ``values[k]`` belongs to ``start + k`` months."""
@@ -74,20 +90,12 @@ class TimeSeries:
         for k in range(len(self)):
             yield self.start.plus(k)
 
-    def contains(self, stamp: MonthStamp) -> bool:
-        return self.start <= stamp <= self.end
-
     def index_of(self, stamp: MonthStamp) -> int:
-        if not self.contains(stamp):
-            raise KeyError(f"{stamp} outside {self.start}..{self.end}")
-        return stamp.to_index() - self.start.to_index()
+        return _month_row(stamp, self.start, len(self))
 
     def slice(self, first: MonthStamp, last: MonthStamp) -> "TimeSeries":
         """Sub-series covering ``first..last`` inclusive (both must be in range)."""
-        i, j = self.index_of(first), self.index_of(last)
-        if j < i:
-            raise ValueError("last precedes first")
-        return TimeSeries(first, self.values[i : j + 1])
+        return TimeSeries(first, self.values[_month_rows(first, last, self.start, len(self))])
 
 
 @dataclass(frozen=True)
@@ -101,8 +109,9 @@ class UptakeSeries:
             raise ValueError("uptake values must be >= 0")
 
 
-def align(a: TimeSeries, b: TimeSeries) -> tuple[TimeSeries, TimeSeries]:
-    """Truncate both series to the exact shared month range.
+def align(a, b) -> tuple:
+    """Truncate two monthly objects, each a `TimeSeries` or a `web.QueryPanel`,
+    to their exact shared month range.
 
     Raises EmptyOverlap when the ranges are disjoint.
     """

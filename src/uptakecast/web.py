@@ -25,7 +25,7 @@ from .errors import (
     SeriesTooShort,
     TooFewRows,
 )
-from .timeseries import MonthStamp, TimeSeries, _freeze
+from .timeseries import MonthStamp, TimeSeries, _freeze, _month_rows
 
 CD_TOL = 1e-7
 CD_MAX_SWEEPS = 100_000
@@ -70,17 +70,9 @@ class QueryPanel:
     def end(self) -> MonthStamp:
         return self.start.plus(self.n_months - 1)
 
-    def index_of(self, stamp: MonthStamp) -> int:
-        k = stamp.to_index() - self.start.to_index()
-        if not 0 <= k < self.n_months:
-            raise KeyError(f"{stamp} outside {self.start}..{self.end}")
-        return k
-
     def slice(self, first: MonthStamp, last: MonthStamp) -> "QueryPanel":
-        i, j = self.index_of(first), self.index_of(last)
-        if j < i:
-            raise ValueError("last precedes first")
-        return QueryPanel(first, self.query_names, self.matrix[i : j + 1])
+        rows = _month_rows(first, last, self.start, self.n_months)
+        return QueryPanel(first, self.query_names, self.matrix[rows])
 
 
 @dataclass(frozen=True)
@@ -140,17 +132,6 @@ def _check_aligned(Q: QueryPanel, E: TimeSeries) -> None:
         raise AlignmentError(
             f"panel covers {Q.start}..{Q.end} but series covers {E.start}..{E.end}"
         )
-
-
-def align_panel(Q: QueryPanel, E: TimeSeries) -> tuple[QueryPanel, TimeSeries]:
-    """Truncate panel and series to their shared month range."""
-    lo = max(Q.start, E.start)
-    hi = min(Q.end, E.end)
-    if hi < lo:
-        raise AlignmentError(
-            f"no shared months between panel {Q.start}..{Q.end} and series {E.start}..{E.end}"
-        )
-    return Q.slice(lo, hi), E.slice(lo, hi)
 
 
 def predict_web(model: WebLinearModel, row: Sequence[float]) -> float:

@@ -113,6 +113,35 @@ MUTANTS = [
             "tests/test_stacking.py::TestFitSvr::test_fit_svrs_matches_fit_svr_one_design_at_a_time",
         ],
     ),
+    (
+        # Look-ahead: each level-1 window's targets one month later, so a
+        # month's stacks train on its own observed value.
+        "src/uptakecast/backtest.py",
+        "y = actuals[lo:idx]",
+        "y = actuals[lo + 1:idx + 1]",
+        ["tests/test_backtest.py::TestLevel0::test_no_lookahead_probe"],
+    ),
+    (
+        # Each SVR column reads its stream pair's other kernel's forecast.
+        "src/uptakecast/backtest.py",
+        "    return forecasts[q]\n",
+        "    return forecasts[q ^ 1]\n",
+        ["tests/test_backtest.py::TestLevel1Reference::test_equals_the_reference[None]"],
+    ),
+    (
+        # Each SVR design fitted with the other kernel.
+        "src/uptakecast/backtest.py",
+        "designs.append((X, y, kernel))",
+        'designs.append((X, y, "gaussian" if kernel == "linear" else "linear"))',
+        ["tests/test_backtest.py::TestLevel1Reference::test_equals_the_reference[None]"],
+    ),
+    (
+        # The target's clinical and web predictions swapped.
+        "src/uptakecast/backtest.py",
+        "e_c, e_w = target_preds[clin], target_preds[wm]",
+        "e_w, e_c = target_preds[clin], target_preds[wm]",
+        ["tests/test_backtest.py::TestLevel1Reference::test_equals_the_reference[None]"],
+    ),
 ]
 
 # Mutants no test can kill, because no output changes: (file, old text, new
@@ -144,12 +173,6 @@ EQUIVALENT = [
 ]
 
 
-# Hypothesis's report of a failing example touches a deprecated
-# mypy_extensions name; under the suite's `filterwarnings = ["error"]` that
-# turns a killing failure into a pytest internal error (exit 3).
-_HYPOTHESIS_REPORT_WARNING = "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
-
-
 def run_mutant(path: str, old: str, new: str, tests: list[str]) -> str:
     """``"killed"``, ``"SURVIVED"`` or an error; the tests run in a mutated copy."""
     text = (ROOT / path).read_text(encoding="utf-8")
@@ -163,7 +186,7 @@ def run_mutant(path: str, old: str, new: str, tests: list[str]) -> str:
         (copy / path).write_text(text.replace(old, new), encoding="utf-8")
         result = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-             "--hypothesis-seed=0", "-W", _HYPOTHESIS_REPORT_WARNING, *tests],
+             "--hypothesis-seed=0", *tests],
             cwd=copy, env={**os.environ, "PYTHONPATH": str(copy / "src")},
             capture_output=True, text=True,
         )

@@ -10,12 +10,17 @@ The loop forms at the end are the library's hot loops as they were before
 their interpreter overhead was stripped: the same floating-point operations in
 the same order, one element or one candidate at a time. The library must match
 them bit for bit.
+
+`level1_reference` is the level-1 backtest as the README states it, one month
+and one model at a time; the harness must equal it entry for entry.
 """
 
 import itertools
 
 import numpy as np
 
+from uptakecast.backtest import FIT_ERRORS, LogEntry
+from uptakecast.stacking import fit_stack_ols, fit_svr, predict_stack_ols, predict_svr
 from uptakecast.web import _cd_solve
 
 
@@ -358,3 +363,48 @@ def svr_dual_column_loop(K: np.ndarray, y: np.ndarray, C: float, eps: float,
         beta[j] -= d
         Kb += d * (K[:, i] - K[:, j])
     raise RuntimeError(f"SVR solver exceeded {max_steps} pairwise steps")
+
+
+def level1_reference(log0, cfg, vaccine: str) -> list:
+    """The level-1 log entries of ``vaccine`` from its level-0 log ``log0``.
+
+    For each target month after the level-1 warm-up, every (clinical, web)
+    pair of level-0 streams is stacked by each meta-model, fitted on the
+    growing window of months before the target (or the last
+    ``cfg.level1_sliding`` of them) against their observed values, and
+    applied to the target's two level-0 predictions. A fit error or a
+    non-finite forecast gives the target's Naive prediction and a note. One
+    fit per model: no chunks, no pool, no batch of SVR designs.
+    """
+    naive = log0.cells[(vaccine, "Naive")]
+    months = sorted(naive)
+    actual = [naive[t].actual for t in months]
+
+    def pred(method, t):
+        return log0.prediction(method, t, vaccine)
+
+    entries = []
+    for k in range(cfg.level1_warmup_months, len(months)):
+        lo = 0 if cfg.level1_sliding is None else max(0, k - cfg.level1_sliding)
+        y = np.array(actual[lo:k])
+        for clin in cfg.clinical_methods():
+            for web in ("WM", "B", "L", "O"):
+                X = np.array([[pred(clin, t), pred(web, t)] for t in months[lo:k]])
+                e_c, e_w = pred(clin, months[k]), pred(web, months[k])
+                for meta in ("OLS", "SVR-linear", "SVR-gaussian"):
+                    try:
+                        if meta == "OLS":
+                            value = predict_stack_ols(fit_stack_ols(X, y), e_c, e_w)
+                        else:
+                            model = fit_svr(X, y, kernel=meta[4:], C=cfg.svr_cost,
+                                            eps=cfg.svr_tube_eps, gamma=cfg.svr_gamma)
+                            value = predict_svr(model, e_c, e_w)
+                        note = "" if np.isfinite(value) else "fallback=naive (non-finite forecast)"
+                    except FIT_ERRORS as err:
+                        note = f"fallback=naive ({type(err).__name__}: {err})"
+                    if note:
+                        value = pred("Naive", months[k])
+                    entries.append(LogEntry(vaccine, f"{meta}:{clin}+{web}", months[k],
+                                            float(value), actual[k], months[lo], months[k - 1],
+                                            note))
+    return entries

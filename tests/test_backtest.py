@@ -26,6 +26,7 @@ from uptakecast.timeseries import MonthStamp, TimeSeries, UptakeSeries
 from uptakecast.web import QueryPanel
 
 from conftest import JAN2011, synth_vaccine
+from oracles import level1_reference
 
 CFG = BacktestConfig(bagging_subset_size=4, seed=5)
 
@@ -187,13 +188,17 @@ class TestLevel0:
             assert longer.prediction(e.method, e.month, "V") == e.predicted
 
     def test_no_lookahead_probe(self, level0_run):
-        E, Q, log = level0_run
+        # Month t's cells, level 0 and level 1, read neither t's own uptake
+        # nor anything later. Its query row is an input, so the panel is
+        # corrupted after t only. The third probe is a level-1 month.
+        E, Q, log0 = level0_run
+        log = log0.merge(run_level1_backtest(log0, CFG, vaccine="V"))
         rng = np.random.default_rng(0)
         months = log.months(NAIVE, "V")
-        for t in (months[2], months[10]):
+        for t, n_methods in ((months[2], 8), (months[10], 8), (months[13], 44)):
             cut = E.series.index_of(t)
             vals = E.series.values.copy()
-            vals[cut + 1 :] = rng.uniform(0, 300, vals.size - cut - 1)
+            vals[cut:] = rng.uniform(0, 300, vals.size - cut)
             matrix = Q.matrix.copy()
             matrix[cut + 1 :] = rng.uniform(0, 100, matrix[cut + 1 :].shape)
             corrupted = run_level0_backtest(
@@ -202,8 +207,10 @@ class TestLevel0:
                 CFG,
                 vaccine="V",
             )
-            for method in log.methods():
-                assert corrupted.prediction(method, t, "V") == log.prediction(method, t, "V")
+            corrupted = corrupted.merge(run_level1_backtest(corrupted, CFG, vaccine="V"))
+            expected = [(e.method, e.predicted) for e in log.entries if e.month == t]
+            assert len(expected) == n_methods
+            assert [(e.method, e.predicted) for e in corrupted.entries if e.month == t] == expected
 
     def test_seed_changes_bagging_stream(self, level0_run):
         E, Q, log = level0_run
@@ -329,6 +336,25 @@ class TestLevel1:
         log0 = fabricate_level0_log(cfg, months)
         with pytest.raises(InsufficientHistory):
             run_level1_backtest(log0, cfg, vaccine="V")
+
+
+class TestLevel1Reference:
+    """The level-1 harness equals `oracles.level1_reference`, the protocol run
+    one month and one model at a time."""
+
+    @pytest.fixture(scope="class")
+    def log0(self):
+        E, Q = synth_vaccine(61, n_months=40, n_queries=12)
+        return run_level0_backtest(E, Q, CFG, vaccine="V")
+
+    @pytest.mark.parametrize("sliding", [None, 8, 1])
+    def test_equals_the_reference(self, monkeypatch, log0, sliding):
+        cfg = dataclasses.replace(CFG, level1_warmup_months=6, level1_sliding=sliding)
+        expected = level1_reference(log0, cfg, "V")
+        assert len(expected) == 10 * 36
+        for cpus in (1, 2):
+            monkeypatch.setattr(backtest, "_usable_cpus", lambda: cpus)
+            assert list(run_level1_backtest(log0, cfg, vaccine="V").entries) == expected
 
 
 class TestMonthPool:
@@ -631,6 +657,16 @@ class TestFullExperiment:
         assert by_name["late"].error.startswith("InsufficientHistory: end_month")
         assert by_name["early"].error is None
         assert by_name["early"].window_end == JAN2011.plus(38)
+
+    def test_a_panel_and_series_without_a_shared_month_isolated(self):
+        E, _ = synth_vaccine(34, n_months=40, n_queries=12)
+        _, Q = synth_vaccine(34, n_months=40, n_queries=12, start=JAN2011.plus(40))
+        reports = run_full_experiment({"disjoint": (E, Q), "good": synth_vaccine(35, 40, 12)}, CFG)
+        by_name = {r.vaccine: r for r in reports}
+        assert by_name["disjoint"].error == (
+            "EmptyOverlap: no shared months between 2014-05..2017-08 and 2011-01..2014-04"
+        )
+        assert by_name["good"].error is None and by_name["good"].rmse
 
     def test_wm_weight_underflow_is_not_an_error(self):
         # eta=100 takes a member's weight below the smallest float after a

@@ -105,17 +105,46 @@ class TestValidate:
 
         assert loaded(tmp_path) == loaded(experiment)
 
-    def test_broken_data_file(self, experiment, tmp_path, capsys):
-        (tmp_path / "bad.csv").write_text("vaccine,year,month,doses\nV,2011,99,1\n")
+    @pytest.mark.parametrize(
+        "rows, culprit, names_vaccine",
+        [
+            (b"V,2011,99,1\n", "registry", False),
+            (None, "registry", False),
+            (b"V,2011,1,\xff\n", "registry", False),
+            ("directory", "registry", False),
+            (b"V,2011,1,1\nV,2011,3,1\n", "registry", True),
+            (b"V,1990,1,1\n", "cohorts", True),
+            (b"V,2011,1,1\n", "trends", False),
+        ],
+        ids=["bad-month", "missing", "not-utf8", "directory", "gap", "no-cohort", "no-trends"],
+    )
+    def test_broken_data_file(self, experiment, tmp_path, capsys, rows, culprit, names_vaccine):
+        # The registry's data rows are ``rows`` (None: no registry file). One
+        # error line names the file at fault, and the vaccine where the fault
+        # is in one vaccine's months.
+        paths = {
+            "registry": tmp_path / "bad.csv",
+            "cohorts": experiment / "cohorts.csv",
+            "trends": tmp_path / "missing.csv" if culprit == "trends" else
+            experiment / "trends_VAX-A.csv",
+        }
+        if rows == "directory":
+            paths["registry"].mkdir()
+        elif rows is not None:
+            paths["registry"].write_bytes(b"vaccine,year,month,doses\n" + rows)
         config = (
             "[data]\n"
-            f"registry = {tmp_path / 'bad.csv'}\n"
-            f"cohorts = {experiment / 'cohorts.csv'}\n"
+            f"registry = {paths['registry']}\n"
+            f"cohorts = {paths['cohorts']}\n"
             "[vaccines]\n"
-            f"V = {experiment / 'trends_VAX-A.csv'}\n"
+            f"V = {paths['trends']}\n"
         )
         (tmp_path / "broken.ini").write_text(config)
         assert main(["validate", "--config", str(tmp_path / "broken.ini")]) == 1
+        out, err = capsys.readouterr()
+        [line] = err.splitlines()
+        assert out == "" and line.startswith(f"error: {paths[culprit]}")
+        assert ("vaccine 'V': " in line) == names_vaccine
 
     @pytest.mark.parametrize(
         "setting",
@@ -369,6 +398,14 @@ class TestReport:
         assert main(["report", "--log-dir", str(logs)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    def test_a_log_that_is_not_utf8_is_a_validation_error(self, tmp_path, capsys):
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        (logs / "X.log.csv").write_bytes(b"vaccine,method\xff\n")
+        assert main(["report", "--log-dir", str(logs)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {logs / 'X.log.csv'}: ")
 
     def test_markdown_reemit_has_no_unknown_seed(self, markdown_run, tmp_path):
         # The logs do not record the seed, so the re-emitted markdown leaves

@@ -165,8 +165,6 @@ def tiny_report():
         window_end=M(2014, 3),
         n_months=3,
         rmse={"Naive": 2.0, "HW": 1.5, "OLS:HW+WM": 1.0},
-        beats_naive={"Naive": False, "HW": True, "OLS:HW+WM": True},
-        is_row_min={"Naive": False, "HW": False, "OLS:HW+WM": True},
         seed=7,
     )
 
@@ -202,8 +200,6 @@ class TestEmitReport:
             window_end=M(2014, 1),
             n_months=1,
             rmse={"Naive": 3.0},
-            beats_naive={"Naive": False},
-            is_row_min={"Naive": True},
         )
         assert ",Naive,3.0,false,true" in emit_report([report], format="csv")
 
@@ -234,8 +230,6 @@ class TestEmitReport:
             window_end=None,
             n_months=0,
             rmse={},
-            beats_naive={},
-            is_row_min={},
             error="InsufficientHistory: need 25 months",
         )
         csv_text = emit_report([failed], format="csv")
