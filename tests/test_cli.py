@@ -125,9 +125,10 @@ class TestValidate:
         paths = {
             "registry": tmp_path / "bad.csv",
             "cohorts": experiment / "cohorts.csv",
-            "trends": tmp_path / "missing.csv" if culprit == "trends" else
-            experiment / "trends_VAX-A.csv",
+            "trends": experiment / "trends_VAX-A.csv",
         }
+        if culprit == "trends":
+            paths["trends"] = tmp_path / "missing.csv"
         if rows == "directory":
             paths["registry"].mkdir()
         elif rows is not None:
