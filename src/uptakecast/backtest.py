@@ -248,18 +248,30 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _runs(targets: range, costs: Sequence[float]) -> list[range]:
+    """``targets`` cut into runs of consecutive months, one per worker.
+
+    There are w = min(usable CPUs, months) cuts, where the summed ``costs``
+    (one per target) pass each w-th of their total. A month that costs more
+    than a w-th can make two cuts coincide; the empty run between them is
+    dropped.
+    """
+    w = min(_usable_cpus(), len(targets))
+    load = np.cumsum(costs)
+    ends = np.searchsorted(load, load[-1] * np.arange(1, w + 1) / w, side="right").tolist()
+    return [targets[a:b] for a, b in zip([0] + ends, ends) if a < b]
+
+
 def _map_months(fn: Callable, tasks: Sequence[tuple]) -> list:
-    """``[fn(*task) for task in tasks]``: one task per month (level 0) or per
-    run of consecutive months (level 1), in month order.
+    """``[fn(*task) for task in tasks]``: at both levels one task per run of
+    consecutive months (`_runs`), the runs in month order.
 
     The tasks run in forked worker processes, one per usable CPU and at most
     one per task; in-process when that is one worker or the platform cannot
     fork. Forked workers inherit the loaded numpy/BLAS build, its settings and
     the warning filters, so every fit does the same arithmetic as in-process.
-    The last task is submitted first: at level 0 it is the longest month, so
-    it does not run alone at the end. The error of the first failing task is
-    raised, which with the tasks in month order is a serial run's error, and
-    no worker outlives the call.
+    The error of the first failing task is raised, which with the tasks in
+    month order is a serial run's error, and no worker outlives the call.
     """
     workers = min(_usable_cpus(), len(tasks))
     if workers <= 1 or not hasattr(os, "fork"):
@@ -270,9 +282,9 @@ def _map_months(fn: Callable, tasks: Sequence[tuple]) -> list:
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(fn, *task) for task in reversed(tasks)]
+        futures = [pool.submit(fn, *task) for task in tasks]
         try:
-            return [future.result() for future in reversed(futures)]
+            return [future.result() for future in futures]
         finally:
             # After an error, drop the months not yet started.
             pool.shutdown(cancel_futures=True)
@@ -295,6 +307,13 @@ def _fit_each(fits: Mapping[str, Callable[[], Any]], naive: float) -> tuple[dict
     return values, notes
 
 
+def _outcome(outcomes: Sequence, q: int) -> Any:
+    """Entry ``q`` of ``outcomes``: its value, or its error raised."""
+    if isinstance(outcomes[q], Exception):
+        raise outcomes[q]
+    return outcomes[q]
+
+
 def _log_cells(
     vaccine: str, month: MonthStamp, values: Mapping[str, float], notes: Mapping[str, str],
     actual: float, train_start: MonthStamp, train_end: MonthStamp,
@@ -308,22 +327,11 @@ def _log_cells(
     ]
 
 
-def level0_fit(
-    hist: TimeSeries,
-    panel_hist: web.QueryPanel,
-    row: np.ndarray,
-    cfg: BacktestConfig,
-    month_seed: int,
-) -> tuple[dict[str, float], dict[str, str], np.ndarray | None]:
-    """Fit every level-0 model but WM on the history and forecast the month after it.
-
-    The clinical models extrapolate ``hist``; the web models, fitted on
-    ``panel_hist``, score the frequency ``row``. Returns method->prediction,
-    method->note for each model that fell back to naive, and the bagged
-    member predictions (None when bagging fell back). The result depends on
-    the arguments alone, so the months of a backtest can be fitted in any
-    order and in any process; `run_level0_backtest` adds WM.
-    """
+def _month_fits(
+    hist: TimeSeries, panel_hist: web.QueryPanel, row: np.ndarray, cfg: BacktestConfig
+) -> dict[str, Callable[[], float]]:
+    """The clinical models and web OLS of one month, each forecasting the month
+    after ``hist``; OLS, fitted on ``panel_hist``, scores the frequency ``row``."""
     lags = cfg.ar_lags
 
     def ar():
@@ -335,41 +343,75 @@ def level0_fit(
             orders = clinical.select_arima_orders(hist)
         return clinical.predict_arima(clinical.fit_arima(hist, *orders), hist)
 
-    def lasso():
-        lam = web.select_lambda_cv(panel_hist, hist)
-        return web.predict_web(web.fit_lasso(panel_hist, hist, lam), row)
+    return {
+        "HW": lambda: clinical.predict_hw(clinical.fit_holt_winters(hist, cfg.hw_season_length)),
+        cfg.ar_method: ar,
+        "ARIMA": arima,
+        "O": lambda: web.predict_web(web.fit_web_ols(panel_hist, hist), row),
+    }
 
-    def bagged_members():
-        bag = web.fit_bagging(
-            panel_hist,
-            hist,
-            n_subsets=cfg.bagging_subsets,
-            subset_size=cfg.bagging_subset_size,
-            seed=month_seed,
-        )
-        return web.member_predictions(bag, row)
 
-    naive = float(hist.values[-1])
-    preds, notes = _fit_each(
-        {
-            "HW": lambda: clinical.predict_hw(
-                clinical.fit_holt_winters(hist, cfg.hw_season_length)
-            ),
-            cfg.ar_method: ar,
-            "ARIMA": arima,
-            "O": lambda: web.predict_web(web.fit_web_ols(panel_hist, hist), row),
-            "L": lasso,
-            "B": bagged_members,
-        },
-        naive,
-    )
-    preds[NAIVE] = naive
-    # B's fit returns the member predictions; B is their mean and WM weighs them.
-    if "B" in notes:
-        return preds, notes, None
-    members = preds["B"]
-    preds["B"] = float(members.mean())
-    return preds, notes, members
+def _lasso_steps(hist: TimeSeries, panel_hist: web.QueryPanel, row: np.ndarray):
+    """L's forecast of ``row`` as steps for `web.serve_lasso`."""
+    lam = yield from web.lasso_cv_steps(panel_hist, hist)
+    return web.predict_web((yield from web.lasso_fit_steps(panel_hist, hist, lam)), row)
+
+
+def _bagging_steps(
+    hist: TimeSeries, panel_hist: web.QueryPanel, row: np.ndarray, cfg: BacktestConfig, seed: int
+):
+    """B's member forecasts of ``row`` as steps for `web.serve_lasso`."""
+    bag = yield from web.bagging_steps(panel_hist, hist, cfg.bagging_subsets,
+                                       cfg.bagging_subset_size, seed)
+    return web.member_predictions(bag, row)
+
+
+def level0_chunk(
+    series: TimeSeries, panel: web.QueryPanel, ks: Sequence[int], cfg: BacktestConfig
+) -> list[tuple[dict[str, float], dict[str, str], np.ndarray | None]]:
+    """The level-0 cells of the months ``ks`` of the aligned history, in their order.
+
+    Month k's models are fitted on the first k months: the clinical models
+    extrapolate the uptake, and the web models, fitted on the panel's first k
+    rows, score its row k. A cell is method->prediction, method->note for each
+    model that fell back to naive, and the bagged member predictions (None
+    when bagging fell back), for every model but WM. A cell depends on its
+    month alone, so the months of a backtest can be fitted in any runs and
+    processes; `run_level0_backtest` adds WM.
+
+    The L fits of all the months run together in `web.serve_lasso`, which
+    merges their LASSO calls, and then the B fits; then each month's cell is
+    settled once, in method order, as in a serial run.
+    """
+    months = []  # (history, its panel, the row to score) per month
+    for k in ks:
+        hist = TimeSeries(series.start, series.values[:k])
+        panel_hist = panel.slice(series.start, series.start.plus(k - 1))
+        months.append((hist, panel_hist, panel.matrix[k]))
+    # L's fits, then B's: each model's requests wait for the whole run, and
+    # this way only one model's wait at a time.
+    lasso = web.serve_lasso([_lasso_steps(*month) for month in months])
+    bagging = web.serve_lasso([
+        _bagging_steps(*month, cfg, derive_month_seed(cfg.seed, series.start.plus(k)))
+        for k, month in zip(ks, months)
+    ])
+
+    cells = []
+    for q, (hist, panel_hist, row) in enumerate(months):
+        fits = _month_fits(hist, panel_hist, row, cfg)
+        fits["L"] = functools.partial(_outcome, lasso, q)
+        fits["B"] = functools.partial(_outcome, bagging, q)
+        naive = float(hist.values[-1])
+        preds, notes = _fit_each(fits, naive)
+        preds[NAIVE] = naive
+        # B's fit gives the member predictions; B is their mean and WM weighs them.
+        if "B" in notes:
+            cells.append((preds, notes, None))
+        else:
+            members = preds["B"]
+            preds["B"] = float(members.mean())
+            cells.append((preds, notes, members))
+    return cells
 
 
 def run_level0_backtest(
@@ -382,7 +424,8 @@ def run_level0_backtest(
 
     The first predicted month follows the warm-up window. Each month's fits
     depend only on the data before it, so the months are fitted in parallel
-    (`_map_months`); the weighted-majority weights then thread through the
+    (`_map_months`), one run of consecutive months per worker
+    (`level0_chunk`). The weighted-majority weights then thread through the
     months in order, each month's update made only after its actual value is
     revealed.
     """
@@ -392,22 +435,15 @@ def run_level0_backtest(
     values = series.values
     train_start = series.start
     months = [series.start.plus(k) for k in range(T)]
-    fits = _map_months(
-        level0_fit,
-        [
-            (
-                TimeSeries(train_start, values[:k]),
-                panel.slice(train_start, months[k - 1]),
-                panel.matrix[k],
-                cfg,
-                derive_month_seed(cfg.seed, months[k]),
-            )
-            for k in range(warm, T)
-        ],
-    )
+    targets = range(warm, T)
+    # A month's fits cost a fixed part plus a part that grows with its
+    # history; measured on one CPU, the fixed part is worth about T months
+    # of history on both benchmark shapes (57 x 58 and 120 x 12).
+    runs = _runs(targets, [k + T for k in targets])
+    chunks = _map_months(level0_chunk, [(series, panel, run, cfg) for run in runs])
     entries: list[LogEntry] = []
     wm_state: web.WmState | None = None
-    for k, (preds, notes, members) in enumerate(fits, start=warm):
+    for k, (preds, notes, members) in zip(targets, [cell for chunk in chunks for cell in chunk]):
         actual = float(values[k])
         if members is None:
             # Bagging fell back: WM has no members to weigh.
@@ -452,13 +488,6 @@ def _ols_forecast(X: np.ndarray, y: np.ndarray, e_c: float, e_w: float) -> float
     return stacking.predict_stack_ols(stacking.fit_stack_ols(X, y), e_c, e_w)
 
 
-def _svr_forecast(forecasts: Sequence, q: int) -> float:
-    """SVR fit ``q``'s entry of ``forecasts``: its forecast, or its error raised."""
-    if isinstance(forecasts[q], Exception):
-        raise forecasts[q]
-    return forecasts[q]
-
-
 def level1_chunk(
     streams: Mapping[str, np.ndarray],
     actuals: np.ndarray,
@@ -492,8 +521,8 @@ def level1_chunk(
                 e_c, e_w = target_preds[clin], target_preds[wm]
                 fits[f"OLS:{clin}+{wm}"] = functools.partial(_ols_forecast, X, y, e_c, e_w)
                 for meta, kernel in _SVR_KERNELS.items():
-                    fits[f"{meta}:{clin}+{wm}"] = functools.partial(_svr_forecast, forecasts,
-                                                                     len(designs))
+                    q = len(designs)
+                    fits[f"{meta}:{clin}+{wm}"] = functools.partial(_outcome, forecasts, q)
                     designs.append((X, y, kernel))
                     forecasts.append((e_c, e_w))
         months.append((fits, target_preds[NAIVE]))
@@ -539,12 +568,7 @@ def run_level1_backtest(
         )
 
     targets = range(warm, len(months))
-    w = min(_usable_cpus(), len(targets))
-    # Cut where the summed window lengths pass each w-th of their total; a
-    # window longer than a w-th leaves an empty run, which is dropped.
-    load = np.cumsum([idx - level1_window_start(idx, cfg) for idx in targets])
-    ends = np.searchsorted(load, load[-1] * np.arange(1, w + 1) / w, side="right").tolist()
-    runs = [targets[a:b] for a, b in zip([0] + ends, ends) if a < b]
+    runs = _runs(targets, [idx - level1_window_start(idx, cfg) for idx in targets])
     chunks = _map_months(level1_chunk, [(streams, actuals, run, cfg) for run in runs])
     entries: list[LogEntry] = []
     for idx, (values, notes) in zip(targets, [cell for chunk in chunks for cell in chunk]):

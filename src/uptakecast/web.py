@@ -6,14 +6,17 @@ follows the exact piecewise-linear path on standardized features and polishes
 each full-data fit with cyclic coordinate descent. Both are batched: the paths
 of many independent problems (every member and cross-validation fold of a
 month's bagging refit) are walked in lockstep, bit-identical to walking each
-alone, so that the per-month refits stay cheap.
+alone, so that the per-month refits stay cheap. The LASSO fits are written as
+step generators that yield their path and fit requests, so that
+`serve_lasso` can merge the requests of many fits, a backtest run's months,
+into one call each; `select_lambda_cv`, `fit_lasso` and `fit_bagging` serve
+one fit alone.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Generator, Sequence
 
 import numpy as np
 
@@ -174,14 +177,16 @@ def _standardize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _cd_solve(
     gram: np.ndarray, cvec: np.ndarray, lam: np.ndarray, alpha0: np.ndarray
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic coordinate descent on a batch of independent LASSO problems.
 
     Minimizes (1/2) a'Ga - c'a + lam*|a|_1 per batch entry, which equals the
     (1/(2T))-scaled LASSO objective up to a constant when G = X'X/T and
     c = X'y/T. Entries are updated in lockstep but frozen individually the
     first sweep their largest coefficient move drops below ``CD_TOL``, so each
-    batch entry follows exactly the trajectory it would follow alone.
+    batch entry follows exactly the trajectory it would follow alone. Returns
+    the coefficients and a mask of the entries still moving after
+    ``CD_MAX_SWEEPS`` sweeps, which have not converged.
     """
     alpha = np.array(alpha0, dtype=float)
     B, F = alpha.shape
@@ -208,8 +213,8 @@ def _cd_solve(
                 np.maximum(max_delta, np.abs(delta), out=max_delta)
         active &= max_delta >= CD_TOL
         if not active.any():
-            return alpha
-    raise NonConvergence(f"coordinate descent exceeded {CD_MAX_SWEEPS} sweeps")
+            break
+    return alpha, active
 
 
 def lasso_lambda_max(Q: QueryPanel, E: TimeSeries) -> float:
@@ -228,32 +233,126 @@ def fit_lasso(Q: QueryPanel, E: TimeSeries, lam: float) -> WebLinearModel:
     with the intercept unpenalized; coefficients are returned on the
     standardized scale together with the standardization.
     """
+    return _alone(lasso_fit_steps(Q, E, lam))
+
+
+def lasso_fit_steps(Q: QueryPanel, E: TimeSeries, lam: float) -> Generator:
+    """`fit_lasso` as steps for `serve_lasso`."""
     _check_aligned(Q, E)
     if not lam >= 0:  # NaN fails this too; an infinite lambda gives the zero model
         raise ValueError("lambda must be >= 0")
     Xs, means, scales = _standardize(Q.matrix)
     y = E.values
     T = y.size
+    # A matmul Gram, where _fit_steps uses einsum: the two differ in the last
+    # bits, so the two fits stay apart until the references move.
     gram = Xs.T @ Xs / T
     cvec = Xs.T @ (y - y.mean()) / T
-    # A matmul Gram, where _fit_lasso_batch uses einsum: the two differ in the
-    # last bits, so this stays off the batch path until the references move.
-    alpha = _solve_lasso(gram[None], cvec[None], np.array([float(lam)]))[0]
+    del Xs
+    alpha = (yield _Request(gram[None], cvec[None], np.array([float(lam)])))[0]
     return WebLinearModel(
         mu=float(y.mean()), alphas=alpha, feature_means=means, feature_scales=scales
     )
 
 
-def _solve_lasso(gram: np.ndarray, cvec: np.ndarray, lams: np.ndarray) -> np.ndarray:
+def _solve_lasso(
+    gram: np.ndarray, cvec: np.ndarray, lams: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """LASSO coefficients per batch entry: the exact path, then a coordinate-descent polish.
 
     The whole batch walks its paths in one lockstep call of
-    ``_lasso_path_alphas``. The polish is load-bearing: on panels wider than
-    they are tall the path can miss a drop and return a point that is not a
-    LASSO solution.
+    ``_lasso_path_alphas`` and is polished in one ``_cd_solve`` call. The
+    polish is load-bearing: on panels wider than they are tall the path can
+    miss a drop and return a point that is not a LASSO solution. Returns the
+    coefficients (B, F) and a mask of the entries that did not converge; an
+    entry whose path did not is not polished.
     """
-    warm = _lasso_path_alphas(gram, cvec, lams[:, None])[:, 0]
-    return _cd_solve(gram, cvec, lams, warm)
+    path, failed = _lasso_path_alphas(gram, cvec, lams[:, None])
+    alpha = path[:, 0]
+    ok = np.flatnonzero(~failed)
+    if ok.size < failed.size:
+        gram, cvec, lams = gram[ok], cvec[ok], lams[ok]
+    alpha[ok], failed[ok] = _cd_solve(gram, cvec, lams, alpha[ok])
+    return alpha, failed
+
+
+@dataclass(frozen=True)
+class _Request:
+    """LASSO problems of one width that a step generator waits on.
+
+    ``gram`` is (b, F, F) and ``cvec`` (b, F). A path request has
+    ``lambdas`` (b, L), every row descending, and is answered with the exact
+    path at those points, (b, L, F). A fit request has ``lambdas`` (b,) and
+    is answered with the fit at each (`_solve_lasso`), (b, F).
+    """
+
+    gram: np.ndarray
+    cvec: np.ndarray
+    lambdas: np.ndarray
+
+    @property
+    def key(self) -> tuple:
+        """Requests with equal keys can be answered by one call: their width,
+        and for a path request its grid length."""
+        return (self.cvec.shape[1],) + self.lambdas.shape[1:]
+
+
+def serve_lasso(steps: Sequence[Generator]) -> list:
+    """Run LASSO step generators to their ends, merging their requests.
+
+    Each generator yields `_Request`s and is sent its own rows of the answer.
+    The requests waiting at one time are merged by key into one
+    `_lasso_path_alphas` or `_solve_lasso` call each. Every entry of those calls
+    follows the trajectory it follows alone, so each generator gets the bits
+    a call of its own would give it. An entry that does not converge fails
+    only its own generator: `NonConvergence` is raised at its yield. Returns
+    each generator's return value, or the exception it raised, for the caller
+    to raise in the order a serial run would.
+    """
+    outcomes: list = [None] * len(steps)
+    waiting: dict[int, _Request] = {}
+
+    def advance(i: int, answer=None, error: Exception | None = None) -> None:
+        try:
+            waiting[i] = steps[i].send(answer) if error is None else steps[i].throw(error)
+        except StopIteration as stop:
+            outcomes[i] = stop.value
+        except Exception as err:  # kept as the outcome, not handled here
+            outcomes[i] = err
+
+    for i in range(len(steps)):
+        advance(i)
+    while waiting:
+        merged: dict[tuple, list[int]] = {}
+        for i, request in waiting.items():
+            merged.setdefault(request.key, []).append(i)
+        requests, waiting = waiting, {}
+        for members in merged.values():
+            batch = [requests.pop(i) for i in members]
+            bounds = np.cumsum([0] + [r.cvec.shape[0] for r in batch]).tolist()
+            gram, cvec, lambdas = (
+                np.concatenate([getattr(r, name) for r in batch])
+                for name in ("gram", "cvec", "lambdas")
+            )
+            del batch  # the requests' own arrays, where only they held them
+            solve = _lasso_path_alphas if lambdas.ndim == 2 else _solve_lasso
+            alphas, failed = solve(gram, cvec, lambdas)
+            del gram, cvec, lambdas
+            for i, lo, hi in zip(members, bounds, bounds[1:]):
+                if failed[lo:hi].any():
+                    advance(i, error=NonConvergence(
+                        f"coordinate descent exceeded {CD_MAX_SWEEPS} sweeps"))
+                else:
+                    advance(i, alphas[lo:hi])
+    return outcomes
+
+
+def _alone(steps: Generator):
+    """One step generator served by itself: its return value, or its error raised."""
+    outcome = serve_lasso([steps])[0]
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _lambda_grid(lam_max: np.ndarray) -> np.ndarray:
@@ -262,7 +361,9 @@ def _lambda_grid(lam_max: np.ndarray) -> np.ndarray:
     return np.asarray(lam_max)[:, None] * 10.0**exps
 
 
-def _lasso_path_alphas(gram: np.ndarray, cvec: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
+def _lasso_path_alphas(
+    gram: np.ndarray, cvec: np.ndarray, lambdas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Exact LASSO solutions at each grid lambda, for a batch of problems in lockstep.
 
     On its active set A an entry's solution is affine in lambda,
@@ -277,43 +378,47 @@ def _lasso_path_alphas(gram: np.ndarray, cvec: np.ndarray, lambdas: np.ndarray) 
     coordinate descent for its remaining grid points.
 
     ``gram`` is (B, F, F), ``cvec`` (B, F) and ``lambdas`` (B, L) with every
-    row sorted descending; returns an array (B, L, F).
+    row sorted descending; returns the solutions (B, L, F) and a mask of the
+    entries whose coordinate descent did not converge (their rows from that
+    grid point on are not solutions).
     """
     B, L = lambdas.shape
     F = cvec.shape[1]
     out = np.zeros((B, L, F))
+    failed = np.zeros(B, dtype=bool)
     abs_c = np.abs(cvec)
     lam_cur = abs_c.max(axis=1)
     edge = 1e-14 * np.maximum(lam_cur, 1.0)
-    j0 = abs_c.argmax(axis=1).tolist()
-    # Per entry: the active features in join order with their signs, and the
-    # inactive ones in index order.
-    active = [[j] for j in j0]
-    signs = [[s] for s in np.sign(cvec[np.arange(B), j0]).tolist()]
-    inactive = [[f for f in range(F) if f != j] for j in j0]
+    j0 = abs_c.argmax(axis=1)
+    rows = np.arange(B)
+    # Per entry: the active features in join order (the first size[i] of
+    # order[i]), their signs, and the active set as a mask, whose unset
+    # columns are the inactive features in index order.
+    order = np.zeros((B, F), dtype=np.intp)
+    order[:, 0] = j0
+    signs = np.zeros((B, F))
+    signs[:, 0] = np.sign(cvec[rows, j0])
+    mask = np.zeros((B, F), dtype=bool)
+    mask[rows, j0] = True
+    size = np.ones(B, dtype=np.intp)
     # Emit grid points at or above the first breakpoint (all-zero solution).
     # Rows descend, so the points at or above a lambda are a prefix of the
     # row, and their count is the index of the first point below it.
     grid_i = np.count_nonzero(lambdas >= (lam_cur - edge)[:, None], axis=1)
-    live = ((abs_c > 0).any(axis=1) & (grid_i < L)).nonzero()[0].tolist()
-    grid_i = grid_i.tolist()
-    # Segments by active-set size: (entries, active sets, phi, theta, first
-    # and past-the-last grid point), written into ``out`` after the walk.
-    segments: dict[int, list[tuple]] = {}
+    live = ((abs_c > 0).any(axis=1) & (grid_i < L)).nonzero()[0]
+    cols = np.arange(L)
     # (entry, first grid point, warm start, or None for the last point emitted)
     fallbacks: list[tuple[int, int, np.ndarray | None]] = []
 
     for _ in range(20 * F + 100):
-        if not live:
+        if not live.size:
             break
-        groups: dict[int, list[int]] = {}
-        for i in live:
-            groups.setdefault(len(active[i]), []).append(i)
-        live = []
-        for k, members in groups.items():
-            n, m = len(members), F - k
-            g = np.array(members)
-            idx = np.array([active[i] for i in members], dtype=np.intp).reshape(n, k)
+        sizes = size[live]
+        still = []
+        for k in np.unique(sizes).tolist():
+            g = live[sizes == k]
+            n, m = g.size, F - k
+            idx = order[g, :k]
             g2 = g[:, None]
             g3 = g2[:, :, None]
             idx_cols = idx[:, None, :]
@@ -322,7 +427,7 @@ def _lasso_path_alphas(gram: np.ndarray, cvec: np.ndarray, lambdas: np.ndarray) 
                 # give F-ordered ones, which round differently in the matmuls.
                 G_AA = gram[g3, idx[:, :, None], idx_cols]
                 c_A = cvec[g2, idx]
-                s_A = np.array([signs[i] for i in members])
+                s_A = signs[g, :k]
                 try:
                     # Two single-RHS solves: a two-column solve rounds differently,
                     # and so does scipy's dgesv, which links another OpenBLAS.
@@ -336,22 +441,21 @@ def _lasso_path_alphas(gram: np.ndarray, cvec: np.ndarray, lambdas: np.ndarray) 
                     if solved is None:
                         solved = np.ones(n, dtype=bool)
                     keep = solved & (np.abs(phi).max(axis=1) < 1e9)
-                    for r in (~keep).nonzero()[0]:
+                    for r in (~keep).nonzero()[0].tolist():
                         warm = np.zeros(F)
                         if not solved[r]:
                             warm[idx[r]] = np.maximum(np.abs(c_A[r]) - lam_cur[g[r]], 0) * s_A[r]
-                        fallbacks.append((members[r], grid_i[members[r]], warm))
+                        fallbacks.append((int(g[r]), int(grid_i[g[r]]), warm))
                     if not keep.any():
                         continue
-                    members = [i for i, kept in zip(members, keep.tolist()) if kept]
-                    n = len(members)
+                    n = int(np.count_nonzero(keep))
                     g, g2, g3, idx = g[keep], g2[keep], g3[keep], idx[keep]
                     idx_cols, phi, theta = idx_cols[keep], phi[keep], theta[keep]
             else:
                 phi = theta = np.zeros((n, 0))
 
             # Correlation of inactive features along the segment: a_j + lam * b_j.
-            inact = np.array([inactive[i] for i in members], dtype=np.intp).reshape(n, m)
+            inact = (~mask[g]).nonzero()[1].reshape(n, m)
             G_IA = gram[g3, inact[:, :, None], idx_cols]
             a = cvec[g2, inact] - (G_IA @ phi[..., None])[..., 0]
             b = (G_IA @ theta[..., None])[..., 0]
@@ -377,47 +481,59 @@ def _lasso_path_alphas(gram: np.ndarray, cvec: np.ndarray, lambdas: np.ndarray) 
             if np.count_nonzero(cand == lam_event[:, None]) > n:
                 key = np.concatenate((inact + F, inact + F, idx), axis=1)
                 slots = np.where(cand == lam_event[:, None], key, 2 * F).argmin(axis=1)
-            # Grid points on this segment: from the last one emitted down to
-            # the event. With no event left lam_event is 0 and every point is
-            # on the segment.
-            starts = [grid_i[i] for i in members]
-            stops = np.count_nonzero(lambdas[g] >= lam_event[:, None], axis=1).tolist()
-            for r, (i, ev, slot, stop) in enumerate(
-                zip(members, lam_event.tolist(), slots.tolist(), stops)
-            ):
-                grid_i[i] = stop
-                if stop == L:
-                    continue
-                if slot >= 2 * m:
-                    bisect.insort(inactive[i], active[i].pop(slot - 2 * m))
-                    signs[i].pop(slot - 2 * m)
-                else:
-                    j_loc = slot % m
-                    # Its sign, or +1 at 0: x is finite, as the feature's candidate is.
-                    x = a.item(r, j_loc) + ev * b.item(r, j_loc)
-                    active[i].append(inactive[i].pop(j_loc))
-                    signs[i].append(-1.0 if x < 0 else 1.0)
-                live.append(i)
-            if starts != stops:
-                segments.setdefault(k, []).append((g, idx, phi, theta, starts, stops))
+            # Grid points on this segment, written now: from the last one
+            # emitted down to the event. With no event left lam_event is 0 and
+            # every point is on the segment.
+            starts = grid_i[g]
+            stops = np.count_nonzero(lambdas[g] >= lam_event[:, None], axis=1)
+            grid_i[g] = stops
+            if k:
+                r, l = ((cols >= starts[:, None]) & (cols < stops[:, None])).nonzero()
+                values = theta[r]
+                values *= lambdas[g[r], l, None]
+                out[g[r, None], l[:, None], idx[r]] = np.subtract(phi[r], values, out=values)
 
-    fallbacks += [(i, grid_i[i], None) for i in live]
-    cols = np.arange(L)
-    for k in list(segments):
-        # Popped, so each size's records are freed once concatenated.
-        g, idx, phi, theta, starts, stops = (np.concatenate(p) for p in zip(*segments.pop(k)))
-        r, l = ((cols >= starts[:, None]) & (cols < stops[:, None])).nonzero()
-        values = theta[r]
-        values *= lambdas[g[r], l, None]
-        out[g[r, None], l[:, None], idx[r]] = np.subtract(phi[r], values, out=values)
+            # The event of each entry with grid points left: a drop deletes
+            # active column p, a join appends its feature at column k.
+            on = stops < L
+            drop = on & (slots >= 2 * m)
+            if drop.any():
+                d = drop.nonzero()[0]
+                p = slots[d] - 2 * m
+                kept = np.arange(k - 1)
+                src = kept + (kept >= p[:, None])
+                gd = g[d, None]
+                mask[g[d], idx[d, p]] = False
+                order[gd, kept] = idx[d[:, None], src]
+                signs[gd, kept] = signs[gd, src]
+                size[g[d]] -= 1
+            join = on & (slots < 2 * m)
+            if join.any():
+                j = join.nonzero()[0]
+                j_loc = slots[j] % m
+                feature = inact[j, j_loc]
+                # Its sign, or +1 at 0: x is finite, as the feature's candidate is.
+                x = a[j, j_loc] + lam_event[j] * b[j, j_loc]
+                order[g[j], k] = feature
+                signs[g[j], k] = np.where(x < 0, -1.0, 1.0)
+                mask[g[j], feature] = True
+                size[g[j]] += 1
+            still.append(g[on])
+        live = np.concatenate(still) if still else live[:0]
+
+    fallbacks += [(i, int(grid_i[i]), None) for i in live.tolist()]
     for i, start, warm in fallbacks:
         if warm is None:
             warm = out[i, start - 1] if start else np.zeros(F)
         alpha = warm[None]
         for gi in range(start, L):
-            alpha = _cd_solve(gram[i : i + 1], cvec[i : i + 1], lambdas[i, gi : gi + 1], alpha)
+            alpha, stuck = _cd_solve(gram[i : i + 1], cvec[i : i + 1], lambdas[i, gi : gi + 1],
+                                     alpha)
+            if stuck[0]:
+                failed[i] = True
+                break
             out[i, gi] = alpha[0]
-    return out
+    return out, failed
 
 
 def _solve_each(
@@ -436,12 +552,17 @@ def _solve_each(
 
 
 def _cv_choose_lambda(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """One cross-validated lambda per batch entry (`_cv_steps`), in one path call."""
+    return _alone(_cv_steps(X, y))
+
+
+def _cv_steps(X: np.ndarray, y: np.ndarray) -> Generator:
     """Pick one lambda per batch entry by contiguous-block validation error.
 
     ``X`` has shape (batch, rows, features); ``y`` is shared by every entry.
     Grids descend from each entry's own lambda_max; the fold fits of every
-    entry come from one lockstep call of the exact path solver; ties resolve
-    to the largest lambda.
+    entry are one request for the exact path; ties resolve to the largest
+    lambda.
     """
     B, T, F = X.shape
     c_all = np.einsum("btf,t->bf", _standardize(X)[0], y - y.mean()) / T
@@ -457,7 +578,11 @@ def _cv_choose_lambda(X: np.ndarray, y: np.ndarray) -> np.ndarray:
         np.divide(XsT @ Xs, ytr.size, out=gram[f * B : (f + 1) * B])
         np.divide(XsT @ (ytr - mu), ytr.size, out=cvec[f * B : (f + 1) * B])
         folds.append((val_idx, means, scales, mu))
-    alphas = _lasso_path_alphas(gram, cvec, np.tile(grid, (CV_FOLDS, 1)))
+    # While the request waits, serve_lasso alone holds it, and it frees the
+    # Grams once it has merged them.
+    request = [_Request(gram, cvec, np.tile(grid, (CV_FOLDS, 1)))]
+    del gram, cvec, Xs, XsT
+    alphas = yield request.pop()
     val_sse = np.zeros((B, LAMBDA_GRID_SIZE))
     for f, (val_idx, means, scales, mu) in enumerate(folds):
         Zval = (X[:, val_idx, :] - means[:, None, :]) / scales[:, None, :]
@@ -475,19 +600,27 @@ def select_lambda_cv(Q: QueryPanel, E: TimeSeries) -> float:
     Folds are contiguous time blocks, preserving temporal order; the lambda
     with minimal mean validation squared error wins, largest first on ties.
     """
+    return _alone(lasso_cv_steps(Q, E))
+
+
+def lasso_cv_steps(Q: QueryPanel, E: TimeSeries) -> Generator:
+    """`select_lambda_cv` as steps for `serve_lasso`."""
     _check_aligned(Q, E)
     if Q.n_months < CV_FOLDS:
         raise TooFewRows(f"{CV_FOLDS}-fold CV needs at least {CV_FOLDS} rows, got {Q.n_months}")
-    return float(_cv_choose_lambda(Q.matrix[None], E.values)[0])
+    return float((yield from _cv_steps(Q.matrix[None], E.values))[0])
 
 
-def _fit_lasso_batch(X: np.ndarray, y: np.ndarray, lams: np.ndarray) -> list[WebLinearModel]:
+def _fit_steps(X: np.ndarray, y: np.ndarray, lams: np.ndarray) -> Generator:
     """Full-data LASSO fit for each batch entry at its own lambda."""
     B, T, F = X.shape
     Xs, means, scales = _standardize(X)
-    gram = np.einsum("btf,btg->bfg", Xs, Xs) / T
-    cvec = np.einsum("btf,t->bf", Xs, y - y.mean()) / T
-    alphas = _solve_lasso(gram, cvec, lams)
+    request = [_Request(np.einsum("btf,btg->bfg", Xs, Xs) / T,
+                        np.einsum("btf,t->bf", Xs, y - y.mean()) / T, lams)]
+    # While the request waits, keep only the standardizations: not X, its
+    # standardized copy or the request (see _cv_steps).
+    del X, Xs
+    alphas = yield request.pop()
     mu = float(y.mean())
     return [
         WebLinearModel(mu=mu, alphas=alphas[b], feature_means=means[b], feature_scales=scales[b])
@@ -508,6 +641,23 @@ def fit_bagging(
     drawn independently, so queries recur across members) and every training
     month; its lambda comes from the same CV as the plain LASSO model.
     """
+    return _alone(bagging_steps(Q, E, n_subsets, subset_size, seed))
+
+
+def bagging_steps(
+    Q: QueryPanel,
+    E: TimeSeries,
+    n_subsets: int | None = None,
+    subset_size: int = 10,
+    seed: int = 0,
+) -> Generator:
+    """`fit_bagging` as steps for `serve_lasso`.
+
+    The cross-validation is one path call of its own, made before the first
+    step: merged over several months, its grids would hold (members x folds,
+    50, subset_size) solutions per month at once. Only the full-data fit is
+    requested.
+    """
     _check_aligned(Q, E)
     n = Q.n_queries
     if n < subset_size:
@@ -523,7 +673,9 @@ def fit_bagging(
     rng = np.random.default_rng(seed)
     subsets = [np.sort(rng.choice(n, size=subset_size, replace=False)) for _ in range(n_subsets)]
     X = np.stack([Q.matrix[:, s] for s in subsets])  # (B, T, F)
-    models = _fit_lasso_batch(X, E.values, _cv_choose_lambda(X, E.values))
+    fit = _fit_steps(X, E.values, _cv_choose_lambda(X, E.values))
+    del X
+    models = yield from fit
     members = tuple(
         (tuple(int(i) for i in s), model) for s, model in zip(subsets, models, strict=True)
     )

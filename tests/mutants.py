@@ -27,6 +27,37 @@ ROOT = Path(__file__).resolve().parents[1]
 
 MUTANTS = [
     (
+        # The level-0 runs handed to the pool in reverse and the result
+        # reversed back: every log is kept, but the later month's error wins.
+        "src/uptakecast/backtest.py",
+        "chunks = _map_months(level0_chunk, [(series, panel, run, cfg) for run in runs])",
+        "chunks = _map_months(level0_chunk, [(series, panel, run, cfg) for run in runs][::-1])[::-1]",
+        [
+            "tests/test_backtest.py::TestMonthPool"
+            "::test_the_earliest_failing_level0_month_over_the_runs_is_raised",
+        ],
+    ),
+    (
+        # Each merged request's rows handed to the generator one request on.
+        "src/uptakecast/web.py",
+        "for i, lo, hi in zip(members, bounds, bounds[1:]):",
+        "for i, lo, hi in zip(members[1:] + members[:1], bounds, bounds[1:]):",
+        [
+            "tests/test_web.py::TestLasso::test_a_merged_problem_that_does_not_converge_fails_alone",
+            "tests/test_backtest.py::TestMonthPool::test_a_month_alone_equals_its_cell_in_a_run",
+        ],
+    ),
+    (
+        # A drop deletes the active column after the dropped one.
+        "src/uptakecast/web.py",
+        "src = kept + (kept >= p[:, None])",
+        "src = kept + (kept > p[:, None])",
+        [
+            "tests/test_web.py::TestLasso::test_a_batch_joins_drops_and_falls_back_at_one_breakpoint",
+            "tests/test_web.py::TestLasso::test_batched_path_matches_the_candidate_loop_bit_for_bit",
+        ],
+    ),
+    (
         # The level-1 runs handed to the pool in reverse and the result
         # reversed back: every log is kept, but the later month's error wins.
         "src/uptakecast/backtest.py",
@@ -124,8 +155,8 @@ MUTANTS = [
     (
         # Each SVR column reads its stream pair's other kernel's forecast.
         "src/uptakecast/backtest.py",
-        "    return forecasts[q]\n",
-        "    return forecasts[q ^ 1]\n",
+        "functools.partial(_outcome, forecasts, q)",
+        "functools.partial(_outcome, forecasts, q ^ 1)",
         ["tests/test_backtest.py::TestLevel1Reference::test_equals_the_reference[None]"],
     ),
     (

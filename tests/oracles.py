@@ -20,6 +20,7 @@ import itertools
 import numpy as np
 
 from uptakecast.backtest import FIT_ERRORS, LogEntry
+from uptakecast.errors import NonConvergence
 from uptakecast.stacking import fit_stack_ols, fit_svr, predict_stack_ols, predict_svr
 from uptakecast.web import _cd_solve
 
@@ -224,10 +225,17 @@ def svr_bias_interval_masks(beta: np.ndarray, G: np.ndarray, eps: float, C: floa
     return lo, hi
 
 
-def lasso_path_candidate_loop(gram: np.ndarray, cvec: np.ndarray, lambdas: np.ndarray):
+def lasso_path_candidate_loop(
+    gram: np.ndarray, cvec: np.ndarray, lambdas: np.ndarray, events: list | None = None
+):
     """The LASSO homotopy with a per-feature loop over join and drop candidates
     and one grid point emitted at a time; falls back to ``_cd_solve`` as the
-    library does."""
+    library does, and raises ``NonConvergence`` where that does not converge.
+
+    ``events``, when given, gets what each step of the walk did: "join",
+    "drop" or "fallback".
+    """
+    events = [] if events is None else events
     F = cvec.size
     L = lambdas.size
     out = np.zeros((L, F))
@@ -243,7 +251,9 @@ def lasso_path_candidate_loop(gram: np.ndarray, cvec: np.ndarray, lambdas: np.nd
     def cd_fallback(start_i, warm):
         alpha = warm[None].copy()
         for gi in range(start_i, L):
-            alpha = _cd_solve(gram[None], cvec[None], lambdas[gi : gi + 1], alpha)
+            alpha, stuck = _cd_solve(gram[None], cvec[None], lambdas[gi : gi + 1], alpha)
+            if stuck[0]:
+                raise NonConvergence("coordinate descent did not converge")
             out[gi] = alpha[0]
         return out
 
@@ -263,8 +273,10 @@ def lasso_path_candidate_loop(gram: np.ndarray, cvec: np.ndarray, lambdas: np.nd
             except np.linalg.LinAlgError:
                 warm = np.zeros(F)
                 warm[idx] = np.maximum(np.abs(cvec[idx]) - lam_cur, 0) * s_A
+                events.append("fallback")
                 return cd_fallback(grid_i, warm)
             if not (np.all(np.isfinite(phi)) and np.max(np.abs(phi)) < 1e9):
+                events.append("fallback")
                 return cd_fallback(grid_i, np.zeros(F))
         else:
             idx = np.array([], dtype=int)
@@ -299,6 +311,7 @@ def lasso_path_candidate_loop(gram: np.ndarray, cvec: np.ndarray, lambdas: np.nd
             return cd_fallback(grid_i, out[grid_i - 1] if grid_i else np.zeros(F))
 
         lam_ev, kind, j = max(candidates, key=lambda c: (c[0], c[1] == "drop", -c[2]))
+        events.append(kind)
         if kind == "drop":
             k_loc = active.index(j)
             active.pop(k_loc)
@@ -309,6 +322,7 @@ def lasso_path_candidate_loop(gram: np.ndarray, cvec: np.ndarray, lambdas: np.nd
             signs.append(float(np.sign(a[j_loc] + lam_ev * b[j_loc])) or 1.0)
         lam_cur = lam_ev
 
+    events.append("fallback")
     warm = out[grid_i - 1] if grid_i else np.zeros(F)
     return cd_fallback(grid_i, warm)
 

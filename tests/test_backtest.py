@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uptakecast import backtest, stacking
+from uptakecast import backtest, clinical, stacking, web
 from uptakecast.backtest import (
     NAIVE,
     BacktestConfig,
@@ -246,6 +246,30 @@ class TestLevel0:
             else:
                 assert e == cells[(e.method, e.month)]
 
+    def test_a_month_that_does_not_converge_falls_back_alone(self, monkeypatch, level0_run):
+        # The last month's history ends in an uptake of 1e12: its L and B
+        # problems are still moving at a 20-sweep limit, which every other
+        # month's problems meet. A serial run merges all 16 months' LASSO
+        # calls, and only the last month's L, B and WM cells fall back.
+        E, Q, log = level0_run
+        values = E.series.values.copy()
+        values[-2] = 1e12
+        E = UptakeSeries(TimeSeries(E.series.start, values))
+        monkeypatch.setattr(backtest, "_usable_cpus", lambda: 1)
+        before = run_level0_backtest(E, Q, CFG, vaccine="V")
+        monkeypatch.setattr(web, "CD_MAX_SWEEPS", 20)
+        after = run_level0_backtest(E, Q, CFG, vaccine="V")
+        last = log.months(NAIVE, "V")[-1]
+        failing = {("L", last), ("B", last), ("WM", last)}
+        for old, new in zip(before.entries, after.entries, strict=True):
+            if (new.method, new.month) in failing:
+                assert new.diagnostic == (
+                    "fallback=naive (NonConvergence: coordinate descent exceeded 20 sweeps)"
+                )
+                assert new.predicted == after.prediction(NAIVE, last, "V")
+            else:
+                assert new == old
+
     def test_non_finite_forecast_falls_back(self):
         values, notes = backtest._fit_each(
             {
@@ -449,6 +473,72 @@ class TestMonthPool:
             assert all(chunks)
             assert [idx for run in chunks for idx in run] == list(range(1, 16))
         assert logs[1] == logs[0] and logs[2] == logs[0] and logs[3] == logs[0]
+
+    def test_level0_runs_cover_the_months_in_order(self, monkeypatch, level0_run):
+        # Level 0 has months 24..39, each costing k + 40 (its history plus
+        # the series length). 1, 2, 3 and 15 CPUs cut them into that many
+        # runs, and every cut gives the same log bytes.
+        E, Q, log0 = level0_run
+        runs = []
+
+        def in_process(fn, tasks):
+            runs.append([list(task[2]) for task in tasks])
+            return [fn(*task) for task in tasks]
+
+        monkeypatch.setattr(backtest, "_map_months", in_process)
+        logs = []
+        for cpus in (1, 2, 3, 15):
+            monkeypatch.setattr(backtest, "_usable_cpus", lambda: cpus)
+            logs.append(write_log_csv(run_level0_backtest(E, Q, CFG, vaccine="V")))
+        assert [len(r) for r in runs] == [1, 2, 3, 15]
+        for chunks in runs:
+            assert all(chunks)
+            assert [k for run in chunks for k in run] == list(range(24, 40))
+        assert logs == [write_log_csv(log0)] * 4
+
+    def test_a_month_alone_equals_its_cell_in_a_run(self, level0_run):
+        # predict's target month is fitted in a run of its own when it is the
+        # only month; in a backtest each month shares its run's merged calls.
+        E, Q, _ = level0_run
+        panel, series = backtest.aligned_history(E, Q, CFG)
+        ks = range(CFG.level0_warmup_months, len(series))
+        for k, (preds, notes, members) in zip(ks, backtest.level0_chunk(series, panel, ks, CFG)):
+            alone, alone_notes, alone_members = backtest.level0_chunk(series, panel, [k], CFG)[0]
+            assert alone == preds and alone_notes == notes
+            assert alone_members.tobytes() == members.tobytes()
+
+    def test_the_earliest_failing_level0_month_over_the_runs_is_raised(
+        self, monkeypatch, level0_run
+    ):
+        # Level 0 has months 24..39, each costing k + 40. On 2 CPUs the runs
+        # are 24-31 and 32-39; on 3, 24-28, 29-34 and 35-39. The two months
+        # whose Holt-Winters fit raises an error that is not a model failure
+        # end one run and start the next, so the later run's worker reaches
+        # its failure first. A serial run raises the earlier month's error,
+        # and so must the pooled one.
+        E, Q, _ = level0_run
+        fit, map_months = clinical.fit_holt_winters, backtest._map_months
+        failing, runs = (), []
+
+        def failing_fit(hist, season_length):
+            if len(hist) in failing:
+                raise RuntimeError(f"history of {len(hist)}")
+            return fit(hist, season_length)
+
+        def recording(fn, tasks):
+            runs.append([list(task[2]) for task in tasks])
+            return map_months(fn, tasks)
+
+        monkeypatch.setattr(clinical, "fit_holt_winters", failing_fit)
+        monkeypatch.setattr(backtest, "_map_months", recording)
+        split = {1: [24, 40], 2: [24, 32, 40], 3: [24, 29, 35, 40]}
+        for cpus, failing in ((1, (31, 32)), (2, (31, 32)), (3, (28, 29))):
+            monkeypatch.setattr(backtest, "_usable_cpus", lambda: cpus)
+            with pytest.raises(RuntimeError, match=f"^history of {failing[0]}$"):
+                run_level0_backtest(E, Q, CFG, vaccine="V")
+            bounds = split[cpus]
+            assert runs.pop() == [list(range(a, b)) for a, b in zip(bounds, bounds[1:])]
+            assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("sliding", [None, 6])
     def test_chunks_equal_one_month_at_a_time(self, monkeypatch, level0_run, sliding):

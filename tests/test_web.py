@@ -9,16 +9,19 @@ from uptakecast import web
 from uptakecast.errors import (
     AlignmentError,
     DimensionMismatch,
+    NonConvergence,
     PanelTooNarrow,
     TooFewRows,
 )
 from uptakecast.timeseries import MonthStamp
 from uptakecast.web import (
+    LAMBDA_GRID_SIZE,
     BaggedModel,
     QueryPanel,
     WmState,
+    _alone,
     _cv_choose_lambda,
-    _fit_lasso_batch,
+    _fit_steps,
     _lambda_grid,
     _lasso_path_alphas,
     _standardize,
@@ -43,6 +46,20 @@ RNG = np.random.default_rng(2024)
 def random_panel(rng, rows, cols, start=JAN2011):
     names = tuple(f"q{j}" for j in range(cols))
     return QueryPanel(start, names, rng.uniform(0, 100, (rows, cols)))
+
+
+def singular_problem(F, rng, L):
+    """Twin features 0 and 1 with unequal correlations: feature 1 joins at
+    0.25, and then their active Gram [[1, 1], [1, 1]] is singular. Below 0.25
+    this LASSO is unbounded, so the last of the L grid points sits just below
+    it, where coordinate descent still stops. Features from 2 on have small
+    correlations and join later, if at all."""
+    gram = np.eye(F)
+    gram[:2, :2] = 1.0
+    cvec = np.concatenate(([1.0, 0.5], rng.uniform(-0.2, 0.2, F - 2)))
+    lams = np.geomspace(1.0, 0.3, L)
+    lams[-1] = 0.25 - 1e-8
+    return gram, cvec, lams
 
 
 def standardized(matrix):
@@ -236,7 +253,7 @@ class TestLasso:
         lam_max = np.abs(cvec).max()
         lambdas = _lambda_grid(np.array([lam_max]))[0] if full_grid else np.array([lam_max / 20])
         assert np.array_equal(
-            _lasso_path_alphas(gram[None], cvec[None], lambdas[None])[0],
+            _lasso_path_alphas(gram[None], cvec[None], lambdas[None])[0][0],
             lasso_path_candidate_loop(gram, cvec, lambdas),
         )
 
@@ -261,7 +278,7 @@ class TestLasso:
         for gram, cvec in problems:
             lambdas = _lambda_grid(np.array([np.abs(cvec).max()]))[0]
             assert np.array_equal(
-                _lasso_path_alphas(gram[None], cvec[None], lambdas[None])[0],
+                _lasso_path_alphas(gram[None], cvec[None], lambdas[None])[0][0],
                 lasso_path_candidate_loop(gram, cvec, lambdas),
             )
 
@@ -270,31 +287,86 @@ class TestLasso:
         seed=st.integers(0, 2**32 - 1),
         F=st.integers(1, 12),
         entries=st.lists(
-            st.tuples(st.integers(4, 30), st.booleans(), st.booleans()), min_size=1, max_size=8
+            st.tuples(
+                st.integers(3, 30),
+                st.sampled_from(["plain", "twin", "constant", "correlated", "singular"]),
+            ),
+            min_size=1,
+            max_size=8,
         ),
         full_grid=st.booleans(),
     )
     def test_batched_path_matches_the_candidate_loop_bit_for_bit(self, seed, F, entries, full_grid):
         """One lockstep call over a batch of problems of one width: different
-        row counts, duplicated queries and all-zero correlations (a constant
-        target) side by side."""
+        row counts, duplicated queries, all-zero correlations (a constant
+        target), a query that is nearly the sum of two others (its paths
+        drop features) and a singular active Gram (that entry falls back to
+        coordinate descent) side by side."""
         rng = np.random.default_rng(seed)
-        grams, cvecs = [], []
-        for T, twin, constant in entries:
-            X = rng.uniform(0, 100, (T, F))
-            if twin and F > 1:
-                X[:, -1] = X[:, 0]
-            y = np.full(T, 50.0) if constant else X @ rng.normal(0, 1, F) + rng.normal(0, 5, T)
+        L = LAMBDA_GRID_SIZE if full_grid else 1
+        grams, cvecs, lambdas = [], [], []
+        for T, kind in entries:
+            if kind == "singular" and F >= 3:
+                gram, cvec, lams = singular_problem(F, rng, L)
+            else:
+                X = rng.uniform(0, 100, (T, F))
+                if kind == "twin" and F > 1:
+                    X[:, -1] = X[:, 0]
+                if kind == "correlated" and F > 2:
+                    X[:, -1] = X[:, 0] + X[:, 1] + rng.normal(0, 10, T)
+                y = (np.full(T, 50.0) if kind == "constant"
+                     else X @ rng.normal(0, 1, F) + rng.normal(0, 5, T))
+                Xs, _, _ = _standardize(X)
+                gram, cvec = Xs.T @ Xs / T, Xs.T @ (y - y.mean()) / T
+                lam_max = np.abs(cvec).max(keepdims=True)
+                lams = _lambda_grid(lam_max)[0] if full_grid else lam_max / 20
+            grams.append(gram)
+            cvecs.append(cvec)
+            lambdas.append(lams)
+        gram, cvec, lambdas = np.stack(grams), np.stack(cvecs), np.stack(lambdas)
+        batch, failed = _lasso_path_alphas(gram, cvec, lambdas)
+        assert not failed.any()
+        assert batch.shape == (len(entries), L, F)
+        for b in range(len(entries)):
+            assert np.array_equal(batch[b], lasso_path_candidate_loop(gram[b], cvec[b], lambdas[b]))
+
+    def test_a_batch_joins_drops_and_falls_back_at_one_breakpoint(self):
+        """Three problems of four features whose third breakpoint is a join, a
+        drop and a singular active Gram: in one lockstep step the first
+        appends a feature, the second deletes one that is not the last of its
+        three active columns, and the third leaves for coordinate descent."""
+        grams, cvecs, lambdas = [], [], []
+        for seed in (0, 8):  # found by search: two joins, then a join or a drop
+            rng = np.random.default_rng(seed)
+            T = int(rng.integers(3, 9))
+            X = rng.uniform(0, 100, (T, 4))
+            X[:, 3] = X[:, 0] + X[:, 1] + rng.normal(0, 10, T)
+            y = X @ rng.normal(0, 1, 4) + rng.normal(0, 5, T)
             Xs, _, _ = _standardize(X)
             grams.append(Xs.T @ Xs / T)
             cvecs.append(Xs.T @ (y - y.mean()) / T)
-        gram, cvec = np.stack(grams), np.stack(cvecs)
-        lam_max = np.abs(cvec).max(axis=1)
-        lambdas = _lambda_grid(lam_max) if full_grid else lam_max[:, None] / 20
-        batch = _lasso_path_alphas(gram, cvec, lambdas)
-        assert batch.shape == (len(entries), lambdas.shape[1], F)
-        for b in range(len(entries)):
+            lambdas.append(np.abs(cvecs[-1]).max() * np.array([1.0, 0.1, 0.01]))
+        # Feature 2, orthogonal to the others, joins at 0.6; feature 1 joins
+        # at 0.25 beside its twin 0, and their active Gram is singular.
+        gram = np.eye(4)
+        gram[:2, :2] = 1.0
+        grams.append(gram)
+        cvecs.append(np.array([1.0, 0.5, 0.6, 0.1]))
+        lambdas.append(np.array([1.0, 0.3, 0.25 - 1e-8]))
+        gram, cvec, lambdas = np.stack(grams), np.stack(cvecs), np.stack(lambdas)
+
+        third = []
+        for b in range(3):
+            events = []
+            lasso_path_candidate_loop(gram[b], cvec[b], lambdas[b], events)
+            third.append(events[2])
+        assert third == ["join", "drop", "fallback"]
+        batch, failed = _lasso_path_alphas(gram, cvec, lambdas)
+        assert not failed.any()
+        for b in range(3):
             assert np.array_equal(batch[b], lasso_path_candidate_loop(gram[b], cvec[b], lambdas[b]))
+            single = _lasso_path_alphas(gram[b : b + 1], cvec[b : b + 1], lambdas[b : b + 1])[0]
+            assert np.array_equal(batch[b], single[0])
 
     def test_fallback_stays_with_the_entry_at_fault(self, monkeypatch):
         """A singular active Gram and a runaway coefficient each send their own
@@ -329,13 +401,53 @@ class TestLasso:
             return cd_solve(g, *args)
 
         monkeypatch.setattr(web, "_cd_solve", recording_cd_solve)
-        batch = _lasso_path_alphas(gram, cvec, lambdas)
+        batch, failed = _lasso_path_alphas(gram, cvec, lambdas)
+        assert not failed.any()
         assert set(fell_back) == {2, 5}
         monkeypatch.undo()
         for b in range(len(gram)):
-            single = _lasso_path_alphas(gram[b : b + 1], cvec[b : b + 1], lambdas[b : b + 1])[0]
+            single = _lasso_path_alphas(gram[b : b + 1], cvec[b : b + 1], lambdas[b : b + 1])[0][0]
             assert np.array_equal(batch[b], single)
             assert np.array_equal(batch[b], lasso_path_candidate_loop(gram[b], cvec[b], lambdas[b]))
+
+    def test_a_merged_problem_that_does_not_converge_fails_alone(self, monkeypatch):
+        """Fits served together, where one entry's coordinate descent is still
+        moving at the sweep limit: that fit gets NonConvergence, and the ones
+        beside it get the bits of their own fits. It happens in the path's
+        descent (a target scaled by 1e12 sends its entry there, and the stop
+        rule is absolute) and in the polish (the problem of
+        `test_kkt_where_the_exact_path_goes_wrong`, whose path point is not a
+        solution)."""
+        monkeypatch.setattr(web, "CD_MAX_SWEEPS", 20)
+        calls = []
+        cd_solve = web._cd_solve
+        monkeypatch.setattr(web, "_cd_solve", lambda *a: calls.append(len(a[0])) or cd_solve(*a))
+
+        rng = np.random.default_rng(5)
+        panel = random_panel(rng, 20, 6)
+        ys = [panel.matrix @ rng.normal(0, 1, 6) + rng.normal(0, 5, 20) for _ in range(3)]
+        ys[1] = ys[1] * 1e12
+        series = [make_series(y) for y in ys]
+        lams = [lasso_lambda_max(panel, E) / 20 for E in series]
+        E, wide = synth_vaccine(1000, n_months=57, n_queries=58)
+        last = JAN2011.plus(32)
+        E, wide = E.series.slice(JAN2011, last), wide.slice(JAN2011, last)
+        lam_max = lasso_lambda_max(wide, E)
+        wide_lams = [lam_max / 2, select_lambda_cv(wide, E), lam_max / 4]
+        fits = [(panel, E_b, lam) for E_b, lam in zip(series, lams)]
+        fits += [(wide, E, lam) for lam in wide_lams]
+
+        outcomes = web.serve_lasso([web.lasso_fit_steps(*fit) for fit in fits])
+        # The scaled fit's descent, then one polish per width: the path
+        # failure is not polished.
+        assert calls == [1, 2, 3]
+        for b in range(6):
+            if b in (1, 4):
+                assert isinstance(outcomes[b], NonConvergence)
+                assert str(outcomes[b]) == "coordinate descent exceeded 20 sweeps"
+            else:
+                alone = fit_lasso(*fits[b])
+                assert outcomes[b].alphas.tobytes() == alone.alphas.tobytes()
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -354,10 +466,10 @@ class TestLasso:
             X[0, :, -1] = X[0, :, 0]
         y = rng.uniform(10, 90, T)
         lams = _cv_choose_lambda(X, y)
-        models = _fit_lasso_batch(X, y, lams)
+        models = _alone(_fit_steps(X, y, lams))
         for b in range(B):
             assert lams[b] == _cv_choose_lambda(X[b : b + 1], y)[0]
-            single = _fit_lasso_batch(X[b : b + 1], y, lams[b : b + 1])[0]
+            single = _alone(_fit_steps(X[b : b + 1], y, lams[b : b + 1]))[0]
             assert models[b].alphas.tobytes() == single.alphas.tobytes()
             assert np.float64(models[b].mu).tobytes() == np.float64(single.mu).tobytes()
 
@@ -368,10 +480,11 @@ class TestLasso:
         gram = np.ones((2, 1, 1))
         cvec = np.array([[1.0], [-0.1]])
         lam = np.array([0.5, 0.5])
-        batch = web._cd_solve(gram, cvec, lam, np.zeros((2, 1)))
+        batch, stuck = web._cd_solve(gram, cvec, lam, np.zeros((2, 1)))
+        assert not stuck.any()
         for b in range(2):
             one = slice(b, b + 1)
-            alone = web._cd_solve(gram[one], cvec[one], lam[one], np.zeros((1, 1)))
+            alone = web._cd_solve(gram[one], cvec[one], lam[one], np.zeros((1, 1)))[0]
             assert batch[b].tobytes() == alone[0].tobytes()
         assert np.signbit(batch[1, 0]) == False  # noqa: E712
 
