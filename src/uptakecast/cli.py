@@ -8,10 +8,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import dataclasses
-import io
-import math
 import sys
 import warnings
 from pathlib import Path
@@ -21,7 +18,6 @@ import numpy as np
 from . import web
 from .backtest import (
     BacktestConfig,
-    LogEntry,
     PredictionLog,
     aligned_history,
     level0_streams,
@@ -30,8 +26,16 @@ from .backtest import (
     run_level0_backtest,
     summarize,
 )
-from .errors import GapInRegistry, MissingCohort, ParseError, UptakecastError
-from .ingest import compute_uptake, emit_report, load_cohorts, load_registry, load_trends
+from .errors import EmptyLog, GapInRegistry, MissingCohort, UptakecastError
+from .ingest import (
+    compute_uptake,
+    emit_report,
+    load_cohorts,
+    load_registry,
+    load_trends,
+    read_log_csv,
+    write_log_csv,
+)
 from .timeseries import MonthStamp, TimeSeries, UptakeSeries, align
 
 
@@ -116,76 +120,6 @@ def _load_experiment(config_path: str, vaccine_filter: list[str] | None, seed_fl
     return datasets, cfg
 
 
-_LOG_HEADER = [
-    "vaccine",
-    "method",
-    "year",
-    "month",
-    "predicted",
-    "actual",
-    "train_start_year",
-    "train_start_month",
-    "train_end_year",
-    "train_end_month",
-    "diagnostic",
-]
-
-
-def write_log_csv(log: PredictionLog) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_LOG_HEADER)
-    for e in log.entries:
-        writer.writerow(
-            [
-                e.vaccine,
-                e.method,
-                e.month.year,
-                e.month.month,
-                repr(e.predicted),
-                repr(e.actual),
-                e.train_start.year,
-                e.train_start.month,
-                e.train_end.year,
-                e.train_end.month,
-                e.diagnostic,
-            ]
-        )
-    return buf.getvalue()
-
-
-def read_log_csv(text: str) -> PredictionLog:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, [])
-    if header != _LOG_HEADER:
-        raise UptakecastError(f"unexpected log header {header}")
-    entries = []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(_LOG_HEADER):
-            raise ParseError(f"expected {len(_LOG_HEADER)} fields", line=reader.line_num)
-        try:
-            predicted, actual = float(row[4]), float(row[5])
-            if not (math.isfinite(predicted) and 0 <= actual < math.inf):
-                raise ValueError("predicted must be finite and actual finite and >= 0")
-            entries.append(
-                LogEntry(
-                    vaccine=row[0],
-                    method=row[1],
-                    month=MonthStamp(int(row[2]), int(row[3])),
-                    predicted=predicted,
-                    actual=actual,
-                    train_start=MonthStamp(int(row[6]), int(row[7])),
-                    train_end=MonthStamp(int(row[8]), int(row[9])),
-                    diagnostic=row[10],
-                )
-            )
-        except ValueError as err:  # an unparsable or out-of-range number, or a month outside 1..12
-            raise ParseError(str(err), line=reader.line_num) from None
-    return PredictionLog(tuple(entries))
-
-
 def _write_out(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -210,13 +144,18 @@ def _cmd_validate(args) -> int:
 
 def _cmd_backtest(args) -> int:
     datasets, cfg = _load_experiment(args.config, args.vaccine, args.seed)
+    if args.log_dir:
+        log_dir = Path(args.log_dir)
+        log_paths = {name: log_dir / f"{name}.log.csv" for name in datasets}
+        for name, path in log_paths.items():
+            if path.parent != log_dir:
+                raise UptakecastError(f"vaccine {name!r}: its log {path} is not in {log_dir}")
     logs: dict[str, PredictionLog] = {}
     reports = run_full_experiment(datasets, cfg, collect_logs=logs)
     if args.log_dir:
-        log_dir = Path(args.log_dir)
         log_dir.mkdir(parents=True, exist_ok=True)
         for name, log in logs.items():
-            (log_dir / f"{name}.log.csv").write_text(write_log_csv(log), encoding="utf-8")
+            log_paths[name].write_text(write_log_csv(log), encoding="utf-8")
     extra = []
     if args.level0_window:
         for name, log in logs.items():
@@ -276,13 +215,13 @@ def _cmd_report(args) -> int:
         raise UptakecastError(f"no *.log.csv files under {log_dir}")
     reports = []
     for path in paths:
-        try:
-            log = read_log_csv(path.read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, UptakecastError) as err:
-            raise UptakecastError(f"{path}: {err}") from err
+        log = read_log_csv(path)
         if len(log) == 0:
             raise UptakecastError(f"{path}: no log entries")
-        reports += [summarize(log, vaccine) for vaccine in log.vaccines()]
+        try:
+            reports += [summarize(log, vaccine) for vaccine in log.vaccines()]
+        except EmptyLog as err:
+            raise EmptyLog(f"{path}: {err}") from None
     _write_out(emit_report(reports, format=args.format), args.out)
     return 0
 

@@ -1,10 +1,12 @@
-"""CSV ingestion, uptake computation and report emission.
+"""CSV ingestion, uptake computation, prediction logs and report emission.
 
-File schemas (UTF-8, header row required):
+File schemas (UTF-8, a byte-order mark allowed, header row required):
 
 * registry: ``vaccine,year,month,doses``
 * cohorts:  ``year,month,expected``
 * trends:   ``query,year,month,frequency``
+* prediction log: ``vaccine,method,year,month,predicted,actual,``
+  ``train_start_year,train_start_month,train_end_year,train_end_month,diagnostic``
 
 Missing months are hard errors, never imputed; Trends zeros are kept as
 observed zeros (the export's privacy threshold reports them that way).
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .backtest import META_MODELS, BacktestReport
+from .backtest import META_MODELS, BacktestReport, LogEntry, PredictionLog
 from .errors import (
     DiagnosticWarning,
     GapError,
@@ -203,6 +206,52 @@ def compute_uptake(
             raise MissingCohort(f"no cohort entry for {stamp}")
         values.append(100.0 * by_month[stamp].doses_given / cohort_by_month[stamp])
     return UptakeSeries(TimeSeries(first, np.array(values)))
+
+
+_LOG_HEADER = ("vaccine", "method", "year", "month", "predicted", "actual", "train_start_year",
+               "train_start_month", "train_end_year", "train_end_month", "diagnostic")
+
+
+def write_log_csv(log: PredictionLog) -> str:
+    """The prediction log as CSV, floats at full precision."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(_LOG_HEADER)
+    for e in log.entries:
+        writer.writerow(
+            [
+                e.vaccine,
+                e.method,
+                e.month.year,
+                e.month.month,
+                repr(e.predicted),
+                repr(e.actual),
+                e.train_start.year,
+                e.train_start.month,
+                e.train_end.year,
+                e.train_end.month,
+                e.diagnostic,
+            ]
+        )
+    return buf.getvalue()
+
+
+def read_log_csv(path: str | Path) -> PredictionLog:
+    """Parse a prediction log written by `write_log_csv`; every error names the file."""
+    entries = []
+    for lineno, row in _read_rows(path, _LOG_HEADER):
+        try:
+            predicted, actual = float(row[4]), float(row[5])
+            if not (math.isfinite(predicted) and 0 <= actual < math.inf):
+                raise ValueError("predicted must be finite and actual finite and >= 0")
+            month, start, end = (MonthStamp(int(row[i]), int(row[i + 1])) for i in (2, 6, 8))
+        except ValueError as err:  # an unparsable or out-of-range number, or a month outside 1..12
+            raise ParseError(f"{path}: {err}", line=lineno) from None
+        entries.append(LogEntry(row[0], row[1], month, predicted, actual, start, end, row[10]))
+    try:
+        return PredictionLog(tuple(entries))
+    except SchemaError as err:  # a duplicate entry, two actual values, a gap in the months
+        raise SchemaError(f"{path}: {err}") from None
 
 
 def _fmt(value: float) -> str:

@@ -249,7 +249,7 @@ def lasso_fit_steps(Q: QueryPanel, E: TimeSeries, lam: float) -> Generator:
     gram = Xs.T @ Xs / T
     cvec = Xs.T @ (y - y.mean()) / T
     del Xs
-    alpha = (yield _Request(gram[None], cvec[None], np.array([float(lam)])))[0]
+    alpha = (yield gram[None], cvec[None], np.array([float(lam)]))[0]
     return WebLinearModel(
         mu=float(y.mean()), alphas=alpha, feature_means=means, feature_scales=scales
     )
@@ -276,41 +276,27 @@ def _solve_lasso(
     return alpha, failed
 
 
-@dataclass(frozen=True)
-class _Request:
-    """LASSO problems of one width that a step generator waits on.
-
-    ``gram`` is (b, F, F) and ``cvec`` (b, F). A path request has
-    ``lambdas`` (b, L), every row descending, and is answered with the exact
-    path at those points, (b, L, F). A fit request has ``lambdas`` (b,) and
-    is answered with the fit at each (`_solve_lasso`), (b, F).
-    """
-
-    gram: np.ndarray
-    cvec: np.ndarray
-    lambdas: np.ndarray
-
-    @property
-    def key(self) -> tuple:
-        """Requests with equal keys can be answered by one call: their width,
-        and for a path request its grid length."""
-        return (self.cvec.shape[1],) + self.lambdas.shape[1:]
-
-
 def serve_lasso(steps: Sequence[Generator]) -> list:
     """Run LASSO step generators to their ends, merging their requests.
 
-    Each generator yields `_Request`s and is sent its own rows of the answer.
-    The requests waiting at one time are merged by key into one
-    `_lasso_path_alphas` or `_solve_lasso` call each. Every entry of those calls
-    follows the trajectory it follows alone, so each generator gets the bits
-    a call of its own would give it. An entry that does not converge fails
-    only its own generator: `NonConvergence` is raised at its yield. Returns
-    each generator's return value, or the exception it raised, for the caller
-    to raise in the order a serial run would.
+    Each generator yields requests, ``(gram, cvec, lambdas)`` tuples of
+    LASSO problems of one width: ``gram`` is (b, F, F) and ``cvec`` (b, F). A
+    path request has ``lambdas`` (b, L), every row descending, and is answered
+    with the exact path at those points, (b, L, F). A fit request has
+    ``lambdas`` (b,) and is answered with the fit at each (`_solve_lasso`),
+    (b, F). Each generator is sent its own rows of the answer.
+
+    The requests waiting at one time are merged into one `_lasso_path_alphas`
+    or `_solve_lasso` call per key: their width, and for a path request its
+    grid length. Every entry of those calls follows the trajectory it follows
+    alone, so each generator gets the bits a call of its own would give it.
+    An entry that does not converge fails only its own generator:
+    `NonConvergence` is raised at its yield. Returns each generator's return
+    value, or the exception it raised, for the caller to raise in the order a
+    serial run would.
     """
     outcomes: list = [None] * len(steps)
-    waiting: dict[int, _Request] = {}
+    waiting: dict[int, tuple] = {}
 
     def advance(i: int, answer=None, error: Exception | None = None) -> None:
         try:
@@ -324,16 +310,13 @@ def serve_lasso(steps: Sequence[Generator]) -> list:
         advance(i)
     while waiting:
         merged: dict[tuple, list[int]] = {}
-        for i, request in waiting.items():
-            merged.setdefault(request.key, []).append(i)
+        for i, (_, cvec, lambdas) in waiting.items():
+            merged.setdefault(cvec.shape[1:] + lambdas.shape[1:], []).append(i)
         requests, waiting = waiting, {}
         for members in merged.values():
             batch = [requests.pop(i) for i in members]
-            bounds = np.cumsum([0] + [r.cvec.shape[0] for r in batch]).tolist()
-            gram, cvec, lambdas = (
-                np.concatenate([getattr(r, name) for r in batch])
-                for name in ("gram", "cvec", "lambdas")
-            )
+            bounds = np.cumsum([0] + [cvec.shape[0] for _, cvec, _ in batch]).tolist()
+            gram, cvec, lambdas = (np.concatenate(arrays) for arrays in zip(*batch))
             del batch  # the requests' own arrays, where only they held them
             solve = _lasso_path_alphas if lambdas.ndim == 2 else _solve_lasso
             alphas, failed = solve(gram, cvec, lambdas)
@@ -551,11 +534,6 @@ def _solve_each(
     return phi, theta, solved
 
 
-def _cv_choose_lambda(X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """One cross-validated lambda per batch entry (`_cv_steps`), in one path call."""
-    return _alone(_cv_steps(X, y))
-
-
 def _cv_steps(X: np.ndarray, y: np.ndarray) -> Generator:
     """Pick one lambda per batch entry by contiguous-block validation error.
 
@@ -580,7 +558,7 @@ def _cv_steps(X: np.ndarray, y: np.ndarray) -> Generator:
         folds.append((val_idx, means, scales, mu))
     # While the request waits, serve_lasso alone holds it, and it frees the
     # Grams once it has merged them.
-    request = [_Request(gram, cvec, np.tile(grid, (CV_FOLDS, 1)))]
+    request = [(gram, cvec, np.tile(grid, (CV_FOLDS, 1)))]
     del gram, cvec, Xs, XsT
     alphas = yield request.pop()
     val_sse = np.zeros((B, LAMBDA_GRID_SIZE))
@@ -615,8 +593,8 @@ def _fit_steps(X: np.ndarray, y: np.ndarray, lams: np.ndarray) -> Generator:
     """Full-data LASSO fit for each batch entry at its own lambda."""
     B, T, F = X.shape
     Xs, means, scales = _standardize(X)
-    request = [_Request(np.einsum("btf,btg->bfg", Xs, Xs) / T,
-                        np.einsum("btf,t->bf", Xs, y - y.mean()) / T, lams)]
+    request = [(np.einsum("btf,btg->bfg", Xs, Xs) / T,
+                np.einsum("btf,t->bf", Xs, y - y.mean()) / T, lams)]
     # While the request waits, keep only the standardizations: not X, its
     # standardized copy or the request (see _cv_steps).
     del X, Xs
@@ -673,7 +651,7 @@ def bagging_steps(
     rng = np.random.default_rng(seed)
     subsets = [np.sort(rng.choice(n, size=subset_size, replace=False)) for _ in range(n_subsets)]
     X = np.stack([Q.matrix[:, s] for s in subsets])  # (B, T, F)
-    fit = _fit_steps(X, E.values, _cv_choose_lambda(X, E.values))
+    fit = _fit_steps(X, E.values, _alone(_cv_steps(X, E.values)))
     del X
     models = yield from fit
     members = tuple(

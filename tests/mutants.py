@@ -48,6 +48,14 @@ MUTANTS = [
         ],
     ),
     (
+        # Requests merged by width alone: a path request and a fit request of
+        # one width are sent to one call.
+        "src/uptakecast/web.py",
+        "merged.setdefault(cvec.shape[1:] + lambdas.shape[1:], []).append(i)",
+        "merged.setdefault(cvec.shape[1:], []).append(i)",
+        ["tests/test_web.py::TestLasso::test_path_and_fit_requests_waiting_together_are_served_apart"],
+    ),
+    (
         # A drop deletes the active column after the dropped one.
         "src/uptakecast/web.py",
         "src = kept + (kept >= p[:, None])",

@@ -1,6 +1,8 @@
 import concurrent.futures
 import dataclasses
 import multiprocessing
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +22,8 @@ from uptakecast.backtest import (
     run_level1_backtest,
     summarize,
 )
-from uptakecast.cli import read_log_csv, write_log_csv
 from uptakecast.errors import EmptyLog, InsufficientHistory, SchemaError
+from uptakecast.ingest import read_log_csv, write_log_csv
 from uptakecast.timeseries import MonthStamp, TimeSeries, UptakeSeries
 from uptakecast.web import QueryPanel
 
@@ -693,7 +695,12 @@ class TestSummarizeProperties:
     @settings(max_examples=100, deadline=None)
     @given(log=small_logs())
     def test_csv_round_trip_keeps_every_rmse(self, log):
-        reloaded = read_log_csv(write_log_csv(log))
+        # A tempfile, not tmp_path: a function-scoped fixture is set up once
+        # for all the examples @given draws.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "V.log.csv"
+            path.write_text(write_log_csv(log), encoding="utf-8")
+            reloaded = read_log_csv(path)
         for vaccine in log.vaccines():
             before, after = summarize(log, vaccine), summarize(reloaded, vaccine)
             assert list(after.rmse.items()) == list(before.rmse.items())

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from uptakecast.backtest import BacktestConfig, run_level0_backtest, run_level1_backtest
-from uptakecast.cli import _load_experiment, main, read_log_csv, write_log_csv
+from uptakecast.cli import _load_experiment, main
+from uptakecast.ingest import read_log_csv, write_log_csv
 from uptakecast.timeseries import MonthStamp, TimeSeries, UptakeSeries
 from uptakecast.web import QueryPanel
 
@@ -268,7 +269,7 @@ class TestBacktest:
             "VAX-A.log.csv",
             "VAX-B.log.csv",
         ]
-        log = read_log_csv((logs / "VAX-A.log.csv").read_text())
+        log = read_log_csv(logs / "VAX-A.log.csv")
         assert len(log.methods()) == 44
         assert write_log_csv(log) == (logs / "VAX-A.log.csv").read_text()
 
@@ -336,6 +337,33 @@ class TestBacktest:
             "--vaccine", "NOPE",
         ]) == 1
 
+    @pytest.mark.parametrize("vaccine", ["../escaped", "a/b"])
+    def test_log_dir_takes_only_logs_inside_it(self, experiment, tmp_path, capsys, vaccine):
+        # A vaccine id whose log would lie outside --log-dir fails before any
+        # fit, and nothing is written; without --log-dir the id is valid.
+        registry = (experiment / "registry.csv").read_text().replace("VAX-A,", f"{vaccine},")
+        (tmp_path / "registry.csv").write_text(registry)
+        config = tmp_path / "experiment.ini"
+        config.write_text(
+            f"[data]\nregistry = {tmp_path / 'registry.csv'}\n"
+            f"cohorts = {experiment / 'cohorts.csv'}\n"
+            f"[vaccines]\n{vaccine} = {experiment / 'trends_VAX-A.csv'}\n"
+            "[backtest]\nseed = 3\nbagging_subset_size = 4\n"
+        )
+        before = sorted(tmp_path.rglob("*"))
+        args = ["backtest", "--config", str(config), "--out", str(tmp_path / "report.md")]
+        assert main(args + ["--log-dir", str(tmp_path / "run" / "logs")]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: vaccine {vaccine!r}: ")
+        assert sorted(tmp_path.rglob("*")) == before
+        assert main(args) == 0
+
+
+LOG_HEADER = (
+    "vaccine,method,year,month,predicted,actual,train_start_year,"
+    "train_start_month,train_end_year,train_end_month,diagnostic\n"
+)
+
 
 @pytest.fixture(scope="module")
 def markdown_run(experiment, tmp_path_factory):
@@ -372,33 +400,51 @@ class TestReport:
         assert main(["report", "--log-dir", str(tmp_path / "void")]) == 1
 
     @pytest.mark.parametrize(
-        "body, message",
+        "text, message",
         [
-            ("X,Naive,2013,1,not-a-number,50.0,2011,1,2012,12,\n", "line 2"),
-            ("X,Naive,2013,1.5,49.0,50.0,2011,1,2012,12,\n", "line 2"),
-            ("X,Naive,2013,1,49.0,50.0,2011,1,2012,12,\nX,Naive,2013,2,49.0\n", "line 3"),
-            ("", "no log entries"),
-            (None, "unexpected log header"),
-            ("X,Naive,2013,1,nan,50.0,2011,1,2012,12,\n", "line 2"),
-            ("X,Naive,2013,1,49.0,inf,2011,1,2012,12,\n", "line 2"),
-            ("X,Naive,2013,1,49.0,-1.0,2011,1,2012,12,\n", "line 2"),
+            (LOG_HEADER + "X,Naive,2013,1,not-a-number,50.0,2011,1,2012,12,\n", "line 2"),
+            (LOG_HEADER + "X,Naive,2013,1.5,49.0,50.0,2011,1,2012,12,\n", "line 2"),
+            (LOG_HEADER + "X,Naive,2013,1,49.0,50.0,2011,1,2012,12,\nX,Naive,2013,2,49.0\n",
+             "line 3"),
+            (LOG_HEADER, "no log entries"),
+            ("", "empty file"),
+            (LOG_HEADER + "X,Naive,2013,1,nan,50.0,2011,1,2012,12,\n", "line 2"),
+            (LOG_HEADER + "X,Naive,2013,1,49.0,inf,2011,1,2012,12,\n", "line 2"),
+            (LOG_HEADER + "X,Naive,2013,1,49.0,-1.0,2011,1,2012,12,\n", "line 2"),
+            ("vaccine,method\nX,Naive\n", "expected header"),
+            (LOG_HEADER + "X,Naive,2013,1,49.0,50.0,2011,1,2012,12,\n"
+             "X,HW,2013,1,49.5,51.0,2011,1,2012,12,\n", "two different actual values"),
+            (LOG_HEADER + "X,Naive,2013,1,49.0,50.0,2011,1,2012,12,\n"
+             "X,HW,2013,2,49.5,51.0,2011,1,2013,1,\n", "no months shared by every method"),
         ],
         ids=[
             "unparsable-number", "non-integer-month", "short-row", "header-only", "empty-file",
-            "nan-prediction", "inf-actual", "negative-actual",
+            "nan-prediction", "inf-actual", "negative-actual", "wrong-header", "two-actuals",
+            "no-shared-month",
         ],
     )
-    def test_malformed_log_is_validation_error(self, tmp_path, capsys, body, message):
-        header = (
-            "vaccine,method,year,month,predicted,actual,train_start_year,"
-            "train_start_month,train_end_year,train_end_month,diagnostic\n"
-        )
+    def test_malformed_log_is_validation_error(self, tmp_path, capsys, text, message):
+        # One error line, and it names the file.
         logs = tmp_path / "logs"
         logs.mkdir()
-        (logs / "X.log.csv").write_text("" if body is None else header + body)
+        path = logs / "X.log.csv"
+        path.write_text(text)
         assert main(["report", "--log-dir", str(logs)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and f"{path}: " in line and message in line
+
+    def test_a_log_with_a_bom_and_crlf_line_ends_reads(self, markdown_run, tmp_path):
+        _, logs = markdown_run
+        marked = tmp_path / "marked"
+        marked.mkdir()
+        for path in logs.iterdir():
+            text = "\ufeff" + path.read_text(encoding="utf-8").replace("\n", "\r\n")
+            (marked / path.name).write_bytes(text.encode("utf-8"))
+        plain, read = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        argv = ["report", "--format", "csv", "--out"]
+        assert main(argv + [str(plain), "--log-dir", str(logs)]) == 0
+        assert main(argv + [str(read), "--log-dir", str(marked)]) == 0
+        assert read.read_text() == plain.read_text()
 
     def test_a_log_that_is_not_utf8_is_a_validation_error(self, tmp_path, capsys):
         logs = tmp_path / "logs"

@@ -20,7 +20,7 @@ from uptakecast.web import (
     QueryPanel,
     WmState,
     _alone,
-    _cv_choose_lambda,
+    _cv_steps,
     _fit_steps,
     _lambda_grid,
     _lasso_path_alphas,
@@ -449,6 +449,22 @@ class TestLasso:
                 alone = fit_lasso(*fits[b])
                 assert outcomes[b].alphas.tobytes() == alone.alphas.tobytes()
 
+    @pytest.mark.parametrize("widths", [(12, 12), (12, 7)])
+    def test_path_and_fit_requests_waiting_together_are_served_apart(self, widths):
+        """Cross-validation path requests and fit requests of one width, or of
+        two, wait at once: each kind of each width gets its own call, and every
+        fit the bits it gets alone."""
+        problems = []
+        for seed, width in enumerate(widths):
+            E, panel = synth_vaccine(seed, n_months=30, n_queries=width)
+            problems.append((panel, E.series, lasso_lambda_max(panel, E.series) / 10))
+        steps = [web.lasso_cv_steps(panel, E) for panel, E, _ in problems]
+        steps += [web.lasso_fit_steps(*problem) for problem in problems]
+        outcomes = web.serve_lasso(steps)
+        for (panel, E, lam), chosen, model in zip(problems, outcomes, outcomes[len(problems):]):
+            assert chosen == select_lambda_cv(panel, E)
+            assert model.alphas.tobytes() == fit_lasso(panel, E, lam).alphas.tobytes()
+
     @settings(max_examples=30, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -465,10 +481,10 @@ class TestLasso:
         if twin and F > 1:
             X[0, :, -1] = X[0, :, 0]
         y = rng.uniform(10, 90, T)
-        lams = _cv_choose_lambda(X, y)
+        lams = _alone(_cv_steps(X, y))
         models = _alone(_fit_steps(X, y, lams))
         for b in range(B):
-            assert lams[b] == _cv_choose_lambda(X[b : b + 1], y)[0]
+            assert lams[b] == _alone(_cv_steps(X[b : b + 1], y))[0]
             single = _alone(_fit_steps(X[b : b + 1], y, lams[b : b + 1]))[0]
             assert models[b].alphas.tobytes() == single.alphas.tobytes()
             assert np.float64(models[b].mu).tobytes() == np.float64(single.mu).tobytes()
