@@ -1,7 +1,9 @@
 """Command-line interface: validate inputs, run backtests, predict, re-emit reports.
 
-Exit codes: 0 success, 1 validation failure, 2 runtime error. All randomness
-flows from the seed (config ``[backtest] seed`` or ``--seed``, flag wins).
+Exit codes: 0 success, 1 validation failure or usage error, 2 runtime error.
+An ``--out`` or ``--log-dir`` that cannot be written is a validation failure
+before any command runs. All randomness flows from the seed (config
+``[backtest] seed`` or ``--seed``, flag wins).
 """
 
 from __future__ import annotations
@@ -120,6 +122,35 @@ def _load_experiment(config_path: str, vaccine_filter: list[str] | None, seed_fl
     return datasets, cfg
 
 
+def _path_error(args) -> str | None:
+    """Why ``--out`` or ``--log-dir`` cannot be written, checked before any command runs."""
+    if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
+        return f"--out {args.out}: not a file in an existing directory"
+    if args.log_dir:  # it, or the nearest of its parents that exists, must be a directory
+        log_dir = Path(args.log_dir)
+        nearest = next(p for p in (log_dir, *log_dir.parents) if p.exists())
+        if not nearest.is_dir():
+            return f"--log-dir {args.log_dir}: {nearest} is not a directory"
+    return None
+
+
+def _emit(reports: list, logs: dict[str, PredictionLog], args, seed: int | None) -> None:
+    """Write the reports; with ``--level0-window`` also each log's level-0
+    methods, scored over the longer level-0 window."""
+    extra = []
+    if args.level0_window:
+        for name, log in logs.items():
+            level0 = PredictionLog(tuple(e for e in log.entries if ":" not in e.method))
+            rep = summarize(level0, name, seed=seed)
+            extra.append(dataclasses.replace(rep, vaccine=f"{name} (level0 window)"))
+    if extra and args.format == "markdown":
+        # Markdown gives each window its own set of tables; CSV is one table.
+        text = emit_report(reports, format="markdown") + emit_report(extra, format="markdown")
+    else:
+        text = emit_report(reports + extra, format=args.format)
+    _write_out(text, args.out)
+
+
 def _write_out(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -156,20 +187,7 @@ def _cmd_backtest(args) -> int:
         log_dir.mkdir(parents=True, exist_ok=True)
         for name, log in logs.items():
             log_paths[name].write_text(write_log_csv(log), encoding="utf-8")
-    extra = []
-    if args.level0_window:
-        for name, log in logs.items():
-            level0 = PredictionLog(
-                tuple(e for e in log.entries if ":" not in e.method)
-            )
-            rep = summarize(level0, name, seed=cfg.seed)
-            extra.append(dataclasses.replace(rep, vaccine=f"{name} (level0 window)"))
-    if extra and args.format == "markdown":
-        # Markdown gives each window its own set of tables; CSV is one table.
-        text = emit_report(reports, format="markdown") + emit_report(extra, format="markdown")
-    else:
-        text = emit_report(reports + extra, format=args.format)
-    _write_out(text, args.out)
+    _emit(reports, logs, args, cfg.seed)
     return 0
 
 
@@ -213,16 +231,21 @@ def _cmd_report(args) -> int:
     paths = sorted(log_dir.glob("*.log.csv"))
     if not paths:
         raise UptakecastError(f"no *.log.csv files under {log_dir}")
-    reports = []
+    wanted = set(args.vaccine) if args.vaccine else None
+    reports, logs = [], {}
     for path in paths:
         log = read_log_csv(path)
         if len(log) == 0:
             raise UptakecastError(f"{path}: no log entries")
+        vaccines = [v for v in log.vaccines() if wanted is None or v in wanted]
         try:
-            reports += [summarize(log, vaccine) for vaccine in log.vaccines()]
+            reports += [summarize(log, vaccine) for vaccine in vaccines]
         except EmptyLog as err:
             raise EmptyLog(f"{path}: {err}") from None
-    _write_out(emit_report(reports, format=args.format), args.out)
+        logs.update(dict.fromkeys(vaccines, log))
+    if wanted is not None and wanted - set(logs):
+        raise UptakecastError(f"vaccines not in the logs: {sorted(wanted - set(logs))}")
+    _emit(reports, logs, args, None)
     return 0
 
 
@@ -249,7 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as stop:  # argparse's exit: 0 after --help, 2 for a usage error
+        return 1 if stop.code else 0
     commands = {
         "validate": _cmd_validate,
         "backtest": _cmd_backtest,
@@ -258,6 +284,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     if args.command in ("validate", "backtest", "predict") and not args.config:
         print("error: --config is required", file=sys.stderr)
+        return 1
+    if problem := _path_error(args):
+        print(f"error: {problem}", file=sys.stderr)
         return 1
     try:
         with warnings.catch_warnings():

@@ -75,11 +75,17 @@ def _read_rows(path: str | Path, expected_header: Sequence[str]) -> Iterable[tup
         raise UptakecastError(f"{path}: {err}") from None
 
 
-def _parse_month(year_s: str, month_s: str, path, lineno: int) -> MonthStamp:
+def _parse_number(text: str, kind: type, message: str, path, lineno: int):
+    """``kind(text)``; a field that does not parse is a `ParseError` with ``message``."""
     try:
-        year, month = int(year_s), int(month_s)
+        return kind(text)
     except ValueError:
-        raise ParseError(f"{path}: year/month must be integers", line=lineno) from None
+        raise ParseError(f"{path}: {message}", line=lineno) from None
+
+
+def _parse_month(year_s: str, month_s: str, path, lineno: int) -> MonthStamp:
+    year, month = (_parse_number(text, int, "year/month must be integers", path, lineno)
+                   for text in (year_s, month_s))
     if not 1 <= month <= 12:
         raise SchemaError(f"{path} line {lineno}: month {month} outside 1..12")
     return MonthStamp(year, month)
@@ -93,10 +99,7 @@ def load_registry(path: str | Path) -> list[RegistryRecord]:
         path, ("vaccine", "year", "month", "doses")
     ):
         month = _parse_month(year_s, month_s, path, lineno)
-        try:
-            doses = int(doses_s)
-        except ValueError:
-            raise ParseError(f"{path}: doses must be an integer", line=lineno) from None
+        doses = _parse_number(doses_s, int, "doses must be an integer", path, lineno)
         if doses < 0:
             raise SchemaError(f"{path} line {lineno}: doses must be >= 0")
         if not vaccine:
@@ -115,10 +118,7 @@ def load_cohorts(path: str | Path) -> list[CohortRecord]:
     seen: set[MonthStamp] = set()
     for lineno, (year_s, month_s, expected_s) in _read_rows(path, ("year", "month", "expected")):
         month = _parse_month(year_s, month_s, path, lineno)
-        try:
-            expected = int(expected_s)
-        except ValueError:
-            raise ParseError(f"{path}: expected must be an integer", line=lineno) from None
+        expected = _parse_number(expected_s, int, "expected must be an integer", path, lineno)
         if expected <= 0:
             raise SchemaError(f"{path} line {lineno}: expected count must be positive")
         if month in seen:
@@ -140,10 +140,7 @@ def load_trends(path: str | Path) -> QueryPanel:
         path, ("query", "year", "month", "frequency")
     ):
         month = _parse_month(year_s, month_s, path, lineno)
-        try:
-            freq = float(freq_s)
-        except ValueError:
-            raise ParseError(f"{path}: frequency must be a number", line=lineno) from None
+        freq = _parse_number(freq_s, float, "frequency must be a number", path, lineno)
         if not 0 <= freq <= 100:
             raise SchemaError(f"{path} line {lineno}: frequency {freq} outside [0, 100]")
         if not query:
@@ -254,14 +251,10 @@ def read_log_csv(path: str | Path) -> PredictionLog:
         raise SchemaError(f"{path}: {err}") from None
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.3f}"
-
-
 def _markdown_cell(report: BacktestReport, method: str) -> str:
     if method not in report.rmse:
         return "-"
-    value = _fmt(report.rmse[method])
+    value = f"{report.rmse[method]:.3f}"
     if report.is_row_min.get(method):
         value = f"[{value}]"
     if report.beats_naive.get(method):
@@ -305,27 +298,17 @@ def emit_report(reports: Sequence[BacktestReport], format: str = "markdown") -> 
     lines: list[str] = []
     if ok:
         methods = list(dict.fromkeys(m for rep in ok for m in rep.rmse))
-        single = [m for m in methods if ":" not in m]
-        lines.append("## Single-source methods")
-        lines.append("")
-        lines.append("| Vaccine | " + " | ".join(single) + " |")
-        lines.append("|---" * (len(single) + 1) + "|")
-        for rep in ok:
-            cells = [_markdown_cell(rep, m) for m in single]
-            lines.append(f"| {rep.vaccine} | " + " | ".join(cells) + " |")
-        lines.append("")
-        for meta in META_MODELS:
+        tables = [("Single-source methods", [m for m in methods if ":" not in m])]
+        for meta in META_MODELS:  # an ensemble table only when it has methods
             combos = [m for m in methods if m.startswith(meta + ":")]
-            if not combos:
-                continue
-            headers = [m.split(":", 1)[1] for m in combos]
-            lines.append(f"## Ensemble, level-1 {meta}")
-            lines.append("")
-            lines.append("| Vaccine | " + " | ".join(headers) + " |")
-            lines.append("|---" * (len(combos) + 1) + "|")
-            for rep in ok:
-                cells = [_markdown_cell(rep, m) for m in combos]
-                lines.append(f"| {rep.vaccine} | " + " | ".join(cells) + " |")
+            if combos:
+                tables.append((f"Ensemble, level-1 {meta}", combos))
+        for title, columns in tables:
+            headers = [m.split(":", 1)[-1] for m in columns]  # an ensemble's without "meta:"
+            lines += [f"## {title}", "", "| Vaccine | " + " | ".join(headers) + " |",
+                      "|---" * (len(columns) + 1) + "|"]
+            lines += [f"| {rep.vaccine} | " + " | ".join(_markdown_cell(rep, m) for m in columns)
+                      + " |" for rep in ok]
             lines.append("")
         windows = {(str(r.window_start), str(r.window_end)) for r in ok}
         seeds = {r.seed for r in ok}

@@ -413,34 +413,28 @@ def fit_svrs(
     Yields each design's index and its model, or the error `fit_svr` raises
     for it, as it finishes: a design that fails `_svr_inputs` at once, the
     others with the ``NonConvergence`` of their dual as `solve_svr_duals`
-    finishes them. A design's standardization and kernel are built when a
-    solver slot takes it; consecutive designs over the same ``X`` object (the
-    kernels of one stream pair) share one standardization.
+    finishes them. A design is standardized when it passes `_svr_inputs`, and
+    consecutive designs over the same ``X`` object (the kernels of one stream
+    pair) share one standardization; its kernel is built when a solver slot
+    takes it.
     """
-    last: list = [None, None]  # the last X standardized, and its standardization
-    standardized: dict = {}  # design index -> its standardization, until it finishes
-
-    def kernel_matrix(q: int, X: np.ndarray) -> np.ndarray:
-        if last[0] is not X:
-            last[:] = X, _standardize(X)
-        standardized[q] = last[1]
-        Z = last[1][0]
-        return _kernel(Z, Z, designs[q][2], gamma)
-
-    owners, problems = [], []
+    owners, problems = [], []  # owners[p]: problem p's (q, kernel, Z, means, scales)
+    X_last = None
     for q, (X, y, kernel) in enumerate(designs):
         try:
             X, y = _svr_inputs(X, y, kernel, C, eps, gamma)
         except (TooFewSamples, ValueError) as err:
             yield q, err
-        else:
-            owners.append(q)
-            problems.append((functools.partial(kernel_matrix, q, X), y))
+            continue
+        if X is not X_last:
+            X_last, standardized = X, _standardize(X)
+        owners.append((q, kernel, *standardized))
+        Z = standardized[0]
+        problems.append((functools.partial(_kernel, Z, Z, kernel, gamma), y))
     for p, outcome in solve_svr_duals(problems, C, eps):
-        q = owners[p]
-        Z, means, scales = standardized.pop(q)
+        q, kernel, Z, means, scales = owners[p]
         if not isinstance(outcome, NonConvergence):
-            kernel, (beta, bias) = designs[q][2], outcome
+            beta, bias = outcome
             outcome = SvrStackModel(kernel=kernel, gamma=gamma if kernel == "gaussian" else None,
                                     cost=C, tube_eps=eps, dual_coefficients=beta, bias=bias,
                                     support_inputs=Z, feature_means=means, feature_scales=scales)

@@ -135,22 +135,29 @@ MUTANTS = [
     (
         # One standardization shared by every design of the same shape.
         "src/uptakecast/stacking.py",
-        "if last[0] is not X:",
-        "if last[0] is None or last[0].shape != X.shape:",
+        "if X is not X_last:",
+        "if X_last is None or X_last.shape != X.shape:",
         [
             "tests/test_stacking.py::TestFitSvr::test_fit_svrs_matches_fit_svr_one_design_at_a_time",
             "tests/test_backtest.py::TestMonthPool::test_chunks_equal_one_month_at_a_time",
         ],
     ),
     (
-        # Every model built from the last standardization made.
+        # Every model built from the last design's standardization.
         "src/uptakecast/stacking.py",
-        "Z, means, scales = standardized.pop(q)",
-        "standardized.pop(q); Z, means, scales = last[1]",
+        "q, kernel, Z, means, scales = owners[p]",
+        "q, kernel = owners[p][:2]; Z, means, scales = owners[-1][2:]",
         [
             "tests/test_backtest.py::TestLevel1::test_methods_and_window",
             "tests/test_stacking.py::TestFitSvr::test_fit_svrs_matches_fit_svr_one_design_at_a_time",
         ],
+    ),
+    (
+        # An ensemble table written even when it has no methods.
+        "src/uptakecast/ingest.py",
+        "if combos:",
+        "if True:",
+        ["tests/test_ingest.py::TestEmitReport::test_markdown_golden"],
     ),
     (
         # Look-ahead: each level-1 window's targets one month later, so a

@@ -359,6 +359,55 @@ class TestBacktest:
         assert main(args) == 0
 
 
+class TestArguments:
+    @pytest.mark.parametrize(
+        "argv",
+        [["backtest", "--bogus"], ["frobnicate"], ["backtest", "--seed", "x"]],
+        ids=["unknown-flag", "unknown-command", "non-integer-seed"],
+    )
+    def test_a_usage_error_exits_1(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: uptakecast") and "uptakecast: error: " in err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: uptakecast")
+
+    @pytest.mark.parametrize(
+        "command, flag, name",
+        [
+            ("backtest", "--out", "nodir/report.md"),
+            ("predict", "--out", "nodir/p.txt"),
+            ("report", "--out", "nodir/x.md"),
+            ("backtest", "--out", "adir"),
+            ("backtest", "--log-dir", "afile"),
+            ("backtest", "--log-dir", "afile/logs"),
+        ],
+        ids=["backtest-out-no-dir", "predict-out-no-dir", "report-out-no-dir", "out-a-dir",
+             "log-dir-a-file", "log-dir-under-a-file"],
+    )
+    def test_an_unwritable_path_fails_before_any_fit(
+        self, experiment, tmp_path, capsys, monkeypatch, command, flag, name
+    ):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before the output path was checked")
+
+        monkeypatch.setattr("uptakecast.cli.run_full_experiment", no_fit)
+        monkeypatch.setattr("uptakecast.cli.run_level0_backtest", no_fit)
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "afile").write_text("")
+        (tmp_path / "logs").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        argv = [command, "--config", str(experiment / "experiment.ini"), "--vaccine", "VAX-A"]
+        if command == "report":
+            argv = [command, "--log-dir", str(tmp_path / "logs")]
+        assert main(argv + [flag, str(tmp_path / name)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {flag} {tmp_path / name}: ")
+        assert sorted(tmp_path.rglob("*")) == before
+
+
 LOG_HEADER = (
     "vaccine,method,year,month,predicted,actual,train_start_year,"
     "train_start_month,train_end_year,train_end_month,diagnostic\n"
@@ -395,6 +444,33 @@ class TestReport:
             "report", "--log-dir", str(logs), "--format", "csv", "--out", str(reemitted)
         ]) == 0
         assert reemitted.read_text() == out.read_text()
+
+    def test_level0_window_csv_equals_backtest(self, experiment, tmp_path):
+        logs = tmp_path / "logs"
+        direct, reemitted = tmp_path / "direct.csv", tmp_path / "reemitted.csv"
+        argv = ["--format", "csv", "--level0-window", "--log-dir", str(logs), "--out"]
+        config = ["--config", str(experiment / "experiment.ini")]
+        assert main(["backtest", *config, *argv, str(direct)]) == 0
+        assert main(["report", *argv, str(reemitted)]) == 0
+        assert "VAX-B (level0 window)" in direct.read_text()
+        assert reemitted.read_bytes() == direct.read_bytes()
+
+    def test_vaccine_filter(self, markdown_run, tmp_path):
+        _, logs = markdown_run
+        both, only_b = tmp_path / "both.csv", tmp_path / "b.csv"
+        argv = ["report", "--log-dir", str(logs), "--format", "csv", "--out"]
+        assert main(argv + [str(both)]) == 0
+        assert main(argv + [str(only_b), "--vaccine", "VAX-B"]) == 0
+        header, *rows = both.read_text().splitlines(keepends=True)
+        assert only_b.read_text() == header + "".join(r for r in rows if r.startswith("VAX-B,"))
+        assert any(r.startswith("VAX-A,") for r in rows)
+
+    def test_unknown_vaccine(self, markdown_run, capsys):
+        _, logs = markdown_run
+        assert main(["report", "--log-dir", str(logs), "--vaccine", "VAX-A",
+                     "--vaccine", "NOPE"]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == "error: vaccines not in the logs: ['NOPE']"
 
     def test_missing_log_dir(self, tmp_path, capsys):
         assert main(["report", "--log-dir", str(tmp_path / "void")]) == 1
