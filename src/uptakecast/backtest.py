@@ -307,13 +307,6 @@ def _fit_each(fits: Mapping[str, Callable[[], Any]], naive: float) -> tuple[dict
     return values, notes
 
 
-def _outcome(outcomes: Sequence, q: int) -> Any:
-    """Entry ``q`` of ``outcomes``: its value, or its error raised."""
-    if isinstance(outcomes[q], Exception):
-        raise outcomes[q]
-    return outcomes[q]
-
-
 def _log_cells(
     vaccine: str, month: MonthStamp, values: Mapping[str, float], notes: Mapping[str, str],
     actual: float, train_start: MonthStamp, train_end: MonthStamp,
@@ -352,7 +345,7 @@ def _month_fits(
 
 
 def _lasso_steps(hist: TimeSeries, panel_hist: web.QueryPanel, row: np.ndarray):
-    """L's forecast of ``row`` as steps for `web.serve_lasso`."""
+    """L's forecast of ``row`` as steps for `web.serve`."""
     lam = yield from web.lasso_cv_steps(panel_hist, hist)
     return web.predict_web((yield from web.lasso_fit_steps(panel_hist, hist, lam)), row)
 
@@ -360,7 +353,7 @@ def _lasso_steps(hist: TimeSeries, panel_hist: web.QueryPanel, row: np.ndarray):
 def _bagging_steps(
     hist: TimeSeries, panel_hist: web.QueryPanel, row: np.ndarray, cfg: BacktestConfig, seed: int
 ):
-    """B's member forecasts of ``row`` as steps for `web.serve_lasso`."""
+    """B's member forecasts of ``row`` as steps for `web.serve`."""
     bag = yield from web.bagging_steps(panel_hist, hist, cfg.bagging_subsets,
                                        cfg.bagging_subset_size, seed)
     return web.member_predictions(bag, row)
@@ -379,7 +372,7 @@ def level0_chunk(
     month alone, so the months of a backtest can be fitted in any runs and
     processes; `run_level0_backtest` adds WM.
 
-    The L fits of all the months run together in `web.serve_lasso`, which
+    The L fits of all the months run together in `web.serve`, which
     merges their LASSO calls, and then the B fits; then each month's cell is
     settled once, in method order, as in a serial run.
     """
@@ -390,8 +383,8 @@ def level0_chunk(
         months.append((hist, panel_hist, panel.matrix[k]))
     # L's fits, then B's: each model's requests wait for the whole run, and
     # this way only one model's wait at a time.
-    lasso = web.serve_lasso([_lasso_steps(*month) for month in months])
-    bagging = web.serve_lasso([
+    lasso = web.serve([_lasso_steps(*month) for month in months])
+    bagging = web.serve([
         _bagging_steps(*month, cfg, derive_month_seed(cfg.seed, series.start.plus(k)))
         for k, month in zip(ks, months)
     ])
@@ -399,8 +392,8 @@ def level0_chunk(
     cells = []
     for q, (hist, panel_hist, row) in enumerate(months):
         fits = _month_fits(hist, panel_hist, row, cfg)
-        fits["L"] = functools.partial(_outcome, lasso, q)
-        fits["B"] = functools.partial(_outcome, bagging, q)
+        fits["L"] = functools.partial(web._outcome, lasso, q)
+        fits["B"] = functools.partial(web._outcome, bagging, q)
         naive = float(hist.values[-1])
         preds, notes = _fit_each(fits, naive)
         preds[NAIVE] = naive
@@ -488,6 +481,13 @@ def _ols_forecast(X: np.ndarray, y: np.ndarray, e_c: float, e_w: float) -> float
     return stacking.predict_stack_ols(stacking.fit_stack_ols(X, y), e_c, e_w)
 
 
+def _svr_steps(X: np.ndarray, y: np.ndarray, e_c: float, e_w: float, cfg: BacktestConfig):
+    """Each SVR kernel's forecast of (e_c, e_w), or its fit's error, as steps for `web.serve`."""
+    models = yield from stacking.svr_steps(X, y, tuple(_SVR_KERNELS.values()), cfg.svr_cost,
+                                           cfg.svr_tube_eps, cfg.svr_gamma)
+    return [m if isinstance(m, Exception) else stacking.predict_svr(m, e_c, e_w) for m in models]
+
+
 def level1_chunk(
     streams: Mapping[str, np.ndarray],
     actuals: np.ndarray,
@@ -503,35 +503,26 @@ def level1_chunk(
     level-0 predictions. A cell is method->prediction and method->note for
     each model that fell back to month ``idx``'s naive prediction.
 
-    `stacking.fit_svrs` fits the SVR designs of all the months together;
-    then each month's cell is settled once, in method order, as in a serial
-    run.
+    The SVR fits of all the months run together in `web.serve`, one
+    generator per month and stream pair; then each month's cell is settled
+    once, in method order, as in a serial run.
     """
-    months: list = []  # (fits, naive) per month
-    designs: list = []  # (X, y, kernel) per SVR fit
-    forecasts: list = []  # per SVR fit: (e_c, e_w), then its forecast or the error of its fit
+    stacks = []  # (month, stream pair, its training design and target inputs)
     for idx in indices:
         lo = level1_window_start(idx, cfg)
         y = actuals[lo:idx]
-        target_preds = {m: float(s[idx]) for m, s in streams.items()}
-        fits = {}
         for clin in cfg.clinical_methods():
             for wm in WEB_METHODS:
                 X = np.column_stack([streams[clin][lo:idx], streams[wm][lo:idx]])
-                e_c, e_w = target_preds[clin], target_preds[wm]
-                fits[f"OLS:{clin}+{wm}"] = functools.partial(_ols_forecast, X, y, e_c, e_w)
-                for meta, kernel in _SVR_KERNELS.items():
-                    q = len(designs)
-                    fits[f"{meta}:{clin}+{wm}"] = functools.partial(_outcome, forecasts, q)
-                    designs.append((X, y, kernel))
-                    forecasts.append((e_c, e_w))
-        months.append((fits, target_preds[NAIVE]))
-
-    for q, outcome in stacking.fit_svrs(designs, cfg.svr_cost, cfg.svr_tube_eps, cfg.svr_gamma):
-        forecasts[q] = (outcome if isinstance(outcome, Exception)
-                        else stacking.predict_svr(outcome, *forecasts[q]))
-
-    return [_fit_each(fits, naive) for fits, naive in months]
+                e_c, e_w = float(streams[clin][idx]), float(streams[wm][idx])
+                stacks.append((idx, f"{clin}+{wm}", (X, y, e_c, e_w)))
+    svrs = web.serve([_svr_steps(*fit, cfg) for _, _, fit in stacks])
+    cells: dict[int, dict] = {idx: {} for idx in indices}
+    for (idx, pair, fit), forecasts in zip(stacks, svrs):
+        cells[idx][f"OLS:{pair}"] = functools.partial(_ols_forecast, *fit)
+        for k, meta in enumerate(_SVR_KERNELS):
+            cells[idx][f"{meta}:{pair}"] = functools.partial(web._outcome, forecasts, k)
+    return [_fit_each(fits, float(streams[NAIVE][idx])) for idx, fits in cells.items()]
 
 
 def level1_step(

@@ -160,16 +160,16 @@ def _write_out(text: str, out: str | None) -> None:
 
 def _cmd_validate(args) -> int:
     datasets, cfg = _load_experiment(args.config, args.vaccine, args.seed)
+    lines = []
     for name, (uptake, panel) in datasets.items():
         series = uptake.series
         _, aligned_series = align(panel, series)
-        print(
-            f"{name}: uptake {series.start}..{series.end} ({len(series)} months), "
-            f"panel {panel.n_queries} queries, shared window "
-            f"{aligned_series.start}..{aligned_series.end}"
-        )
-    print(f"config ok: seed={cfg.seed}, warmups={cfg.level0_warmup_months}/"
-          f"{cfg.level1_warmup_months}, ar_lags={cfg.ar_lags}")
+        lines.append(f"{name}: uptake {series.start}..{series.end} ({len(series)} months), "
+                     f"panel {panel.n_queries} queries, shared window "
+                     f"{aligned_series.start}..{aligned_series.end}")
+    lines.append(f"config ok: seed={cfg.seed}, warmups={cfg.level0_warmup_months}/"
+                 f"{cfg.level1_warmup_months}, ar_lags={cfg.ar_lags}")
+    _write_out("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -232,12 +232,16 @@ def _cmd_report(args) -> int:
     if not paths:
         raise UptakecastError(f"no *.log.csv files under {log_dir}")
     wanted = set(args.vaccine) if args.vaccine else None
-    reports, logs = [], {}
+    reports, logs, sources = [], {}, {}
     for path in paths:
         log = read_log_csv(path)
         if len(log) == 0:
             raise UptakecastError(f"{path}: no log entries")
         vaccines = [v for v in log.vaccines() if wanted is None or v in wanted]
+        if twice := [v for v in vaccines if v in sources]:
+            raise UptakecastError(
+                f"vaccine {twice[0]!r} is in two logs: {sources[twice[0]]} and {path}")
+        sources.update(dict.fromkeys(vaccines, path))
         try:
             reports += [summarize(log, vaccine) for vaccine in vaccines]
         except EmptyLog as err:

@@ -3,7 +3,8 @@
 The SVR is solved in the dual with an unpenalized bias (the classical
 formulation, C = 1/lambda): a maximal-violating-pair working-set loop with an
 exact piecewise-quadratic line search on each pair. Features are standardized
-inside the fit and the standardization travels with the model.
+inside the fit and the standardization travels with the model. SVR fits are
+step generators (`svr_steps`) that `web.serve` merges into `solve_svr_duals` calls.
 """
 
 from __future__ import annotations
@@ -11,13 +12,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
 from .errors import NonConvergence, TooFewSamples
 from .timeseries import _freeze
-from .web import _standardize
+from .web import _outcome, _standardize, serve
 
 SVR_KKT_TOL = 1e-4
 _SVR_MAX_STEPS = 200_000
@@ -248,13 +249,13 @@ _SVR_TAIL = 24
 
 def solve_svr_duals(
     problems: Sequence[tuple[Callable[[], np.ndarray], np.ndarray]], C: float, eps: float
-) -> Iterator[tuple[int, tuple[np.ndarray, float] | NonConvergence]]:
+) -> list[tuple[np.ndarray, float] | NonConvergence]:
     """`solve_svr_dual` for many problems, bit for bit.
 
     A problem is a function that builds its kernel matrix, called when a slot
-    takes the problem, and its targets. Yields each problem's index and
-    outcome as it finishes: the coefficients and the bias, or the
-    ``NonConvergence`` that `solve_svr_dual` raises for it.
+    takes the problem, and its targets. Returns each problem's outcome, in
+    problem order: the coefficients and the bias, or the ``NonConvergence``
+    that `solve_svr_dual` raises for it.
 
     The slots take the problems in index order, padded to the largest n, and
     take one step each per round; a finished problem's slot takes the next
@@ -267,6 +268,7 @@ def solve_svr_duals(
     live; then each live slot finishes in slot order in `solve_svr_dual`, from
     its state. A call with at most ``_SVR_TAIL`` problems takes no round.
     """
+    outcomes: list = [None] * len(problems)
     S = min(_SVR_SLOTS, len(problems))
     W = max((y.size for _, y in problems), default=0)
     Kbuf = np.zeros((S, W, W))
@@ -319,10 +321,8 @@ def solve_svr_duals(
         out_of_steps = steps[:m] >= _SVR_MAX_STEPS
         converged = (b_lo - b_hi <= SVR_KKT_TOL) & ~out_of_steps
         finished = converged | out_of_steps
-        done = [
-            (owner[s], (beta[s, : size[s]].copy(), _bias(b_lo.item(s), b_hi.item(s))))
-            for s in np.flatnonzero(converged).tolist()
-        ]
+        for s in np.flatnonzero(converged).tolist():
+            outcomes[owner[s]] = beta[s, : size[s]].copy(), _bias(b_lo.item(s), b_hi.item(s))
 
         # A step on every live slot; the slots that finished this round are
         # refilled or dropped below, so their step is never read. Gathered
@@ -352,23 +352,22 @@ def solve_svr_duals(
         # Highest slot first, so that a dropped slot takes a live problem.
         for s in np.flatnonzero(finished)[::-1].tolist():
             if not converged[s]:
-                done.append((owner[s], _exceeded() if out_of_steps[s] else _stalled()))
+                outcomes[owner[s]] = _exceeded() if out_of_steps[s] else _stalled()
             if waiting:
                 fill(s, len(problems) - waiting)
                 waiting -= 1
             else:
                 m -= 1
                 move(m, s)
-        yield from done
     for s in range(m):
         n = size[s]
         state = (beta[s, :n].tolist(), Kb[s, :n].copy(), off_lo[s, :n].copy(),
                  off_hi[s, :n].copy(), int(steps[s]))
         try:
-            outcome = solve_svr_dual(Kbuf[s, :n, :n], y[s, :n], C, eps, start=state)
+            outcomes[owner[s]] = solve_svr_dual(Kbuf[s, :n, :n], y[s, :n], C, eps, start=state)
         except NonConvergence as err:
-            outcome = err
-        yield owner[s], outcome
+            outcomes[owner[s]] = err
+    return outcomes
 
 
 def fit_svr(
@@ -385,14 +384,11 @@ def fit_svr(
     Defaults follow conventional library settings: C = 1, tube eps = 0.1,
     gamma = 1 / (2 * n_features) for the Gaussian kernel.
     """
-    [(_, model)] = fit_svrs([(X, y, kernel)], C, eps, gamma)
-    if isinstance(model, Exception):
-        raise model
-    return model
+    return _outcome(serve([svr_steps(X, y, (kernel,), C, eps, gamma)])[0], 0)
 
 
-def _svr_inputs(X, y, kernel: str, C: float, eps: float, gamma: float | None):
-    """`_design` for an SVR fit, then its settings: the checks of `fit_svr`, in its order."""
+def _svr_inputs(X, y, C: float, eps: float, gamma: float | None):
+    """`_design` for an SVR fit, then its kernel-free setting checks, in `fit_svr`'s order."""
     X, y = _design(X, y, 2)
     # The linear kernel reads no gamma, and its model stores None.
     settings = (C, eps) if gamma is None else (C, eps, gamma)
@@ -400,45 +396,38 @@ def _svr_inputs(X, y, kernel: str, C: float, eps: float, gamma: float | None):
         raise ValueError("C, eps and gamma must be finite")
     if C <= 0 or eps < 0:
         raise ValueError("C must be positive and eps non-negative")
-    if kernel == "gaussian" and (gamma is None or gamma <= 0):
-        raise ValueError("gamma must be positive for the gaussian kernel")
     return X, y
 
 
-def fit_svrs(
-    designs: Sequence[tuple[np.ndarray, np.ndarray, str]], C: float, eps: float, gamma: float | None
-) -> Iterator[tuple[int, SvrStackModel | Exception]]:
-    """`fit_svr` for many designs ``(X, y, kernel)``, bit for bit.
+def svr_steps(X: np.ndarray, y: np.ndarray, kernels: Sequence[str], C: float, eps: float,
+              gamma: float | None) -> Generator:
+    """`fit_svr` of one design with each of ``kernels``, as steps for `web.serve`.
 
-    Yields each design's index and its model, or the error `fit_svr` raises
-    for it, as it finishes: a design that fails `_svr_inputs` at once, the
-    others with the ``NonConvergence`` of their dual as `solve_svr_duals`
-    finishes them. A design is standardized when it passes `_svr_inputs`, and
-    consecutive designs over the same ``X`` object (the kernels of one stream
-    pair) share one standardization; its kernel is built when a solver slot
-    takes it.
+    The design is checked and standardized once for all the kernels, and one
+    request holds a dual problem per kernel; its kernel matrix is built when
+    a solver slot takes it. Returns one outcome per kernel: its model, or the
+    error `fit_svr` raises for it.
     """
-    owners, problems = [], []  # owners[p]: problem p's (q, kernel, Z, means, scales)
-    X_last = None
-    for q, (X, y, kernel) in enumerate(designs):
-        try:
-            X, y = _svr_inputs(X, y, kernel, C, eps, gamma)
-        except (TooFewSamples, ValueError) as err:
-            yield q, err
-            continue
-        if X is not X_last:
-            X_last, standardized = X, _standardize(X)
-        owners.append((q, kernel, *standardized))
-        Z = standardized[0]
-        problems.append((functools.partial(_kernel, Z, Z, kernel, gamma), y))
-    for p, outcome in solve_svr_duals(problems, C, eps):
-        q, kernel, Z, means, scales = owners[p]
-        if not isinstance(outcome, NonConvergence):
+    try:
+        X, y = _svr_inputs(X, y, C, eps, gamma)
+    except (TooFewSamples, ValueError) as err:
+        return [err] * len(kernels)
+    Z, means, scales = _standardize(X)
+    solvable = [kernel != "gaussian" or (gamma is not None and gamma > 0) for kernel in kernels]
+    problems = [(functools.partial(_kernel, Z, Z, kernel, gamma), y)
+                for kernel, ok in zip(kernels, solvable) if ok]
+    duals = iter((yield solve_svr_duals, (C, eps), problems))
+    outcomes = []
+    for kernel, ok in zip(kernels, solvable):
+        outcome = (next(duals) if ok
+                   else ValueError("gamma must be positive for the gaussian kernel"))
+        if not isinstance(outcome, Exception):
             beta, bias = outcome
             outcome = SvrStackModel(kernel=kernel, gamma=gamma if kernel == "gaussian" else None,
                                     cost=C, tube_eps=eps, dual_coefficients=beta, bias=bias,
                                     support_inputs=Z, feature_means=means, feature_scales=scales)
-        yield q, outcome
+        outcomes.append(outcome)
+    return outcomes
 
 
 def predict_svr(model: SvrStackModel, e_c: float, e_w: float) -> float:

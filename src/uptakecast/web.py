@@ -1,4 +1,4 @@
-"""Level-0 forecasters over the query-frequency panel.
+"""Level-0 forecasters over the query-frequency panel; the server of every batched fit.
 
 Linear models (minimum-norm OLS and LASSO), bagging over random query
 subsets, and the multiplicative-weights expert ensemble. The LASSO solver
@@ -6,11 +6,11 @@ follows the exact piecewise-linear path on standardized features and polishes
 each full-data fit with cyclic coordinate descent. Both are batched: the paths
 of many independent problems (every member and cross-validation fold of a
 month's bagging refit) are walked in lockstep, bit-identical to walking each
-alone, so that the per-month refits stay cheap. The LASSO fits are written as
-step generators that yield their path and fit requests, so that
-`serve_lasso` can merge the requests of many fits, a backtest run's months,
-into one call each; `select_lambda_cv`, `fit_lasso` and `fit_bagging` serve
-one fit alone.
+alone, so that the per-month refits stay cheap. The LASSO fits, and the SVR
+fits of `stacking`, are written as step generators that yield requests, so
+that `serve` can merge the requests of many fits, a backtest run's months,
+into one solver call each; `select_lambda_cv`, `fit_lasso` and `fit_bagging`
+serve one fit alone.
 """
 
 from __future__ import annotations
@@ -237,7 +237,7 @@ def fit_lasso(Q: QueryPanel, E: TimeSeries, lam: float) -> WebLinearModel:
 
 
 def lasso_fit_steps(Q: QueryPanel, E: TimeSeries, lam: float) -> Generator:
-    """`fit_lasso` as steps for `serve_lasso`."""
+    """`fit_lasso` as steps for `serve`."""
     _check_aligned(Q, E)
     if not lam >= 0:  # NaN fails this too; an infinite lambda gives the zero model
         raise ValueError("lambda must be >= 0")
@@ -249,7 +249,7 @@ def lasso_fit_steps(Q: QueryPanel, E: TimeSeries, lam: float) -> Generator:
     gram = Xs.T @ Xs / T
     cvec = Xs.T @ (y - y.mean()) / T
     del Xs
-    alpha = (yield gram[None], cvec[None], np.array([float(lam)]))[0]
+    alpha = (yield _solve_lasso, (), gram[None], cvec[None], np.array([float(lam)]))[0]
     return WebLinearModel(
         mu=float(y.mean()), alphas=alpha, feature_means=means, feature_scales=scales
     )
@@ -276,24 +276,29 @@ def _solve_lasso(
     return alpha, failed
 
 
-def serve_lasso(steps: Sequence[Generator]) -> list:
-    """Run LASSO step generators to their ends, merging their requests.
+def serve(steps: Sequence[Generator]) -> list:
+    """Run step generators to their ends, merging their requests.
 
-    Each generator yields requests, ``(gram, cvec, lambdas)`` tuples of
-    LASSO problems of one width: ``gram`` is (b, F, F) and ``cvec`` (b, F). A
-    path request has ``lambdas`` (b, L), every row descending, and is answered
-    with the exact path at those points, (b, L, F). A fit request has
-    ``lambdas`` (b,) and is answered with the fit at each (`_solve_lasso`),
-    (b, F). Each generator is sent its own rows of the answer.
+    A request is ``(solve, settings, *rows)``: a batch solver, a tuple of its
+    scalar settings, and the request's rows of each solver input (arrays or
+    lists, one row per problem). The requests waiting at one time are merged
+    per solver, settings and array row shape into one call
+    ``solve(*rows, *settings)``, and each generator is sent its rows of the
+    answer:
 
-    The requests waiting at one time are merged into one `_lasso_path_alphas`
-    or `_solve_lasso` call per key: their width, and for a path request its
-    grid length. Every entry of those calls follows the trajectory it follows
-    alone, so each generator gets the bits a call of its own would give it.
-    An entry that does not converge fails only its own generator:
-    `NonConvergence` is raised at its yield. Returns each generator's return
-    value, or the exception it raised, for the caller to raise in the order a
-    serial run would.
+    - `_lasso_path_alphas`, LASSO paths: ``gram`` (b, F, F), ``cvec`` (b, F)
+      and ``lambdas`` (b, L), rows descending; answered (b, L, F).
+    - `_solve_lasso`, LASSO fits: ``lambdas`` (b,); answered (b, F). A LASSO
+      entry that does not converge fails only its own generator:
+      `NonConvergence` is raised at its yield.
+    - `stacking.solve_svr_duals`, SVR duals: a list of (kernel builder,
+      targets), settings ``(C, eps)``; answered with each problem's outcome,
+      its coefficients and bias or its ``NonConvergence``.
+
+    Every entry of a merged call follows the trajectory it follows alone, so
+    each generator gets the bits a call of its own would give it. Returns
+    each generator's return value, or the exception it raised, for the caller
+    to raise in the order a serial run would.
     """
     outcomes: list = [None] * len(steps)
     waiting: dict[int, tuple] = {}
@@ -310,32 +315,41 @@ def serve_lasso(steps: Sequence[Generator]) -> list:
         advance(i)
     while waiting:
         merged: dict[tuple, list[int]] = {}
-        for i, (_, cvec, lambdas) in waiting.items():
-            merged.setdefault(cvec.shape[1:] + lambdas.shape[1:], []).append(i)
+        for i, (solve, settings, *rows) in waiting.items():
+            key = (solve, settings, *(r.shape[1:] for r in rows if isinstance(r, np.ndarray)))
+            merged.setdefault(key, []).append(i)
         requests, waiting = waiting, {}
         for members in merged.values():
             batch = [requests.pop(i) for i in members]
-            bounds = np.cumsum([0] + [cvec.shape[0] for _, cvec, _ in batch]).tolist()
-            gram, cvec, lambdas = (np.concatenate(arrays) for arrays in zip(*batch))
+            solve, settings = batch[0][:2]
+            bounds = np.cumsum([0] + [len(request[2]) for request in batch]).tolist()
+            rows = [np.concatenate(part) if isinstance(part[0], np.ndarray)
+                    else [row for request_rows in part for row in request_rows]
+                    for part in zip(*(request[2:] for request in batch))]
             del batch  # the requests' own arrays, where only they held them
-            solve = _lasso_path_alphas if lambdas.ndim == 2 else _solve_lasso
-            alphas, failed = solve(gram, cvec, lambdas)
-            del gram, cvec, lambdas
+            answer = solve(*rows, *settings)  # outcomes, or LASSO answers and a failure mask
+            del rows
             for i, lo, hi in zip(members, bounds, bounds[1:]):
-                if failed[lo:hi].any():
+                if isinstance(answer, list):
+                    advance(i, answer[lo:hi])
+                elif answer[1][lo:hi].any():
                     advance(i, error=NonConvergence(
                         f"coordinate descent exceeded {CD_MAX_SWEEPS} sweeps"))
                 else:
-                    advance(i, alphas[lo:hi])
+                    advance(i, answer[0][lo:hi])
     return outcomes
+
+
+def _outcome(outcomes: Sequence, q: int):
+    """Entry ``q`` of ``outcomes``: its value, or its error raised."""
+    if isinstance(outcomes[q], Exception):
+        raise outcomes[q]
+    return outcomes[q]
 
 
 def _alone(steps: Generator):
     """One step generator served by itself: its return value, or its error raised."""
-    outcome = serve_lasso([steps])[0]
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    return _outcome(serve([steps]), 0)
 
 
 def _lambda_grid(lam_max: np.ndarray) -> np.ndarray:
@@ -556,9 +570,9 @@ def _cv_steps(X: np.ndarray, y: np.ndarray) -> Generator:
         np.divide(XsT @ Xs, ytr.size, out=gram[f * B : (f + 1) * B])
         np.divide(XsT @ (ytr - mu), ytr.size, out=cvec[f * B : (f + 1) * B])
         folds.append((val_idx, means, scales, mu))
-    # While the request waits, serve_lasso alone holds it, and it frees the
+    # While the request waits, serve alone holds it, and it frees the
     # Grams once it has merged them.
-    request = [(gram, cvec, np.tile(grid, (CV_FOLDS, 1)))]
+    request = [(_lasso_path_alphas, (), gram, cvec, np.tile(grid, (CV_FOLDS, 1)))]
     del gram, cvec, Xs, XsT
     alphas = yield request.pop()
     val_sse = np.zeros((B, LAMBDA_GRID_SIZE))
@@ -582,7 +596,7 @@ def select_lambda_cv(Q: QueryPanel, E: TimeSeries) -> float:
 
 
 def lasso_cv_steps(Q: QueryPanel, E: TimeSeries) -> Generator:
-    """`select_lambda_cv` as steps for `serve_lasso`."""
+    """`select_lambda_cv` as steps for `serve`."""
     _check_aligned(Q, E)
     if Q.n_months < CV_FOLDS:
         raise TooFewRows(f"{CV_FOLDS}-fold CV needs at least {CV_FOLDS} rows, got {Q.n_months}")
@@ -593,7 +607,7 @@ def _fit_steps(X: np.ndarray, y: np.ndarray, lams: np.ndarray) -> Generator:
     """Full-data LASSO fit for each batch entry at its own lambda."""
     B, T, F = X.shape
     Xs, means, scales = _standardize(X)
-    request = [(np.einsum("btf,btg->bfg", Xs, Xs) / T,
+    request = [(_solve_lasso, (), np.einsum("btf,btg->bfg", Xs, Xs) / T,
                 np.einsum("btf,t->bf", Xs, y - y.mean()) / T, lams)]
     # While the request waits, keep only the standardizations: not X, its
     # standardized copy or the request (see _cv_steps).
@@ -629,7 +643,7 @@ def bagging_steps(
     subset_size: int = 10,
     seed: int = 0,
 ) -> Generator:
-    """`fit_bagging` as steps for `serve_lasso`.
+    """`fit_bagging` as steps for `serve`.
 
     The cross-validation is one path call of its own, made before the first
     step: merged over several months, its grids would hold (members x folds,

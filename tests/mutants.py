@@ -51,9 +51,17 @@ MUTANTS = [
         # Requests merged by width alone: a path request and a fit request of
         # one width are sent to one call.
         "src/uptakecast/web.py",
-        "merged.setdefault(cvec.shape[1:] + lambdas.shape[1:], []).append(i)",
-        "merged.setdefault(cvec.shape[1:], []).append(i)",
+        "key = (solve, settings, *(r.shape[1:] for r in rows if isinstance(r, np.ndarray)))",
+        "key = rows[1].shape[1:]",
         ["tests/test_web.py::TestLasso::test_path_and_fit_requests_waiting_together_are_served_apart"],
+    ),
+    (
+        # Requests merged whatever their settings: SVR requests of two costs
+        # are solved with the first one's.
+        "src/uptakecast/web.py",
+        "key = (solve, settings, *(r.shape[1:] for r in rows if isinstance(r, np.ndarray)))",
+        "key = (solve, *(r.shape[1:] for r in rows if isinstance(r, np.ndarray)))",
+        ["tests/test_web.py::TestLasso::test_lasso_and_svr_requests_waiting_together_are_served_apart"],
     ),
     (
         # A drop deletes the active column after the dropped one.
@@ -101,7 +109,7 @@ MUTANTS = [
         "W = max(y.size for _, y in problems)",
         [
             "tests/test_stacking.py::TestSvrSolver::test_batched_duals_match_one_by_one_bit_for_bit",
-            "tests/test_backtest.py::TestMonthPool::test_a_one_month_window_falls_back_in_every_cell",
+            "tests/test_stacking.py::TestFitSvr::test_a_gaussian_kernel_without_gamma_fails_alone",
         ],
     ),
     (
@@ -135,21 +143,20 @@ MUTANTS = [
     (
         # One standardization shared by every design of the same shape.
         "src/uptakecast/stacking.py",
-        "if X is not X_last:",
-        "if X_last is None or X_last.shape != X.shape:",
-        [
-            "tests/test_stacking.py::TestFitSvr::test_fit_svrs_matches_fit_svr_one_design_at_a_time",
-            "tests/test_backtest.py::TestMonthPool::test_chunks_equal_one_month_at_a_time",
-        ],
+        "Z, means, scales = _standardize(X)",
+        "Z, means, scales = svr_steps.__dict__.setdefault(X.shape, _standardize(X))",
+        ["tests/test_stacking.py::TestFitSvr::test_served_svr_fits_match_fit_svr_one_design_at_a_time"],
     ),
     (
         # Every model built from the last design's standardization.
         "src/uptakecast/stacking.py",
-        "q, kernel, Z, means, scales = owners[p]",
-        "q, kernel = owners[p][:2]; Z, means, scales = owners[-1][2:]",
+        "    duals = iter((yield solve_svr_duals, (C, eps), problems))\n",
+        "    svr_steps.last = Z, means, scales\n"
+        "    duals = iter((yield solve_svr_duals, (C, eps), problems))\n"
+        "    Z, means, scales = svr_steps.last\n",
         [
             "tests/test_backtest.py::TestLevel1::test_methods_and_window",
-            "tests/test_stacking.py::TestFitSvr::test_fit_svrs_matches_fit_svr_one_design_at_a_time",
+            "tests/test_stacking.py::TestFitSvr::test_served_svr_fits_match_fit_svr_one_design_at_a_time",
         ],
     ),
     (
@@ -170,22 +177,22 @@ MUTANTS = [
     (
         # Each SVR column reads its stream pair's other kernel's forecast.
         "src/uptakecast/backtest.py",
-        "functools.partial(_outcome, forecasts, q)",
-        "functools.partial(_outcome, forecasts, q ^ 1)",
+        "functools.partial(web._outcome, forecasts, k)",
+        "functools.partial(web._outcome, forecasts, 1 - k)",
         ["tests/test_backtest.py::TestLevel1Reference::test_equals_the_reference[None]"],
     ),
     (
         # Each SVR design fitted with the other kernel.
         "src/uptakecast/backtest.py",
-        "designs.append((X, y, kernel))",
-        'designs.append((X, y, "gaussian" if kernel == "linear" else "linear"))',
+        "tuple(_SVR_KERNELS.values())",
+        "tuple(_SVR_KERNELS.values())[::-1]",
         ["tests/test_backtest.py::TestLevel1Reference::test_equals_the_reference[None]"],
     ),
     (
         # The target's clinical and web predictions swapped.
         "src/uptakecast/backtest.py",
-        "e_c, e_w = target_preds[clin], target_preds[wm]",
-        "e_w, e_c = target_preds[clin], target_preds[wm]",
+        "e_c, e_w = float(streams[clin][idx]), float(streams[wm][idx])",
+        "e_w, e_c = float(streams[clin][idx]), float(streams[wm][idx])",
         ["tests/test_backtest.py::TestLevel1Reference::test_equals_the_reference[None]"],
     ),
 ]

@@ -382,6 +382,23 @@ class TestLevel1Reference:
             monkeypatch.setattr(backtest, "_usable_cpus", lambda: cpus)
             assert list(run_level1_backtest(log0, cfg, vaccine="V").entries) == expected
 
+    def test_a_kernel_that_does_not_converge_falls_back_alone(self, monkeypatch, log0):
+        # A limit of 40 pairwise steps stops six SVR-linear fits here, and the
+        # SVR-gaussian fit of each of those stream pairs converges.
+        monkeypatch.setattr(stacking, "_SVR_MAX_STEPS", 40)
+        cfg = dataclasses.replace(CFG, level1_warmup_months=6)
+        expected = level1_reference(log0, cfg, "V")
+        notes = {(e.month, e.method): e.diagnostic for e in expected}
+        stopped = [cell for cell, note in notes.items() if "SVR solver exceeded 40" in note]
+        assert len(stopped) == 6
+        other = {"SVR-linear": "SVR-gaussian", "SVR-gaussian": "SVR-linear"}
+        for month, method in stopped:
+            meta, pair = method.split(":")
+            assert notes[(month, f"{other[meta]}:{pair}")] == ""
+        for cpus in (1, 2):
+            monkeypatch.setattr(backtest, "_usable_cpus", lambda: cpus)
+            assert list(run_level1_backtest(log0, cfg, vaccine="V").entries) == expected
+
 
 class TestMonthPool:
     """The months of a backtest fitted in worker processes match a serial run."""
@@ -568,8 +585,8 @@ class TestMonthPool:
         assert logs[1] == logs[0] and logs[2] == logs[0] and logs[3] == logs[0]
 
     def test_a_one_month_window_falls_back_in_every_cell(self, monkeypatch, level0_run):
-        # One sample per window fails every stack's input checks, so each
-        # chunk hands solve_svr_duals an empty batch.
+        # One sample per window fails every stack's input checks, so no SVR
+        # problem reaches the solver.
         _, _, log0 = level0_run
         cfg = dataclasses.replace(CFG, level1_sliding=1)
         solve, batches = stacking.solve_svr_duals, []
@@ -583,7 +600,7 @@ class TestMonthPool:
         for cpus in (1, 2):
             monkeypatch.setattr(backtest, "_usable_cpus", lambda: cpus)
             logs.append(run_level1_backtest(log0, cfg, vaccine="V"))
-        assert batches and not any(batches)
+        assert not any(batches)
         assert write_log_csv(logs[1]) == write_log_csv(logs[0])
         assert len(logs[0].entries) == 4 * 36
         for e in logs[0].entries:

@@ -83,6 +83,15 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "VAX-A" in out and "VAX-B" in out and "config ok" in out
 
+    def test_out_takes_the_lines(self, experiment, tmp_path, capsys):
+        config = str(experiment / "experiment.ini")
+        assert main(["validate", "--config", config]) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "v.txt"
+        assert main(["validate", "--config", config, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == printed
+
     def test_missing_config(self, capsys):
         assert main(["validate", "--config", "/nonexistent.ini"]) == 1
         assert "error" in capsys.readouterr().err
@@ -565,6 +574,19 @@ class TestReport:
             "Evaluation windows: 2013-01..2013-01.\n"
             "**bold**: beats naive; [brackets]: lowest RMSE for the vaccine.\n"
         )
+
+    def test_a_vaccine_in_two_logs_is_a_validation_error(self, markdown_run, tmp_path, capsys):
+        _, logs = markdown_run
+        copied = tmp_path / "logs"
+        copied.mkdir()
+        for path in logs.iterdir():
+            (copied / path.name).write_bytes(path.read_bytes())
+        (copied / "VAX-A copy.log.csv").write_bytes((logs / "VAX-A.log.csv").read_bytes())
+        assert main(["report", "--log-dir", str(copied)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: vaccine 'VAX-A' is in two logs: {copied / 'VAX-A copy.log.csv'}"
+                       f" and {copied / 'VAX-A.log.csv'}\n")
 
     def test_one_file_with_two_vaccines(self, markdown_run, tmp_path):
         _, logs = markdown_run

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uptakecast import stacking
+from uptakecast import stacking, web
 from uptakecast.errors import NonConvergence, TooFewSamples
 from uptakecast.stacking import (
     SVR_KKT_TOL,
@@ -23,6 +23,7 @@ from uptakecast.stacking import (
     solve_svr_dual,
     solve_svr_duals,
 )
+from uptakecast.web import _standardize
 from oracles import (
     ols_normal_equations,
     svr_bias_interval_masks,
@@ -278,7 +279,7 @@ class TestSvrSolver:
         # targets and constant ones; C = 1e-3 ends every coefficient at a bound and
         # eps = 50 passes the first check. Fewer slots than problems make
         # slots refill, and a tail hands problems to solve_svr_dual mid-solve.
-        # An empty batch yields nothing.
+        # An empty batch returns no outcome.
         # A small step limit stops some problems while others finish, and a
         # negative KKT tolerance drives problems into the stalled step.
         rng = np.random.default_rng(seed)
@@ -311,10 +312,10 @@ class TestSvrSolver:
                                 ("_SVR_MAX_STEPS", max_steps), ("SVR_KKT_TOL", tol)):
                 mp.setattr(stacking, name, value)
             batch = [(functools.partial(build, k), y) for k, (_, y) in enumerate(problems)]
-            got = list(solve_svr_duals(batch, C, eps))
+            got = solve_svr_duals(batch, C, eps)
             alone = [outcome(solve_svr_dual, K, y, C, eps) for K, y in problems]
-        assert sorted(k for k, _ in got) == sorted(built) == list(range(count))
-        for k, result in got:
+        assert len(got) == count and sorted(built) == list(range(count))
+        for k, result in enumerate(got):
             K, y = problems[k]
             refs = [alone[k]]
             # A negative tolerance lets the loops step a pair with i == j,
@@ -345,7 +346,7 @@ class TestSvrSolver:
             y = np.round(Z @ rng.normal(0, 1, 2) + rng.normal(0, 0.5, n))
             K = _kernel(Z, Z, "linear" if k % 2 else "gaussian", 0.25)
             problems.append((lambda K=K: K, y))
-        for k, result in solve_svr_duals(problems, C, eps):
+        for k, result in enumerate(solve_svr_duals(problems, C, eps)):
             ref = solve_svr_dual(problems[k][0](), problems[k][1], C, eps)
             assert same_bits(result[0], ref[0]) and same_bits(result[1], ref[1])
 
@@ -362,7 +363,7 @@ class TestSvrSolver:
             y = np.full(12, 5.0) if k % 2 else Z @ [1.0, -2.0] + rng.normal(0, 0.5, 12)
             K = _kernel(Z, Z, "gaussian", 0.25)
             problems.append((lambda K=K: K, y))
-        outcomes = dict(solve_svr_duals(problems, 1.0, 0.1))
+        outcomes = solve_svr_duals(problems, 1.0, 0.1)
         for k in range(7):
             if k % 2:
                 beta, bias = outcomes[k]
@@ -491,19 +492,20 @@ class TestFitSvr:
         tail=st.integers(0, 2),
         max_steps=st.sampled_from([3, 40, stacking._SVR_MAX_STEPS]),
     )
-    def test_fit_svrs_matches_fit_svr_one_design_at_a_time(
+    def test_served_svr_fits_match_fit_svr_one_design_at_a_time(
         self, seed, groups, slots, tail, max_steps
     ):
-        # Each group is one design, two designs (both kernels) over one X
-        # object, or two over equal-valued but distinct copies. n is drawn
-        # from a narrow range, so consecutive groups often share n with other
-        # values: a standardization shared by anything but X's identity shows.
-        # A short (one sample) or non-finite design fails its checks between
-        # the others. Few slots refill and hand problems to a tail; a small
-        # step limit stops some designs while others (constant targets) finish.
+        # Each group is one served fit of one design with one kernel, one fit
+        # of one design with both kernels (one standardization), or two fits
+        # over equal-valued but distinct copies. n is drawn from a narrow
+        # range, so consecutive groups often share n with other values: a
+        # standardization shared across fits shows. A short (one sample) or
+        # non-finite design fails its checks between the others. Few slots
+        # refill and hand problems to a tail; a small step limit stops some
+        # designs while others (constant targets) finish.
         rng = np.random.default_rng(seed)
         C, eps, gamma = 1.0, 0.1, 0.25
-        designs = []
+        fits = []  # (X, y, kernels) per served fit
         for group in groups:
             n = int(rng.integers(4, 7))
             X = rng.uniform(0, 100, (n, 2))
@@ -512,15 +514,16 @@ class TestFitSvr:
                 y = np.full(n, y[0])
             kernel = str(rng.choice(["linear", "gaussian"]))
             if group == "short":
-                designs.append((X[:1], y[:1], kernel))
+                fits.append((X[:1], y[:1], (kernel,)))
             elif group == "non-finite":
                 (X if rng.random() < 0.5 else y)[-1:] = rng.choice([np.nan, np.inf, -np.inf])
-                designs.append((X, y, kernel))
+                fits.append((X, y, (kernel,)))
             elif group == "one":
-                designs.append((X, y, kernel))
+                fits.append((X, y, (kernel,)))
+            elif group == "shared":
+                fits.append((X, y, ("linear", "gaussian")))
             else:
-                X2 = X if group == "shared" else X.copy()
-                designs += [(X, y, "linear"), (X2, y, "gaussian")]
+                fits += [(X, y, ("linear",)), (X.copy(), y, ("gaussian",))]
 
         def fit_alone(X, y, kernel):
             try:
@@ -530,22 +533,26 @@ class TestFitSvr:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(stacking, "_SVR_MAX_STEPS", max_steps)
-            alone = [fit_alone(*design) for design in designs]
+            alone = [[fit_alone(X, y, kernel) for kernel in kernels] for X, y, kernels in fits]
             mp.setattr(stacking, "_SVR_SLOTS", slots)
             mp.setattr(stacking, "_SVR_TAIL", tail)
-            got = list(stacking.fit_svrs(designs, C, eps, gamma))
-        assert sorted(q for q, _ in got) == list(range(len(designs)))
-        for q, model in got:
-            ref = alone[q]
-            if isinstance(ref, Exception):
-                assert type(model) is type(ref) and str(model) == str(ref)
-                continue
-            assert isinstance(model, SvrStackModel)
-            assert (model.kernel, model.gamma, model.cost, model.tube_eps) == (
-                ref.kernel, ref.gamma, ref.cost, ref.tube_eps)
-            for name in ("dual_coefficients", "bias", "support_inputs", "feature_means",
-                         "feature_scales"):
-                assert same_bits(getattr(model, name), getattr(ref, name)), name
+            got = web.serve([stacking.svr_steps(*fit, C, eps, gamma) for fit in fits])
+        for (X, _, _), models, refs in zip(fits, got, alone, strict=True):
+            assert len(models) == len(refs)
+            for model, ref in zip(models, refs):
+                if isinstance(ref, Exception):
+                    assert type(model) is type(ref) and str(model) == str(ref)
+                    continue
+                assert isinstance(model, SvrStackModel)
+                assert (model.kernel, model.gamma, model.cost, model.tube_eps) == (
+                    ref.kernel, ref.gamma, ref.cost, ref.tube_eps)
+                for name in ("dual_coefficients", "bias", "support_inputs", "feature_means",
+                             "feature_scales"):
+                    assert same_bits(getattr(model, name), getattr(ref, name)), name
+                # Each fit's own standardization, whatever the others fitted.
+                for name, value in zip(("support_inputs", "feature_means", "feature_scales"),
+                                       _standardize(X)):
+                    assert same_bits(getattr(model, name), value), name
 
     @pytest.mark.parametrize("kernel", ["linear", "gaussian"])
     @pytest.mark.parametrize(
@@ -560,6 +567,20 @@ class TestFitSvr:
         # fit would predict 0 everywhere.
         with pytest.raises(ValueError, match="finite"):
             fit_svr(X_OK, Y_OK, kernel=kernel, **setting)
+
+    @pytest.mark.parametrize("gamma", [None, 0.0, -1.0])
+    def test_a_gaussian_kernel_without_gamma_fails_alone(self, gamma):
+        # The linear kernel reads no gamma: served with the gaussian one, it
+        # still gets its model, and only the gaussian kernel its error.
+        linear, gaussian = web.serve([stacking.svr_steps(X_OK, Y_OK, ("linear", "gaussian"),
+                                                         1.0, 0.1, gamma)])[0]
+        alone = fit_svr(X_OK, Y_OK, kernel="linear", gamma=gamma)
+        assert linear.gamma is None and same_bits(linear.bias, alone.bias)
+        assert same_bits(linear.dual_coefficients, alone.dual_coefficients)
+        message = "gamma must be positive for the gaussian kernel"
+        assert type(gaussian) is ValueError and str(gaussian) == message
+        with pytest.raises(ValueError, match=message):
+            fit_svr(X_OK, Y_OK, kernel="gaussian", gamma=gamma)
 
 
 class TestPredictSvr:

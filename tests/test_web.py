@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uptakecast import web
+from uptakecast import stacking, web
 from uptakecast.errors import (
     AlignmentError,
     DimensionMismatch,
@@ -437,7 +437,7 @@ class TestLasso:
         fits = [(panel, E_b, lam) for E_b, lam in zip(series, lams)]
         fits += [(wide, E, lam) for lam in wide_lams]
 
-        outcomes = web.serve_lasso([web.lasso_fit_steps(*fit) for fit in fits])
+        outcomes = web.serve([web.lasso_fit_steps(*fit) for fit in fits])
         # The scaled fit's descent, then one polish per width: the path
         # failure is not polished.
         assert calls == [1, 2, 3]
@@ -460,10 +460,37 @@ class TestLasso:
             problems.append((panel, E.series, lasso_lambda_max(panel, E.series) / 10))
         steps = [web.lasso_cv_steps(panel, E) for panel, E, _ in problems]
         steps += [web.lasso_fit_steps(*problem) for problem in problems]
-        outcomes = web.serve_lasso(steps)
+        outcomes = web.serve(steps)
         for (panel, E, lam), chosen, model in zip(problems, outcomes, outcomes[len(problems):]):
             assert chosen == select_lambda_cv(panel, E)
             assert model.alphas.tobytes() == fit_lasso(panel, E, lam).alphas.tobytes()
+
+    def test_lasso_and_svr_requests_waiting_together_are_served_apart(self, monkeypatch):
+        """A LASSO path request, a LASSO fit request and the SVR requests of
+        two costs C wait at once: each solver and each setting gets its own
+        call, and every fit the bits it gets alone."""
+        E, panel = synth_vaccine(0, n_months=30, n_queries=12)
+        lam = lasso_lambda_max(panel, E.series) / 10
+        rng = np.random.default_rng(2)
+        X = rng.uniform(0, 100, (20, 2))
+        y = 30 + 0.4 * X[:, 0] + 0.2 * X[:, 1] + rng.normal(0, 3, 20)
+        kernels, costs = ("linear", "gaussian"), (0.5, 2.0)
+        calls = []
+        solve = stacking.solve_svr_duals
+        monkeypatch.setattr(stacking, "solve_svr_duals",
+                            lambda problems, C, eps: calls.append((len(problems), C))
+                            or solve(problems, C, eps))
+        steps = [web.lasso_cv_steps(panel, E.series), web.lasso_fit_steps(panel, E.series, lam)]
+        steps += [stacking.svr_steps(X, y, kernels, C, 0.1, 0.25) for C in costs]
+        chosen, model, *svrs = web.serve(steps)
+        assert calls == [(2, 0.5), (2, 2.0)]
+        assert chosen == select_lambda_cv(panel, E.series)
+        assert model.alphas.tobytes() == fit_lasso(panel, E.series, lam).alphas.tobytes()
+        for C, models in zip(costs, svrs, strict=True):
+            for kernel, svr in zip(kernels, models, strict=True):
+                alone = stacking.fit_svr(X, y, kernel=kernel, C=C, eps=0.1, gamma=0.25)
+                assert svr.dual_coefficients.tobytes() == alone.dual_coefficients.tobytes()
+                assert svr.bias == alone.bias
 
     @settings(max_examples=30, deadline=None)
     @given(
