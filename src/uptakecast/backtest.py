@@ -10,7 +10,7 @@ prediction and flagged in the entry diagnostics, so one bad window never
 aborts a sweep.
 
 ``predict`` forecasts the month after the data as the backtest's next month:
-one more month of `run_level0_backtest`, then its one `level1_step`.
+one more month of `run_level0_backtest` and `run_level1_backtest`, read from their merged log.
 """
 
 from __future__ import annotations
@@ -116,6 +116,9 @@ class BacktestConfig:
     def clinical_methods(self) -> tuple[str, ...]:
         return ("HW", self.ar_method, "ARIMA")
 
+    def level0_methods(self) -> tuple[str, ...]:
+        return (NAIVE,) + self.clinical_methods() + WEB_METHODS
+
     def ensemble_methods(self) -> tuple[str, ...]:
         return tuple(
             f"{meta}:{clin}+{wm}"
@@ -125,7 +128,15 @@ class BacktestConfig:
         )
 
     def method_order(self) -> tuple[str, ...]:
-        return (NAIVE,) + self.clinical_methods() + WEB_METHODS + self.ensemble_methods()
+        return self.level0_methods() + self.ensemble_methods()
+
+
+def split_method(method: str) -> tuple[str | None, str]:
+    """(meta-model, stream pair) of an ensemble method, (None, method) of a
+    single-source one: a method is an ensemble when the text before its first
+    ``:`` is one of `META_MODELS`."""
+    meta, sep, pair = method.partition(":")
+    return (meta, pair) if sep and meta in META_MODELS else (None, method)
 
 
 @dataclass(frozen=True)
@@ -447,7 +458,7 @@ def run_level0_backtest(
             preds["WM"] = web.wm_predict(wm_state, members)
             wm_state = web.wm_update(wm_state, members, preds["WM"], actual)
 
-        level0 = {m: preds[m] for m in (NAIVE,) + cfg.clinical_methods() + WEB_METHODS}
+        level0 = {m: preds[m] for m in cfg.level0_methods()}
         entries += _log_cells(vaccine, months[k], level0, notes, actual, train_start,
                               months[k - 1])
     return PredictionLog(tuple(entries))
@@ -460,10 +471,8 @@ def level0_streams(
     predictions over them and the observed values the log holds for them."""
     naive = log.cells.get((vaccine, NAIVE), {})
     months = tuple(sorted(naive))
-    streams = {
-        m: np.array([log.prediction(m, t, vaccine) for t in months])
-        for m in (NAIVE,) + cfg.clinical_methods() + WEB_METHODS
-    }
+    streams = {m: np.array([log.prediction(m, t, vaccine) for t in months])
+               for m in cfg.level0_methods()}
     return months, streams, np.array([naive[t].actual for t in months])
 
 
@@ -525,20 +534,6 @@ def level1_chunk(
     return [_fit_each(fits, float(streams[NAIVE][idx])) for idx, fits in cells.items()]
 
 
-def level1_step(
-    streams: Mapping[str, np.ndarray],
-    actuals: np.ndarray,
-    idx: int,
-    cfg: BacktestConfig,
-) -> tuple[dict[str, float], dict[str, str]]:
-    """The level-1 cell of level-0 month ``idx`` (`level1_chunk`): the chunk of one
-    month. As in the backtest, a month inside the level-1 warm-up has no cell."""
-    warm = cfg.level1_warmup_months
-    if idx < warm:
-        raise InsufficientHistory(f"level-0 log covers {idx} months, need {warm}")
-    return level1_chunk(streams, actuals, [idx], cfg)[0]
-
-
 def run_level1_backtest(
     level0_log: PredictionLog, cfg: BacktestConfig, vaccine: str
 ) -> PredictionLog:
@@ -575,10 +570,8 @@ def _canonical_method_order(methods: Sequence[str]) -> list[str]:
     Naive, the clinical methods and then the web methods, and level 1 logs its
     pairs clinical-major, web-minor.
     """
-    block = {name: i for i, name in enumerate(META_MODELS, start=1)}
-    indexed = list(enumerate(methods))
-    indexed.sort(key=lambda im: (block.get(im[1].split(":", 1)[0], 0), im[0]))
-    return [m for _, m in indexed]
+    blocks = (None,) + META_MODELS
+    return sorted(methods, key=lambda m: blocks.index(split_method(m)[0]))  # a stable sort
 
 
 def summarize(log: PredictionLog, vaccine: str, seed: int | None = None) -> BacktestReport:

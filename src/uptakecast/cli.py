@@ -22,10 +22,10 @@ from .backtest import (
     BacktestConfig,
     PredictionLog,
     aligned_history,
-    level0_streams,
-    level1_step,
     run_full_experiment,
     run_level0_backtest,
+    run_level1_backtest,
+    split_method,
     summarize,
 )
 from .errors import EmptyLog, GapInRegistry, MissingCohort, UptakecastError
@@ -140,7 +140,8 @@ def _emit(reports: list, logs: dict[str, PredictionLog], args, seed: int | None)
     extra = []
     if args.level0_window:
         for name, log in logs.items():
-            level0 = PredictionLog(tuple(e for e in log.entries if ":" not in e.method))
+            level0 = PredictionLog(
+                tuple(e for e in log.entries if split_method(e.method)[0] is None))
             rep = summarize(level0, name, seed=seed)
             extra.append(dataclasses.replace(rep, vaccine=f"{name} (level0 window)"))
     if extra and args.format == "markdown":
@@ -206,20 +207,18 @@ def _cmd_predict(args) -> int:
         panel.start, panel.query_names, np.vstack([panel.matrix, panel.matrix[-1]])
     )
     log0 = run_level0_backtest(history, panel, dataclasses.replace(cfg, end_month=target), name)
-    months, streams, actuals = level0_streams(log0, name, cfg)
-    idx = len(months) - 1  # the target's index: the level-0 months before it
-    preds, notes = level1_step(streams, actuals, idx, cfg)
-    for method in streams:  # the target's level-0 cells
-        entry = log0.cells[(name, method)][target]
-        preds[method] = entry.predicted
-        if entry.diagnostic:
-            notes[method] = entry.diagnostic
-    for method in cfg.method_order():
-        if method in notes:
-            print(f"{method} {target}: {notes[method]}", file=sys.stderr)
+    # The level-1 backtest whose warm-up ends at the target fits that month
+    # alone; with too few level-0 months its own check fails.
+    idx = len(series) - cfg.level0_warmup_months  # the level-0 months before the target
+    warmup = dataclasses.replace(cfg, level1_warmup_months=max(cfg.level1_warmup_months, idx))
+    log = log0.merge(run_level1_backtest(log0, warmup, name))
+    cells = [log.cells[(name, method)][target] for method in cfg.method_order()]
+    for e in cells:
+        if e.diagnostic:
+            print(f"{e.method} {target}: {e.diagnostic}", file=sys.stderr)
 
     lines = [f"next-month predictions for {name}, target {target}:"]
-    lines += [f"{method},{preds[method]!r}" for method in cfg.method_order()]
+    lines += [f"{e.method},{e.predicted!r}" for e in cells]
     _write_out("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .backtest import META_MODELS, BacktestReport, LogEntry, PredictionLog
+from .backtest import META_MODELS, BacktestReport, LogEntry, PredictionLog, split_method
 from .errors import (
     DiagnosticWarning,
     GapError,
@@ -298,13 +298,13 @@ def emit_report(reports: Sequence[BacktestReport], format: str = "markdown") -> 
     lines: list[str] = []
     if ok:
         methods = list(dict.fromkeys(m for rep in ok for m in rep.rmse))
-        tables = [("Single-source methods", [m for m in methods if ":" not in m])]
+        tables = [("Single-source methods", [m for m in methods if split_method(m)[0] is None])]
         for meta in META_MODELS:  # an ensemble table only when it has methods
-            combos = [m for m in methods if m.startswith(meta + ":")]
+            combos = [m for m in methods if split_method(m)[0] == meta]
             if combos:
                 tables.append((f"Ensemble, level-1 {meta}", combos))
         for title, columns in tables:
-            headers = [m.split(":", 1)[-1] for m in columns]  # an ensemble's without "meta:"
+            headers = [split_method(m)[1] for m in columns]  # an ensemble's without "meta:"
             lines += [f"## {title}", "", "| Vaccine | " + " | ".join(headers) + " |",
                       "|---" * (len(columns) + 1) + "|"]
             lines += [f"| {rep.vaccine} | " + " | ".join(_markdown_cell(rep, m) for m in columns)

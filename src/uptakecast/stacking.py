@@ -413,14 +413,20 @@ def svr_steps(X: np.ndarray, y: np.ndarray, kernels: Sequence[str], C: float, ep
     except (TooFewSamples, ValueError) as err:
         return [err] * len(kernels)
     Z, means, scales = _standardize(X)
-    solvable = [kernel != "gaussian" or (gamma is not None and gamma > 0) for kernel in kernels]
+    errors = []  # per kernel: why it cannot be solved, or None
+    for kernel in kernels:
+        if kernel not in ("linear", "gaussian"):
+            errors.append(ValueError(f"unknown kernel {kernel!r}"))
+        elif kernel == "gaussian" and not (gamma is not None and gamma > 0):
+            errors.append(ValueError("gamma must be positive for the gaussian kernel"))
+        else:
+            errors.append(None)
     problems = [(functools.partial(_kernel, Z, Z, kernel, gamma), y)
-                for kernel, ok in zip(kernels, solvable) if ok]
+                for kernel, err in zip(kernels, errors) if err is None]
     duals = iter((yield solve_svr_duals, (C, eps), problems))
     outcomes = []
-    for kernel, ok in zip(kernels, solvable):
-        outcome = (next(duals) if ok
-                   else ValueError("gamma must be positive for the gaussian kernel"))
+    for kernel, err in zip(kernels, errors):
+        outcome = next(duals) if err is None else err
         if not isinstance(outcome, Exception):
             beta, bias = outcome
             outcome = SvrStackModel(kernel=kernel, gamma=gamma if kernel == "gaussian" else None,

@@ -195,6 +195,31 @@ MUTANTS = [
         "e_w, e_c = float(streams[clin][idx]), float(streams[wm][idx])",
         ["tests/test_backtest.py::TestLevel1Reference::test_equals_the_reference[None]"],
     ),
+    (
+        # predict's level-1 warm-up always ends at the target: a target with
+        # fewer level-0 months before it than the backtest's warm-up gets a
+        # cell the backtest never logs.
+        "src/uptakecast/cli.py",
+        "max(cfg.level1_warmup_months, idx)",
+        "idx",
+        ["tests/test_cli.py::TestPredict::test_level1_warmup_not_covered"],
+    ),
+    (
+        # Any text before a ":" taken for a meta-model: markdown and the
+        # level-0 window rows drop a single-source method that CSV prints.
+        "src/uptakecast/backtest.py",
+        "return (meta, pair) if sep and meta in META_MODELS else (None, method)",
+        "return (meta, pair) if sep else (None, method)",
+        ["tests/test_cli.py::TestReport::test_a_method_with_a_non_meta_prefix_is_single_source"],
+    ),
+    (
+        # An unknown kernel's problem sent to the solver, whose error ends
+        # the whole served call.
+        "src/uptakecast/stacking.py",
+        'if kernel not in ("linear", "gaussian"):',
+        "if False:",
+        ["tests/test_stacking.py::TestFitSvr::test_an_unknown_kernel_fails_alone"],
+    ),
 ]
 
 # Mutants no test can kill, because no output changes: (file, old text, new

@@ -20,6 +20,7 @@ from uptakecast.backtest import (
     run_full_experiment,
     run_level0_backtest,
     run_level1_backtest,
+    split_method,
     summarize,
 )
 from uptakecast.errors import EmptyLog, InsufficientHistory, SchemaError
@@ -123,6 +124,17 @@ class TestConfig:
         assert len(order) == 1 + 7 + 36
         assert order[0] == NAIVE
         assert "SVR-gaussian:ARIMA+O" in order
+
+    @pytest.mark.parametrize("lags", [12, 3])
+    def test_split_method_over_the_method_order(self, lags):
+        cfg = BacktestConfig(ar_lags=lags)
+        level0 = (NAIVE, "HW", f"AR{lags}", "ARIMA", "WM", "B", "L", "O")
+        pairs = [f"{clin}+{wm}" for clin in ("HW", f"AR{lags}", "ARIMA")
+                 for wm in ("WM", "B", "L", "O")]
+        expected = [(None, m) for m in level0]
+        expected += [(meta, pair) for meta in ("OLS", "SVR-linear", "SVR-gaussian")
+                     for pair in pairs]
+        assert [split_method(m) for m in cfg.method_order()] == expected
 
 
 class TestPredictionLog:
@@ -353,7 +365,8 @@ class TestLevel1:
         with pytest.raises(ValueError, match="^stack sample values must be finite$"):
             backtest.level1_chunk(streams, actuals, [12, 13, 14, 15], CFG)
         cells = backtest.level1_chunk(streams, actuals, [12, 13, 14], CFG)
-        assert cells == [backtest.level1_step(streams, actuals, idx, CFG) for idx in [12, 13, 14]]
+        assert cells == [backtest.level1_chunk(streams, actuals, [idx], CFG)[0]
+                         for idx in [12, 13, 14]]
         assert "SVR-linear:HW+WM" not in cells[0][1]  # fitted, not a fallback
 
     def test_insufficient_history(self):
@@ -562,7 +575,8 @@ class TestMonthPool:
     @pytest.mark.parametrize("sliding", [None, 6])
     def test_chunks_equal_one_month_at_a_time(self, monkeypatch, level0_run, sliding):
         # One chunk, two and three chunks, and predict's path (one month at a
-        # time, level1_step) give the same log bytes. 16 level-0 months
+        # time: the log cut after the month, its warm-up ending there) give
+        # the same log bytes. 16 level-0 months
         # leave 4 level-1 months, 96 SVR duals: one chunk refills its 48
         # slots, two chunks of 48 duals drain into a tail, and chunks of one
         # month (24 duals) run the sequential loop throughout.
@@ -572,14 +586,12 @@ class TestMonthPool:
         for cpus in (1, 2, 3):
             monkeypatch.setattr(backtest, "_usable_cpus", lambda: cpus)
             logs.append(write_log_csv(run_level1_backtest(log0, cfg, vaccine="V")))
-        months, streams, actuals = backtest.level0_streams(log0, "V", cfg)
+        months = log0.months(NAIVE, "V")
         entries = []
         for idx in range(cfg.level1_warmup_months, len(months)):
-            values, notes = backtest.level1_step(streams, actuals, idx, cfg)
-            entries += backtest._log_cells(
-                "V", months[idx], values, notes, float(actuals[idx]),
-                months[backtest.level1_window_start(idx, cfg)], months[idx - 1],
-            )
+            cut = PredictionLog(tuple(e for e in log0.entries if e.month <= months[idx]))
+            warmup = dataclasses.replace(cfg, level1_warmup_months=idx)
+            entries += run_level1_backtest(cut, warmup, vaccine="V").entries
         logs.append(write_log_csv(PredictionLog(tuple(entries))))
         assert logs[0].count("\n") > 4 * 36
         assert logs[1] == logs[0] and logs[2] == logs[0] and logs[3] == logs[0]

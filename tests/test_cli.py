@@ -575,6 +575,57 @@ class TestReport:
             "**bold**: beats naive; [brackets]: lowest RMSE for the vaccine.\n"
         )
 
+    def test_a_method_with_a_non_meta_prefix_is_single_source(self, tmp_path):
+        # Only a level-1 model's name before the ":" makes an ensemble, so
+        # "Holt:Winters" is a single-source column in markdown and a level-0
+        # window row, as in the CSV; it is also the row minimum.
+        header = (
+            "vaccine,method,year,month,predicted,actual,train_start_year,"
+            "train_start_month,train_end_year,train_end_month,diagnostic\n"
+        )
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        (logs / "X.log.csv").write_text(
+            header
+            + "X,Naive,2013,1,49.0,50.0,2011,1,2012,12,\n"
+            + "X,Holt:Winters,2013,1,49.5,50.0,2011,1,2012,12,\n"
+            + "X,Naive,2013,2,50.0,52.0,2011,1,2013,1,\n"
+            + "X,Holt:Winters,2013,2,51.5,52.0,2011,1,2013,1,\n"
+            + "X,OLS:HW+O,2013,2,51.0,52.0,2013,1,2013,1,\n"
+        )
+        md, csv_out = tmp_path / "report.md", tmp_path / "report.csv"
+        argv = ["report", "--log-dir", str(logs), "--level0-window", "--out"]
+        assert main(argv + [str(md)]) == 0
+        assert main(argv + [str(csv_out), "--format", "csv"]) == 0
+        single = (
+            "## Single-source methods\n"
+            "\n"
+            "| Vaccine | Naive | Holt:Winters |\n"
+            "|---|---|---|\n"
+        )
+        footer = "**bold**: beats naive; [brackets]: lowest RMSE for the vaccine.\n"
+        assert md.read_text() == (
+            single
+            + "| X | 2.000 | **[0.500]** |\n"
+            "\n"
+            "## Ensemble, level-1 OLS\n"
+            "\n"
+            "| Vaccine | HW+O |\n"
+            "|---|---|\n"
+            "| X | **1.000** |\n"
+            "\n"
+            "Evaluation windows: 2013-02..2013-02.\n"
+            + footer
+            + single
+            + "| X (level0 window) | 1.581 | **[0.500]** |\n"
+            "\n"
+            "Evaluation windows: 2013-01..2013-02.\n"
+            + footer
+        )
+        rows = [line.split(",")[:2] for line in csv_out.read_text().splitlines()[1:]]
+        assert rows == [["X", "Naive"], ["X", "Holt:Winters"], ["X", "OLS:HW+O"],
+                        ["X (level0 window)", "Naive"], ["X (level0 window)", "Holt:Winters"]]
+
     def test_a_vaccine_in_two_logs_is_a_validation_error(self, markdown_run, tmp_path, capsys):
         _, logs = markdown_run
         copied = tmp_path / "logs"
@@ -686,7 +737,7 @@ class TestPredict:
         out, err = capsys.readouterr()
         assert code == 1
         assert out == ""
-        assert err == "error: level-0 log covers 16 months, need 17\n"
+        assert err == "error: level-0 log covers 17 months, need 18\n"
 
     # level0_warmup_months - 1 and level0_warmup_months observed months
     @pytest.mark.parametrize("n_months", [23, 24])

@@ -582,6 +582,32 @@ class TestFitSvr:
         with pytest.raises(ValueError, match=message):
             fit_svr(X_OK, Y_OK, kernel="gaussian", gamma=gamma)
 
+    def test_an_unknown_kernel_fails_alone(self, monkeypatch):
+        # Served with linear fits, in its own design or beside it, an unknown
+        # kernel gets its error as its outcome; its problem never reaches the
+        # solver, and the linear fits keep their models.
+        solve, batches = stacking.solve_svr_duals, []
+
+        def recording(problems, C, eps):
+            batches.append([kernel.args[2] for kernel, _ in problems])
+            return solve(problems, C, eps)
+
+        monkeypatch.setattr(stacking, "solve_svr_duals", recording)
+        alone = fit_svr(X_OK, Y_OK, kernel="linear")
+        served = web.serve([stacking.svr_steps(X_OK, Y_OK, ("linear",), 1.0, 0.1, 0.25),
+                            stacking.svr_steps(X_OK, Y_OK, ("poly",), 1.0, 0.1, 0.25),
+                            stacking.svr_steps(X_OK, Y_OK, ("poly", "linear"), 1.0, 0.1, 0.25)])
+        assert batches == [["linear"], ["linear", "linear"]]
+        for linear in (served[0][0], served[2][1]):
+            assert same_bits(linear.bias, alone.bias)
+            assert same_bits(linear.dual_coefficients, alone.dual_coefficients)
+        for poly in (served[1][0], served[2][0]):
+            assert type(poly) is ValueError and str(poly) == "unknown kernel 'poly'"
+
+    def test_fit_svr_rejects_an_unknown_kernel(self):
+        with pytest.raises(ValueError, match="^unknown kernel 'poly'$"):
+            fit_svr(X_OK, Y_OK, kernel="poly")
+
 
 class TestPredictSvr:
     def _manual_model(self, **kw):
