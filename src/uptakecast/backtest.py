@@ -19,7 +19,7 @@ import functools
 import math
 import operator
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -57,19 +57,19 @@ class BacktestConfig:
 
     def __post_init__(self):
         # Reject here every value a fit would reject mid-sweep, where the
-        # error would abort the run for every vaccine. `bagging_subsets` and
-        # `level1_sliding` may be None. A count is what `operator.index`
-        # takes, a float setting what `math.isfinite` takes. An infinite
-        # setting passes the range checks below (`not inf > 0` is False), so
-        # finiteness comes first.
-        for name in ("level0_warmup_months", "level1_warmup_months", "ar_lags", "hw_season_length",
-                     "bagging_subset_size", "bagging_subsets", "seed", "level1_sliding"):
-            value = getattr(self, name)
+        # error would abort the run for every vaccine. Each setting's kind is
+        # its annotation: an `int` is what `operator.index` takes, a `float`
+        # what `math.isfinite` takes, and only an `int | None` may be None.
+        # An infinite setting passes the range checks below (`not inf > 0` is
+        # False), so finiteness comes first.
+        kinds = {f.name: f.type for f in fields(self)
+                 if not (getattr(self, f.name) is None and f.type.endswith("| None"))}
+        for name in [name for name, kind in kinds.items() if kind in ("int", "int | None")]:
             try:
-                operator.index(0 if value is None else value)
+                operator.index(getattr(self, name))
             except TypeError:
                 raise ValueError(f"{name} must be an integer") from None
-        for name in ("wm_eta", "wm_epsilon", "svr_cost", "svr_tube_eps", "svr_gamma"):
+        for name in [name for name, kind in kinds.items() if kind == "float"]:
             try:
                 finite = math.isfinite(getattr(self, name))
             except TypeError:
@@ -534,6 +534,14 @@ def level1_chunk(
     return [_fit_each(fits, float(streams[NAIVE][idx])) for idx, fits in cells.items()]
 
 
+def check_level1_coverage(level0_months: int, cfg: BacktestConfig) -> None:
+    """Level 1 needs its warm-up of level-0 months and one month after it."""
+    if level0_months < cfg.level1_warmup_months + 1:
+        raise InsufficientHistory(
+            f"level-0 log covers {level0_months} months, need {cfg.level1_warmup_months + 1}"
+        )
+
+
 def run_level1_backtest(
     level0_log: PredictionLog, cfg: BacktestConfig, vaccine: str
 ) -> PredictionLog:
@@ -547,13 +555,8 @@ def run_level1_backtest(
     lengths, so the first failing run raises the serial error.
     """
     months, streams, actuals = level0_streams(level0_log, vaccine, cfg)
-    warm = cfg.level1_warmup_months
-    if len(months) < warm + 1:
-        raise InsufficientHistory(
-            f"level-0 log covers {len(months)} months, need {warm + 1}"
-        )
-
-    targets = range(warm, len(months))
+    check_level1_coverage(len(months), cfg)
+    targets = range(cfg.level1_warmup_months, len(months))
     runs = _runs(targets, [idx - level1_window_start(idx, cfg) for idx in targets])
     chunks = _map_months(level1_chunk, [(streams, actuals, run, cfg) for run in runs])
     entries: list[LogEntry] = []

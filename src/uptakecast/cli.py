@@ -22,6 +22,7 @@ from .backtest import (
     BacktestConfig,
     PredictionLog,
     aligned_history,
+    check_level1_coverage,
     run_full_experiment,
     run_level0_backtest,
     run_level1_backtest,
@@ -38,7 +39,7 @@ from .ingest import (
     read_log_csv,
     write_log_csv,
 )
-from .timeseries import MonthStamp, TimeSeries, UptakeSeries, align
+from .timeseries import MonthStamp, TimeSeries, UptakeSeries
 
 
 def _parse_month_flag(text: str) -> MonthStamp:
@@ -164,10 +165,14 @@ def _cmd_validate(args) -> int:
     lines = []
     for name, (uptake, panel) in datasets.items():
         series = uptake.series
-        _, aligned_series = align(panel, series)
+        try:
+            _, window = aligned_history(uptake, panel, cfg)
+            check_level1_coverage(len(window) - cfg.level0_warmup_months, cfg)
+        except UptakecastError as err:
+            raise UptakecastError(f"vaccine {name!r}: {type(err).__name__}: {err}") from None
         lines.append(f"{name}: uptake {series.start}..{series.end} ({len(series)} months), "
                      f"panel {panel.n_queries} queries, shared window "
-                     f"{aligned_series.start}..{aligned_series.end}")
+                     f"{window.start}..{window.end}")
     lines.append(f"config ok: seed={cfg.seed}, warmups={cfg.level0_warmup_months}/"
                  f"{cfg.level1_warmup_months}, ar_lags={cfg.ar_lags}")
     _write_out("\n".join(lines) + "\n", args.out)

@@ -58,10 +58,10 @@ class GapInRegistry(UptakecastError):
 
 
 class ParseError(UptakecastError):
-    """A CSV row could not be parsed; carries the offending line number."""
+    """A CSV row could not be parsed; names the file and carries the line number."""
 
-    def __init__(self, message, line=None):
-        super().__init__(message if line is None else f"line {line}: {message}")
+    def __init__(self, path, line, message):
+        super().__init__(f"{path} line {line}: {message}")
         self.line = line
 
 

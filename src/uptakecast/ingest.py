@@ -59,7 +59,7 @@ def _read_rows(path: str | Path, expected_header: Sequence[str]) -> Iterable[tup
             try:
                 header = next(reader)
             except StopIteration:
-                raise ParseError(f"{path}: empty file", line=1) from None
+                raise ParseError(path, 1, "empty file") from None
             if [h.strip() for h in header] != list(expected_header):
                 raise SchemaError(
                     f"{path}: expected header {','.join(expected_header)!r}, "
@@ -69,7 +69,7 @@ def _read_rows(path: str | Path, expected_header: Sequence[str]) -> Iterable[tup
                 if not row or all(not cell.strip() for cell in row):
                     continue
                 if len(row) != len(expected_header):
-                    raise ParseError(f"{path}: expected {len(expected_header)} fields", line=lineno)
+                    raise ParseError(path, lineno, f"expected {len(expected_header)} fields")
                 yield lineno, [cell.strip() for cell in row]
     except (OSError, UnicodeDecodeError) as err:
         raise UptakecastError(f"{path}: {err}") from None
@@ -80,7 +80,7 @@ def _parse_number(text: str, kind: type, message: str, path, lineno: int):
     try:
         return kind(text)
     except ValueError:
-        raise ParseError(f"{path}: {message}", line=lineno) from None
+        raise ParseError(path, lineno, message) from None
 
 
 def _parse_month(year_s: str, month_s: str, path, lineno: int) -> MonthStamp:
@@ -243,7 +243,7 @@ def read_log_csv(path: str | Path) -> PredictionLog:
                 raise ValueError("predicted must be finite and actual finite and >= 0")
             month, start, end = (MonthStamp(int(row[i]), int(row[i + 1])) for i in (2, 6, 8))
         except ValueError as err:  # an unparsable or out-of-range number, or a month outside 1..12
-            raise ParseError(f"{path}: {err}", line=lineno) from None
+            raise ParseError(path, lineno, err) from None
         entries.append(LogEntry(row[0], row[1], month, predicted, actual, start, end, row[10]))
     try:
         return PredictionLog(tuple(entries))

@@ -412,7 +412,7 @@ def _lasso_path_alphas(
             break
         sizes = size[live]
         still = []
-        for k in np.unique(sizes).tolist():
+        for k in sorted(set(sizes.tolist())):
             g = live[sizes == k]
             n, m = g.size, F - k
             idx = order[g, :k]
@@ -562,7 +562,7 @@ def _cv_steps(X: np.ndarray, y: np.ndarray) -> Generator:
     # Fold f's systems are rows f*B .. (f+1)*B-1 of one batch.
     gram, cvec, folds = np.empty((CV_FOLDS * B, F, F)), np.empty((CV_FOLDS * B, F)), []
     for f, val_idx in enumerate(np.array_split(np.arange(T), CV_FOLDS)):
-        train_idx = np.setdiff1d(np.arange(T), val_idx)
+        train_idx = np.delete(np.arange(T), val_idx)
         Xs, means, scales = _standardize(X[:, train_idx, :])
         ytr = y[train_idx]
         mu = ytr.mean()

@@ -220,6 +220,36 @@ MUTANTS = [
         "if False:",
         ["tests/test_stacking.py::TestFitSvr::test_an_unknown_kernel_fails_alone"],
     ),
+    (
+        # validate without the level-1 coverage check: a vaccine whose
+        # backtest gets an error row passes.
+        "src/uptakecast/cli.py",
+        "            check_level1_coverage(len(window) - cfg.level0_warmup_months, cfg)\n",
+        "",
+        [
+            "tests/test_cli.py::TestValidate"
+            "::test_a_vaccine_the_backtest_fails_fails_validation[level1-warmup]",
+        ],
+    ),
+    (
+        # The setting kinds read without `int | None`: a fractional
+        # bagging_subsets passes.
+        "src/uptakecast/backtest.py",
+        'kind in ("int", "int | None")',
+        'kind == "int"',
+        [
+            "tests/test_backtest.py::TestConfig"
+            "::test_every_count_and_real_setting_checks_its_kind[bagging_subsets]",
+        ],
+    ),
+    (
+        # The CV folds' training rows from np.setdiff1d, which imports
+        # numpy.ma in every forked worker.
+        "src/uptakecast/web.py",
+        "np.delete(np.arange(T), val_idx)",
+        "np.setdiff1d(np.arange(T), val_idx)",
+        ["tests/test_backtest.py::TestMonthPool::test_a_serial_backtest_imports_no_numpy_ma"],
+    ),
 ]
 
 # Mutants no test can kill, because no output changes: (file, old text, new

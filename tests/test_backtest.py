@@ -1,6 +1,9 @@
 import concurrent.futures
 import dataclasses
 import multiprocessing
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -117,6 +120,22 @@ class TestConfig:
         # Accepted, each would abort every vaccine of a run with a TypeError.
         with pytest.raises(ValueError, match="integer"):
             BacktestConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "setting",
+        [f for f in dataclasses.fields(BacktestConfig) if f.type in ("int", "int | None", "float")],
+        ids=lambda f: f.name,
+    )
+    def test_every_count_and_real_setting_checks_its_kind(self, setting):
+        # Each setting annotated as a count or a real number, so a new one
+        # cannot skip its check; only an `int | None` setting may be None.
+        message = "must be a real number" if setting.type == "float" else "must be an integer"
+        wrong = ["1"] if setting.type == "float" else [1.5, "3"]
+        if not setting.type.endswith("| None"):
+            wrong.append(None)
+        for value in wrong:
+            with pytest.raises(ValueError, match=f"^{setting.name} {message}$"):
+                BacktestConfig(**{setting.name: value})
 
     def test_method_order_counts(self):
         cfg = BacktestConfig()
@@ -619,6 +638,29 @@ class TestMonthPool:
             assert e.diagnostic.startswith("fallback=naive (TooFewSamples: need at least ")
             assert e.diagnostic.endswith(" stack samples, got 1)")
             assert e.predicted == log0.prediction(NAIVE, e.month, "V")
+
+    def test_a_serial_backtest_imports_no_numpy_ma(self):
+        # A module the parent process has not imported is imported again in
+        # every forked worker, and np.unique and np.setdiff1d import numpy.ma.
+        # In one process the backtest imports what its workers would.
+        tests = Path(__file__).resolve().parent
+        code = (
+            "import sys\n"
+            "from conftest import synth_vaccine\n"
+            "from uptakecast import backtest\n"
+            "backtest._usable_cpus = lambda: 1\n"
+            "cfg = backtest.BacktestConfig(bagging_subset_size=4)\n"
+            "print('numpy.ma' in sys.modules)\n"
+            "log0 = backtest.run_level0_backtest(*synth_vaccine(11, 40, 12), cfg)\n"
+            "log1 = backtest.run_level1_backtest(log0, cfg, 'series')\n"
+            "print(len(log0), len(log1), 'numpy.ma' in sys.modules)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\n128 144 False\n"
 
     @pytest.mark.parametrize("cpus, n_tasks", [(1, 5), (2, 1), (2, 5), (8, 3)])
     def test_pool_size(self, monkeypatch, cpus, n_tasks):

@@ -17,24 +17,24 @@ from uptakecast.ingest import read_log_csv, write_log_csv
 from uptakecast.timeseries import MonthStamp, TimeSeries, UptakeSeries
 from uptakecast.web import QueryPanel
 
-from conftest import synth_vaccine
+from conftest import JAN2011, synth_vaccine
 
 
-@pytest.fixture(scope="module")
-def experiment(tmp_path_factory):
-    """Two-vaccine experiment on disk: registry, cohorts, trends, config."""
-    root = tmp_path_factory.mktemp("experiment")
+def write_experiment(root, months, settings=""):
+    """Registry, cohorts, trends and config under ``root``: the k-th vaccine
+    of ``months`` (name -> month count) is `synth_vaccine(40 + k)` over that
+    many months from 2011-01; ``settings`` are added to [backtest]."""
     registry_rows = ["vaccine,year,month,doses"]
-    cohort_rows = ["year,month,expected"]
-    names = ("VAX-A", "VAX-B")
-    for v_idx, name in enumerate(names):
-        uptake, panel = synth_vaccine(40 + v_idx, n_months=40, n_queries=12)
+    cohort_rows = ["year,month,expected"] + [
+        f"{month.year},{month.month},1000"
+        for month in map(JAN2011.plus, range(max(months.values())))
+    ]
+    for v_idx, (name, n_months) in enumerate(months.items()):
+        uptake, panel = synth_vaccine(40 + v_idx, n_months=n_months, n_queries=12)
         series = uptake.series
         for k, month in enumerate(series.months()):
             doses = int(round(series.values[k] * 10))
             registry_rows.append(f"{name},{month.year},{month.month},{doses}")
-            if v_idx == 0:
-                cohort_rows.append(f"{month.year},{month.month},1000")
         trend_rows = ["query,year,month,frequency"]
         for j, q in enumerate(panel.query_names):
             for k, month in enumerate(series.months()):
@@ -48,13 +48,21 @@ def experiment(tmp_path_factory):
         f"cohorts = {root / 'cohorts.csv'}\n"
         "\n"
         "[vaccines]\n"
-        + "".join(f"{name} = {root / f'trends_{name}.csv'}\n" for name in names)
+        + "".join(f"{name} = {root / f'trends_{name}.csv'}\n" for name in months)
         + "\n"
         "[backtest]\n"
         "seed = 3\n"
         "bagging_subset_size = 4\n"
+        + settings
     )
     (root / "experiment.ini").write_text(config)
+
+
+@pytest.fixture(scope="module")
+def experiment(tmp_path_factory):
+    """Two-vaccine experiment on disk: registry, cohorts, trends, config."""
+    root = tmp_path_factory.mktemp("experiment")
+    write_experiment(root, {"VAX-A": 40, "VAX-B": 40})
     return root
 
 
@@ -80,8 +88,35 @@ def run_predict(config, capsys):
 class TestValidate:
     def test_ok(self, experiment, capsys):
         assert main(["validate", "--config", str(experiment / "experiment.ini")]) == 0
-        out = capsys.readouterr().out
-        assert "VAX-A" in out and "VAX-B" in out and "config ok" in out
+        window = "uptake 2011-01..2014-04 (40 months), panel 12 queries, shared window 2011-01..2014-04"
+        assert capsys.readouterr().out == (
+            f"VAX-A: {window}\nVAX-B: {window}\nconfig ok: seed=3, warmups=24/12, ar_lags=12\n"
+        )
+
+    @pytest.mark.parametrize(
+        "months, settings, message",
+        [
+            (20, "", "need 25 months, series spans 20"),
+            (30, "", "level-0 log covers 6 months, need 13"),
+            (30, "end_month = 2012-12\n", "need 25 months, series spans 24"),
+            # `predict` needs one level-1 month fewer and runs on this one
+            # (TestPredict::test_matches_backtest_cell[level1_warmup]).
+            (40, "level1_warmup_months = 16\n", "level-0 log covers 16 months, need 17"),
+        ],
+        ids=["short", "level1-warmup", "end-month", "level1-boundary"],
+    )
+    def test_a_vaccine_the_backtest_fails_fails_validation(
+        self, tmp_path, capsys, months, settings, message
+    ):
+        # W fails too: the one error line names the first failing vaccine in
+        # config order, with the message of its backtest error row.
+        write_experiment(tmp_path, {"V": months, "W": 20}, settings)
+        config = str(tmp_path / "experiment.ini")
+        assert main(["validate", "--config", config]) == 1
+        assert capsys.readouterr() == ("", f"error: vaccine 'V': InsufficientHistory: {message}\n")
+        assert main(["backtest", "--config", config, "--vaccine", "V", "--format", "csv"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows[1:] == [["V", "ERROR", f"InsufficientHistory: {message}", "", ""]]
 
     def test_out_takes_the_lines(self, experiment, tmp_path, capsys):
         config = str(experiment / "experiment.ini")
@@ -509,14 +544,14 @@ class TestReport:
         ],
     )
     def test_malformed_log_is_validation_error(self, tmp_path, capsys, text, message):
-        # One error line, and it names the file.
+        # One error line, and it names the file, and a row's line after it.
         logs = tmp_path / "logs"
         logs.mkdir()
         path = logs / "X.log.csv"
         path.write_text(text)
         assert main(["report", "--log-dir", str(logs)]) == 1
         [line] = capsys.readouterr().err.splitlines()
-        assert line.startswith("error: ") and f"{path}: " in line and message in line
+        assert re.match(rf"error: {re.escape(str(path))}( line \d+)?: ", line) and message in line
 
     def test_a_log_with_a_bom_and_crlf_line_ends_reads(self, markdown_run, tmp_path):
         _, logs = markdown_run

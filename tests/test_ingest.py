@@ -50,6 +50,19 @@ class TestLoadRegistry:
             load_registry(path)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize(
+        "row, error",
+        [("MMR-1,2011,1,x", ParseError), ("MMR-1,2011,1,-3", SchemaError)],
+        ids=["not-an-integer", "negative"],
+    )
+    def test_a_row_error_names_its_file_and_line(self, tmp_path, row, error):
+        path = write(tmp_path, "reg.csv", f"vaccine,year,month,doses\n{row}\n")
+        with pytest.raises(error) as err:
+            load_registry(path)
+        assert str(err.value).startswith(f"{path} line 2: ")
+        if error is ParseError:
+            assert err.value.line == 2
+
     def test_schema_violations(self, tmp_path):
         bad_header = write(tmp_path, "h.csv", "vaccine,year,month,count\n")
         with pytest.raises(SchemaError):
