@@ -2,9 +2,10 @@
 all single-source methods, all ensemble combinations, RMSE reporting.
 
 Vaccines are processed independently. Within one vaccine each month's fits
-depend only on the data before that month, so the months are fitted in worker
-processes across the usable CPUs; only the weighted-majority weights thread
-through the months, in month order, in the calling process. Every model
+depend only on the data before that month, so the months are fitted in forked
+child processes, one per usable CPU, that send their results back through
+pipes (`_map_months`); only the weighted-majority weights thread through the
+months, in month order, in the calling process. Every model
 failure or non-finite forecast is caught per cell, replaced by the naive
 prediction and flagged in the entry diagnostics, so one bad window never
 aborts a sweep.
@@ -19,8 +20,10 @@ import functools
 import math
 import operator
 import os
+import pickle
+import signal
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -277,28 +280,85 @@ def _map_months(fn: Callable, tasks: Sequence[tuple]) -> list:
     """``[fn(*task) for task in tasks]``: at both levels one task per run of
     consecutive months (`_runs`), the runs in month order.
 
-    The tasks run in forked worker processes, one per usable CPU and at most
-    one per task; in-process when that is one worker or the platform cannot
-    fork. Forked workers inherit the loaded numpy/BLAS build, its settings and
-    the warning filters, so every fit does the same arithmetic as in-process.
-    The error of the first failing task is raised, which with the tasks in
-    month order is a serial run's error, and no worker outlives the call.
+    The tasks run in w = min(usable CPUs, tasks) forked children; in-process
+    when that is one or the platform cannot fork. Child c runs tasks c, c + w,
+    ... in order, stops at its first error, and writes one pickled message,
+    its results and that error, to a pipe of its own. The parent reads every
+    pipe to EOF, then reaps every child, so no child outlives the call; if
+    the parent itself raises meanwhile, it kills and reaps the children
+    first. Forked children inherit the loaded numpy/BLAS build, its settings
+    and the warning filters, so every fit does the same arithmetic as
+    in-process. The results come back in task order, and the error raised is
+    that of the first failing task in task order, a serial run's error. A
+    child that ends without a message (killed, or its message would not
+    pickle) raises a `RuntimeError`.
     """
-    workers = min(_usable_cpus(), len(tasks))
-    if workers <= 1 or not hasattr(os, "fork"):
+    w = min(_usable_cpus(), len(tasks))
+    if w <= 1 or not hasattr(os, "fork"):
         return [fn(*task) for task in tasks]
-    # Imported here, not at the top: the pool's modules add about 30 ms to
-    # every import of the package, and `validate` and `report` never fit.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    pids: list[int] = []
+    pipes: list[int] = []
+    statuses: list[int] = []
+    try:
+        for c in range(w):
+            r, wr = os.pipe()
+            pipes.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _month_child(fn, tasks[c::w], wr)
+            finally:
+                # Closed at once, so each pipe ends when its own child does.
+                os.close(wr)
+            pids.append(pid)
+        messages = []
+        for r in pipes:
+            chunks = []
+            while chunk := os.read(r, 1 << 16):
+                chunks.append(chunk)
+            messages.append(b"".join(chunks))
+        for pid in pids:
+            statuses.append(os.waitpid(pid, 0)[1])
+    except BaseException:
+        for pid in pids[len(statuses):]:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    finally:
+        for r in pipes:
+            os.close(r)
+    outcomes = []
+    for c, (status, message) in enumerate(zip(statuses, messages)):
+        if status != 0:
+            raise RuntimeError(
+                f"the worker from task {c} ended without a result (wait status {status})"
+            )
+        outcomes.append(pickle.loads(message))
+    failed = [c + w * len(results) for c, (results, error) in enumerate(outcomes) if error is not None]
+    if failed:
+        raise outcomes[min(failed) % w][1]
+    return [outcomes[i % w][0][i // w] for i in range(len(tasks))]
 
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(fn, *task) for task in tasks]
+
+def _month_child(fn: Callable, tasks: Sequence[tuple], wr: int) -> NoReturn:
+    """A forked child of `_map_months`: run ``tasks`` up to the first error,
+    write ``(results, error)`` to ``wr`` and exit 0. Every path ends in
+    ``os._exit``, so the child never returns into its caller's stack; it
+    exits 1 without a complete message."""
+    code = 1
+    try:
+        results, error = [], None
         try:
-            return [future.result() for future in futures]
-        finally:
-            # After an error, drop the months not yet started.
-            pool.shutdown(cancel_futures=True)
+            for task in tasks:
+                results.append(fn(*task))
+        except Exception as err:  # noqa: BLE001 - sent to the parent, which raises it
+            error = err
+        message = pickle.dumps((results, error))
+        with open(wr, "wb") as pipe:
+            pipe.write(message)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _fit_each(fits: Mapping[str, Callable[[], Any]], naive: float) -> tuple[dict, dict[str, str]]:

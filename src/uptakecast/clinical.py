@@ -7,6 +7,7 @@ by the bounded Nelder-Mead simplex of ``minimize``, written in this module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -64,9 +65,10 @@ def minimize(
     ``minimize(method="Nelder-Mead", bounds=...)`` (non-adaptive), so a fit
     keeps its bits: the simplex starts at x0 and 1.05 x_k (0.00025 for a zero
     coordinate), reflected at the upper bound; every trial point is clipped
-    to the box. Vertices are ordered by f with a stable sort, so tied
-    vertices keep their order on every CPU; scipy's plain ``np.argsort``
-    leaves the order of ties to the sort numpy dispatches. Evaluation
+    to the box. Vertices are ordered by f with Python's ``sorted``, NaN last
+    as in numpy; it is stable by definition, so tied vertices keep their
+    order on every CPU, where scipy's plain ``np.argsort`` leaves the order
+    of ties to the sort numpy dispatches. Evaluation
     ``maxfev + 1`` ends the iteration it falls in without counting it,
     keeping any vertex a shrink has already moved.
     """
@@ -95,7 +97,10 @@ def minimize(
         return float(fun(np.array(x)))
 
     def by_f(sim, fsim):
-        order = np.argsort(fsim, kind="stable").tolist()
+        # NaN last, as numpy sorts it; Python's sort is stable, so ties keep
+        # their order.
+        keys = [(math.isnan(v), 0.0 if math.isnan(v) else v) for v in fsim]
+        order = sorted(range(n + 1), key=keys.__getitem__)
         return [sim[i] for i in order], [fsim[i] for i in order]
 
     try:
@@ -404,14 +409,22 @@ def hw_filter(
     (level, trend, seasonals) state. The seasonal used for month t is the
     value stored for position t mod l, written one season earlier.
     """
-    s = [float(v) for v in seasonals]
-    l = season_length
-    a, b = float(level), float(trend)
-    alpha, beta, gamma = float(alpha), float(beta), float(gamma)
+    preds, a, b, s = _hw_recursion(
+        np.asarray(values, dtype=float).tolist(), float(alpha), float(beta), float(gamma),
+        season_length, float(level), float(trend), [float(v) for v in seasonals],
+    )
+    return np.array(preds), a, b, s
+
+
+def _hw_recursion(
+    ys: list[float], alpha: float, beta: float, gamma: float, l: int,
+    a: float, b: float, s: list[float],
+) -> tuple[list[float], float, float, list[float]]:
+    """`hw_filter` on Python floats; it updates the seasonals ``s`` in place."""
     keep_a, keep_b, keep_s = 1.0 - alpha, 1.0 - beta, 1.0 - gamma
     preds = []
     pos = 0  # t mod l
-    for y in np.asarray(values, dtype=float).tolist():
+    for y in ys:
         s_old = s[pos]
         ab = a + b
         preds.append(ab + s_old)
@@ -422,7 +435,7 @@ def hw_filter(
         pos += 1
         if pos == l:
             pos = 0
-    return np.array(preds), a, b, s
+    return preds, a, b, s
 
 
 _HW_START = (0.5, 0.1, 0.1)
@@ -438,14 +451,18 @@ def fit_holt_winters(E: TimeSeries, season_length: int = 12) -> HwModel:
     """
     level, trend, seasonals = hw_initial_state(E, season_length)
     values = E.values
+    # The recursion runs on Python floats, converted once per fit.
+    ys, start = values.tolist(), seasonals.tolist()
     # The first season's values are consumed by the initialization, so they
     # carry no information about the smoothing parameters; scoring them would
     # reward overfitting the init transient.
     skip = season_length
+    scored = values[skip:]
 
     def objective(x: np.ndarray) -> float:
-        preds, _, _, _ = hw_filter(values, x[0], x[1], x[2], season_length, level, trend, seasonals)
-        err = preds[skip:] - values[skip:]
+        alpha, beta, gamma = x.tolist()
+        preds, _, _, _ = _hw_recursion(ys, alpha, beta, gamma, season_length, level, trend, list(start))
+        err = np.array(preds[skip:]) - scored
         return float(err @ err)
 
     lower, upper = (0.0, 0.0, 0.0), (1.0, 1.0, 1.0)

@@ -38,6 +38,16 @@ MUTANTS = [
         ],
     ),
     (
+        # The map's results child by child instead of in task order.
+        "src/uptakecast/backtest.py",
+        "return [outcomes[i % w][0][i // w] for i in range(len(tasks))]",
+        "return [r for results, _ in outcomes for r in results]",
+        [
+            "tests/test_backtest.py::TestMonthPool::test_the_first_failing_task_wins_over_the_workers",
+            "tests/test_backtest.py::TestMonthPool::test_pool_size[2-5]",
+        ],
+    ),
+    (
         # Each merged request's rows handed to the generator one request on.
         "src/uptakecast/web.py",
         "for i, lo, hi in zip(members, bounds, bounds[1:]):",
@@ -113,12 +123,15 @@ MUTANTS = [
         ],
     ),
     (
-        # Nelder-Mead vertices with equal values ordered by the sort
-        # implementation's choice.
+        # Nelder-Mead vertices with equal values in reverse order.
         "src/uptakecast/clinical.py",
-        'order = np.argsort(fsim, kind="stable").tolist()',
-        "order = np.argsort(fsim).tolist()",
-        ["tests/test_clinical.py::TestMinimize::test_ties_do_not_depend_on_the_simd_dispatch"],
+        "order = sorted(range(n + 1), key=keys.__getitem__)",
+        "order = sorted(range(n + 1), key=lambda i: (keys[i], -i))",
+        [
+            "tests/test_clinical.py::TestMinimize::test_holt_winters_and_arima_fits_match_scipy",
+            "tests/test_clinical.py::TestMinimize::test_matches_scipy_when_a_limit_is_reached",
+            "tests/test_clinical.py::TestMinimize::test_every_budget_on_a_kinked_problem",
+        ],
     ),
     (
         # Outside contraction to 1.4 xbar - 0.5 w.

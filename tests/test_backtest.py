@@ -1,10 +1,10 @@
-import concurrent.futures
 import dataclasses
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -452,7 +452,7 @@ class TestMonthPool:
         serial_log = self.run(1, monkeypatch, E, Q, cfg)
         pooled_log = self.run(max(2, backtest._usable_cpus()), monkeypatch, E, Q, cfg)
         assert pooled_log == serial_log
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
     def test_worker_error_is_the_serial_error(self, monkeypatch):
         cfg = BacktestConfig()
@@ -467,7 +467,7 @@ class TestMonthPool:
             with pytest.raises(ValueError) as info:
                 run_level1_backtest(log0, cfg, vaccine="V")
             errors.append(str(info.value))
-            assert multiprocessing.active_children() == []
+            assert_no_child()
         assert errors[0] == errors[1] == "stack sample values must be finite"
 
     def test_the_earliest_failing_month_over_the_chunks_is_raised(self, monkeypatch):
@@ -499,7 +499,7 @@ class TestMonthPool:
                 run_level1_backtest(log0, BacktestConfig(), vaccine="V")
             bounds = split[cpus]
             assert runs.pop() == [list(range(a, b)) for a, b in zip(bounds, bounds[1:])]
-            assert multiprocessing.active_children() == []
+            assert_no_child()
 
     def test_runs_cover_the_months_in_order(self, monkeypatch, level0_run):
         # With a one-month warm-up, level 1 has months 1..15 and windows of
@@ -589,7 +589,7 @@ class TestMonthPool:
                 run_level0_backtest(E, Q, CFG, vaccine="V")
             bounds = split[cpus]
             assert runs.pop() == [list(range(a, b)) for a, b in zip(bounds, bounds[1:])]
-            assert multiprocessing.active_children() == []
+            assert_no_child()
 
     @pytest.mark.parametrize("sliding", [None, 6])
     def test_chunks_equal_one_month_at_a_time(self, monkeypatch, level0_run, sliding):
@@ -643,7 +643,6 @@ class TestMonthPool:
         # A module the parent process has not imported is imported again in
         # every forked worker, and np.unique and np.setdiff1d import numpy.ma.
         # In one process the backtest imports what its workers would.
-        tests = Path(__file__).resolve().parent
         code = (
             "import sys\n"
             "from conftest import synth_vaccine\n"
@@ -655,29 +654,109 @@ class TestMonthPool:
             "log1 = backtest.run_level1_backtest(log0, cfg, 'series')\n"
             "print(len(log0), len(log1), 'numpy.ma' in sys.modules)\n"
         )
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=300,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])},
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout == "False\n128 144 False\n"
+        assert run_python(code) == "False\n128 144 False\n"
 
     @pytest.mark.parametrize("cpus, n_tasks", [(1, 5), (2, 1), (2, 5), (8, 3)])
     def test_pool_size(self, monkeypatch, cpus, n_tasks):
-        sizes = []
+        fork, forks = os.fork, []
 
-        class Recorder(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                sizes.append(max_workers)
-                super().__init__(max_workers, **kwargs)
+        def counting():
+            forks.append(1)
+            return fork()
 
         monkeypatch.setattr(backtest, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(os, "fork", counting)
         tasks = [(k, 2) for k in range(n_tasks)]
         assert backtest._map_months(pow, tasks) == [k**2 for k in range(n_tasks)]
         workers = min(cpus, n_tasks)
-        assert sizes == ([] if workers == 1 else [workers])
-        assert multiprocessing.active_children() == []
+        assert len(forks) == (0 if workers == 1 else workers)
+        assert_no_child()
+
+    def test_the_first_failing_task_wins_over_the_workers(self, monkeypatch):
+        # 5 tasks on 2 workers: one runs tasks 0, 2, 4 and the other 1, 3.
+        # Task 4 fails first in the first worker's order, task 3 in task order.
+        monkeypatch.setattr(backtest, "_usable_cpus", lambda: 2)
+        tasks = [(k, frozenset()) for k in range(5)]
+        assert backtest._map_months(_fail_at, tasks) == list(range(5))
+        tasks = [(k, frozenset((3, 4))) for k in range(5)]
+        with pytest.raises(ValueError, match="^task 3$"):
+            backtest._map_months(_fail_at, tasks)
+        assert_no_child()
+
+    def test_a_killed_worker_raises_and_leaves_no_child(self, monkeypatch):
+        monkeypatch.setattr(backtest, "_usable_cpus", lambda: 2)
+        with pytest.raises(RuntimeError, match="^the worker from task 1 ended without a result"):
+            backtest._map_months(_killed_at, [(k, 1) for k in range(3)])
+        assert_no_child()
+
+    def test_an_interrupted_map_kills_and_reaps_its_workers(self, monkeypatch):
+        # The parent is interrupted while it waits for two workers that would
+        # sleep for a minute: it kills them and re-raises at once.
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(backtest, "_usable_cpus", lambda: 2)
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        started = time.monotonic()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+            with pytest.raises(KeyboardInterrupt):
+                backtest._map_months(time.sleep, [(60,), (60,)])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - started < 30
+        assert_no_child()
+
+    def test_a_pooled_backtest_leaves_no_thread_executor_or_child(self):
+        # The map forks its workers itself: no executor module is imported,
+        # no thread is started and every child is reaped.
+        code = (
+            "import os, sys, threading\n"
+            "from conftest import synth_vaccine\n"
+            "from uptakecast import backtest\n"
+            "backtest._usable_cpus = lambda: 2\n"
+            "cfg = backtest.BacktestConfig(bagging_subset_size=4)\n"
+            "log0 = backtest.run_level0_backtest(*synth_vaccine(11, 40, 12), cfg)\n"
+            "log1 = backtest.run_level1_backtest(log0, cfg, 'series')\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    print('no child')\n"
+            "print(len(log0), len(log1), threading.active_count(),\n"
+            "      [m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])\n"
+        )
+        assert run_python(code) == "no child\n128 144 1 []\n"
+
+
+def _fail_at(k, failing):
+    if k in failing:
+        raise ValueError(f"task {k}")
+    return k
+
+
+def _killed_at(k, killed):
+    if k == killed:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return k
+
+
+def run_python(code):
+    """stdout of ``code`` run by a new interpreter that imports the package
+    from ``src/`` and the test helpers from ``tests/``; it must exit 0."""
+    tests = Path(__file__).resolve().parent
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])},
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def assert_no_child():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestSummarize:
