@@ -142,7 +142,7 @@ def split_method(method: str) -> tuple[str | None, str]:
     return (meta, pair) if sep and meta in META_MODELS else (None, method)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogEntry:
     vaccine: str
     method: str
@@ -505,6 +505,7 @@ def run_level0_backtest(
     # of history on both benchmark shapes (57 x 58 and 120 x 12).
     runs = _runs(targets, [k + T for k in targets])
     chunks = _map_months(level0_chunk, [(series, panel, run, cfg) for run in runs])
+    methods = cfg.level0_methods()  # one string per method name for the whole log
     entries: list[LogEntry] = []
     wm_state: web.WmState | None = None
     for k, (preds, notes, members) in zip(targets, [cell for chunk in chunks for cell in chunk]):
@@ -518,7 +519,7 @@ def run_level0_backtest(
             preds["WM"] = web.wm_predict(wm_state, members)
             wm_state = web.wm_update(wm_state, members, preds["WM"], actual)
 
-        level0 = {m: preds[m] for m in cfg.level0_methods()}
+        level0 = {m: preds[m] for m in methods}
         entries += _log_cells(vaccine, months[k], level0, notes, actual, train_start,
                               months[k - 1])
     return PredictionLog(tuple(entries))
@@ -576,21 +577,27 @@ def level1_chunk(
     generator per month and stream pair; then each month's cell is settled
     once, in method order, as in a serial run.
     """
-    stacks = []  # (month, stream pair, its training design and target inputs)
+    # Each method's name is built once per chunk, so that all its cells share
+    # one string, and so do the entries made from a worker's pickled cells.
+    pairs = [
+        (clin, wm, f"OLS:{clin}+{wm}", [f"{meta}:{clin}+{wm}" for meta in _SVR_KERNELS])
+        for clin in cfg.clinical_methods()
+        for wm in WEB_METHODS
+    ]
+    stacks = []  # (month, OLS name, SVR names, its training design and target inputs)
     for idx in indices:
         lo = level1_window_start(idx, cfg)
         y = actuals[lo:idx]
-        for clin in cfg.clinical_methods():
-            for wm in WEB_METHODS:
-                X = np.column_stack([streams[clin][lo:idx], streams[wm][lo:idx]])
-                e_c, e_w = float(streams[clin][idx]), float(streams[wm][idx])
-                stacks.append((idx, f"{clin}+{wm}", (X, y, e_c, e_w)))
-    svrs = web.serve([_svr_steps(*fit, cfg) for _, _, fit in stacks])
+        for clin, wm, ols, svr in pairs:
+            X = np.column_stack([streams[clin][lo:idx], streams[wm][lo:idx]])
+            e_c, e_w = float(streams[clin][idx]), float(streams[wm][idx])
+            stacks.append((idx, ols, svr, (X, y, e_c, e_w)))
+    svrs = web.serve([_svr_steps(*fit, cfg) for *_, fit in stacks])
     cells: dict[int, dict] = {idx: {} for idx in indices}
-    for (idx, pair, fit), forecasts in zip(stacks, svrs):
-        cells[idx][f"OLS:{pair}"] = functools.partial(_ols_forecast, *fit)
-        for k, meta in enumerate(_SVR_KERNELS):
-            cells[idx][f"{meta}:{pair}"] = functools.partial(web._outcome, forecasts, k)
+    for (idx, ols, svr, fit), forecasts in zip(stacks, svrs):
+        cells[idx][ols] = functools.partial(_ols_forecast, *fit)
+        for k, name in enumerate(svr):
+            cells[idx][name] = functools.partial(web._outcome, forecasts, k)
     return [_fit_each(fits, float(streams[NAIVE][idx])) for idx, fits in cells.items()]
 
 
@@ -647,7 +654,11 @@ def summarize(log: PredictionLog, vaccine: str, seed: int | None = None) -> Back
     cells = {method: cell for (v, method), cell in log.cells.items() if v == vaccine}
     if not cells:
         raise EmptyLog(f"prediction log has no entries for {vaccine!r}")
-    window = sorted(set.intersection(*map(set, cells.values())), key=MonthStamp.to_index)
+    shortest = min(cells.values(), key=len)
+    window = sorted(
+        (t for t in shortest if all(t in cell for cell in cells.values())),
+        key=MonthStamp.to_index,
+    )
     if not window:
         raise EmptyLog("no months shared by every method")
 

@@ -256,6 +256,15 @@ MUTANTS = [
         ],
     ),
     (
+        # The report window taken as the months of the shortest cell that any
+        # cell holds, which is all of them: a method missing the shortest
+        # cell's last months leaves no value to score there.
+        "src/uptakecast/backtest.py",
+        "if all(t in cell for cell in cells.values())",
+        "if any(t in cell for cell in cells.values())",
+        ["tests/test_backtest.py::TestSummarize::test_window_is_method_intersection"],
+    ),
+    (
         # The CV folds' training rows from np.setdiff1d, which imports
         # numpy.ma in every forked worker.
         "src/uptakecast/web.py",

@@ -186,6 +186,23 @@ class TestPredictionLog:
         with pytest.raises(SchemaError, match="consecutive"):
             PredictionLog((e1, e3))
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_entries_are_slotted_and_share_their_method_names(self, monkeypatch, level0_run, cpus):
+        # A level-0 log holds one string per method name. A level-1 log holds
+        # at most one per run of months: each worker builds its run's names.
+        E, Q, _ = level0_run
+        monkeypatch.setattr(backtest, "_usable_cpus", lambda: cpus)
+        cfg = dataclasses.replace(CFG, level1_warmup_months=6)
+        log0 = run_level0_backtest(E, Q, cfg, vaccine="V")
+        log1 = run_level1_backtest(log0, cfg, vaccine="V")
+        for log, runs in ((log0, 1), (log1, cpus)):
+            assert not any(hasattr(e, "__dict__") for e in log.entries)
+            names: dict[str, set[int]] = {}
+            for e in log.entries:
+                names.setdefault(e.method, set()).add(id(e.method))
+            assert len(names) == len(log.methods())
+            assert max(map(len, names.values())) <= runs
+
 
 class TestLevel0:
     def test_window_calendar(self, level0_run):
@@ -416,7 +433,13 @@ class TestLevel1Reference:
 
     def test_a_kernel_that_does_not_converge_falls_back_alone(self, monkeypatch, log0):
         # A limit of 40 pairwise steps stops six SVR-linear fits here, and the
-        # SVR-gaussian fit of each of those stream pairs converges.
+        # SVR-gaussian fit of each of those stream pairs converges. Which fits
+        # reach the limit turns on the last bits of the level-0 predictions,
+        # and those differ between BLAS kernels (OpenBLAS's Haswell and
+        # SkylakeX, say); rounded to 6 decimals, they do not.
+        log0 = PredictionLog(
+            tuple(dataclasses.replace(e, predicted=round(e.predicted, 6)) for e in log0.entries)
+        )
         monkeypatch.setattr(stacking, "_SVR_MAX_STEPS", 40)
         cfg = dataclasses.replace(CFG, level1_warmup_months=6)
         expected = level1_reference(log0, cfg, "V")
@@ -797,6 +820,19 @@ class TestSummarize:
         report = summarize(trimmed, "V")
         assert report.n_months == len(log.months(NAIVE, "V")) - 3
         assert report.window_start == log.months("HW", "V")[3]
+        # one method loses its first months and another its last ones: the
+        # window is the middle, which neither cell alone gives
+        hw, o = log.months("HW", "V"), log.months("O", "V")
+        ragged = PredictionLog(
+            tuple(
+                e
+                for e in log.entries
+                if not (e.method == "HW" and e.month < hw[3] or e.method == "O" and e.month > o[-3])
+            )
+        )
+        report = summarize(ragged, "V")
+        assert report.n_months == len(log.months(NAIVE, "V")) - 5
+        assert (report.window_start, report.window_end) == (hw[3], o[-3])
 
     def test_naive_column_matches_independent_shift(self, level0_run):
         E, _, log = level0_run
