@@ -3,12 +3,12 @@ all single-source methods, all ensemble combinations, RMSE reporting.
 
 Vaccines are processed independently. Within one vaccine each month's fits
 depend only on the data before that month, so the months are fitted in forked
-child processes, one per usable CPU, that send their results back through
-pipes (`_map_months`); only the weighted-majority weights thread through the
-months, in month order, in the calling process. Every model
-failure or non-finite forecast is caught per cell, replaced by the naive
-prediction and flagged in the entry diagnostics, so one bad window never
-aborts a sweep.
+child processes, one per run of consecutive months and at most one per usable
+CPU, that send their results back through pipes (`_map_runs`); only the
+weighted-majority weights thread through the months, in month order, in the
+calling process. Every model failure or non-finite forecast is caught per
+cell, replaced by the naive prediction and flagged in the entry diagnostics,
+so one bad window never aborts a sweep.
 
 ``predict`` forecasts the month after the data as the backtest's next month:
 one more month of `run_level0_backtest` and `run_level1_backtest`, read from their merged log.
@@ -276,47 +276,46 @@ def _runs(targets: range, costs: Sequence[float]) -> list[range]:
     return [targets[a:b] for a, b in zip([0] + ends, ends) if a < b]
 
 
-def _map_months(fn: Callable, tasks: Sequence[tuple]) -> list:
-    """``[fn(*task) for task in tasks]``: at both levels one task per run of
-    consecutive months (`_runs`), the runs in month order.
+def _map_runs(chunk: Callable[[range], list], targets: range, costs: Sequence[float]) -> list:
+    """The cells of every month of ``targets`` in month order: ``chunk(run)``
+    for each run of consecutive months that `_runs` cuts by the ``costs``.
 
-    The tasks run in w = min(usable CPUs, tasks) forked children; in-process
-    when that is one or the platform cannot fork. Child c runs tasks c, c + w,
-    ... in order, stops at its first error, and writes one pickled message,
-    its results and that error, to a pipe of its own. The parent reads every
-    pipe to EOF, then reaps every child, so no child outlives the call; if
-    the parent itself raises meanwhile, it kills and reaps the children
+    Each run goes to a forked child of its own; the runs run in-process when
+    there is one or the platform cannot fork. A child writes one pickled
+    message, its cells or its error, to a pipe of its own. The parent reads
+    every pipe to EOF, then reaps every child, so no child outlives the call;
+    if the parent itself raises meanwhile, it kills and reaps the children
     first. Forked children inherit the loaded numpy/BLAS build, its settings
     and the warning filters, so every fit does the same arithmetic as
-    in-process. The results come back in task order, and the error raised is
-    that of the first failing task in task order, a serial run's error. A
-    child that ends without a message (killed, or its message would not
-    pickle) raises a `RuntimeError`.
+    in-process. The runs are settled in month order, and the first that
+    failed decides the error, a serial run's: its own error, or a
+    `RuntimeError` when its child ended without a message (killed, or its
+    message would not pickle).
     """
-    w = min(_usable_cpus(), len(tasks))
-    if w <= 1 or not hasattr(os, "fork"):
-        return [fn(*task) for task in tasks]
+    runs = _runs(targets, costs)
+    if len(runs) == 1 or not hasattr(os, "fork"):
+        return [cell for run in runs for cell in chunk(run)]
     pids: list[int] = []
     pipes: list[int] = []
     statuses: list[int] = []
     try:
-        for c in range(w):
+        for run in runs:
             r, wr = os.pipe()
             pipes.append(r)
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _month_child(fn, tasks[c::w], wr)
+                    _run_child(chunk, run, wr)
             finally:
                 # Closed at once, so each pipe ends when its own child does.
                 os.close(wr)
             pids.append(pid)
         messages = []
         for r in pipes:
-            chunks = []
-            while chunk := os.read(r, 1 << 16):
-                chunks.append(chunk)
-            messages.append(b"".join(chunks))
+            parts = []
+            while part := os.read(r, 1 << 16):
+                parts.append(part)
+            messages.append(b"".join(parts))
         for pid in pids:
             statuses.append(os.waitpid(pid, 0)[1])
     except BaseException:
@@ -327,33 +326,30 @@ def _map_months(fn: Callable, tasks: Sequence[tuple]) -> list:
     finally:
         for r in pipes:
             os.close(r)
-    outcomes = []
-    for c, (status, message) in enumerate(zip(statuses, messages)):
+    cells = []
+    for run, status, message in zip(runs, statuses, messages):
         if status != 0:
-            raise RuntimeError(
-                f"the worker from task {c} ended without a result (wait status {status})"
-            )
-        outcomes.append(pickle.loads(message))
-    failed = [c + w * len(results) for c, (results, error) in enumerate(outcomes) if error is not None]
-    if failed:
-        raise outcomes[min(failed) % w][1]
-    return [outcomes[i % w][0][i // w] for i in range(len(tasks))]
+            raise RuntimeError(f"the worker of months {run.start}..{run.stop - 1} ended "
+                               f"without a result (wait status {status})")
+        result, error = pickle.loads(message)
+        if error is not None:
+            raise error
+        cells += result
+    return cells
 
 
-def _month_child(fn: Callable, tasks: Sequence[tuple], wr: int) -> NoReturn:
-    """A forked child of `_map_months`: run ``tasks`` up to the first error,
-    write ``(results, error)`` to ``wr`` and exit 0. Every path ends in
-    ``os._exit``, so the child never returns into its caller's stack; it
-    exits 1 without a complete message."""
+def _run_child(chunk: Callable[[range], list], run: range, wr: int) -> NoReturn:
+    """A forked child of `_map_runs`: write ``(chunk(run), None)``, or
+    ``(None, error)`` when the chunk raises, to ``wr`` and exit 0. Every path
+    ends in ``os._exit``, so the child never returns into its caller's stack;
+    it exits 1 without a complete message."""
     code = 1
     try:
-        results, error = [], None
         try:
-            for task in tasks:
-                results.append(fn(*task))
+            outcome = (chunk(run), None)
         except Exception as err:  # noqa: BLE001 - sent to the parent, which raises it
-            error = err
-        message = pickle.dumps((results, error))
+            outcome = (None, err)
+        message = pickle.dumps(outcome)
         with open(wr, "wb") as pipe:
             pipe.write(message)
         code = 0
@@ -488,7 +484,7 @@ def run_level0_backtest(
 
     The first predicted month follows the warm-up window. Each month's fits
     depend only on the data before it, so the months are fitted in parallel
-    (`_map_months`), one run of consecutive months per worker
+    (`_map_runs`), one run of consecutive months per worker
     (`level0_chunk`). The weighted-majority weights then thread through the
     months in order, each month's update made only after its actual value is
     revealed.
@@ -503,12 +499,12 @@ def run_level0_backtest(
     # A month's fits cost a fixed part plus a part that grows with its
     # history; measured on one CPU, the fixed part is worth about T months
     # of history on both benchmark shapes (57 x 58 and 120 x 12).
-    runs = _runs(targets, [k + T for k in targets])
-    chunks = _map_months(level0_chunk, [(series, panel, run, cfg) for run in runs])
+    cells = _map_runs(functools.partial(level0_chunk, series, panel, cfg=cfg), targets,
+                      [k + T for k in targets])
     methods = cfg.level0_methods()  # one string per method name for the whole log
     entries: list[LogEntry] = []
     wm_state: web.WmState | None = None
-    for k, (preds, notes, members) in zip(targets, [cell for chunk in chunks for cell in chunk]):
+    for k, (preds, notes, members) in zip(targets, cells):
         actual = float(values[k])
         if members is None:
             # Bagging fell back: WM has no members to weigh.
@@ -544,7 +540,7 @@ def level1_window_start(idx: int, cfg: BacktestConfig) -> int:
     return 0 if cfg.level1_sliding is None else max(0, idx - cfg.level1_sliding)
 
 
-_SVR_KERNELS = {"SVR-linear": "linear", "SVR-gaussian": "gaussian"}  # in META_MODELS order
+_SVR_KERNELS = ("linear", "gaussian")  # in META_MODELS order
 
 
 def _ols_forecast(X: np.ndarray, y: np.ndarray, e_c: float, e_w: float) -> float:
@@ -553,8 +549,8 @@ def _ols_forecast(X: np.ndarray, y: np.ndarray, e_c: float, e_w: float) -> float
 
 def _svr_steps(X: np.ndarray, y: np.ndarray, e_c: float, e_w: float, cfg: BacktestConfig):
     """Each SVR kernel's forecast of (e_c, e_w), or its fit's error, as steps for `web.serve`."""
-    models = yield from stacking.svr_steps(X, y, tuple(_SVR_KERNELS.values()), cfg.svr_cost,
-                                           cfg.svr_tube_eps, cfg.svr_gamma)
+    models = yield from stacking.svr_steps(X, y, _SVR_KERNELS, cfg.svr_cost, cfg.svr_tube_eps,
+                                           cfg.svr_gamma)
     return [m if isinstance(m, Exception) else stacking.predict_svr(m, e_c, e_w) for m in models]
 
 
@@ -577,24 +573,22 @@ def level1_chunk(
     generator per month and stream pair; then each month's cell is settled
     once, in method order, as in a serial run.
     """
-    # Each method's name is built once per chunk, so that all its cells share
-    # one string, and so do the entries made from a worker's pickled cells.
-    pairs = [
-        (clin, wm, f"OLS:{clin}+{wm}", [f"{meta}:{clin}+{wm}" for meta in _SVR_KERNELS])
-        for clin in cfg.clinical_methods()
-        for wm in WEB_METHODS
-    ]
-    stacks = []  # (month, OLS name, SVR names, its training design and target inputs)
+    pairs = [(clin, wm) for clin in cfg.clinical_methods() for wm in WEB_METHODS]
+    # Built once per chunk, so that all the cells of a method share one name
+    # string, and so do the entries made from a worker's pickled cells. The
+    # names run meta-model-major: pair p's are every len(pairs)-th from p.
+    names = cfg.ensemble_methods()
+    stacks = []  # (month, its pair's method names, its training design and target inputs)
     for idx in indices:
         lo = level1_window_start(idx, cfg)
         y = actuals[lo:idx]
-        for clin, wm, ols, svr in pairs:
+        for p, (clin, wm) in enumerate(pairs):
             X = np.column_stack([streams[clin][lo:idx], streams[wm][lo:idx]])
             e_c, e_w = float(streams[clin][idx]), float(streams[wm][idx])
-            stacks.append((idx, ols, svr, (X, y, e_c, e_w)))
+            stacks.append((idx, names[p::len(pairs)], (X, y, e_c, e_w)))
     svrs = web.serve([_svr_steps(*fit, cfg) for *_, fit in stacks])
     cells: dict[int, dict] = {idx: {} for idx in indices}
-    for (idx, ols, svr, fit), forecasts in zip(stacks, svrs):
+    for (idx, (ols, *svr), fit), forecasts in zip(stacks, svrs):
         cells[idx][ols] = functools.partial(_ols_forecast, *fit)
         for k, name in enumerate(svr):
             cells[idx][name] = functools.partial(web._outcome, forecasts, k)
@@ -617,17 +611,17 @@ def run_level1_backtest(
     Training uses the level-0 one-step predictions themselves over a growing
     window (or a fixed sliding window when configured), against the actual
     values the level-0 log records; everything refits at every month. The
-    months are fitted in parallel (`_map_months`), one chunk per worker: a
-    run of consecutive months, the runs balanced by their summed window
-    lengths, so the first failing run raises the serial error.
+    months are fitted in parallel (`_map_runs`), one run of consecutive
+    months per worker, the runs balanced by their summed window lengths, so
+    the first failing run raises the serial error.
     """
     months, streams, actuals = level0_streams(level0_log, vaccine, cfg)
     check_level1_coverage(len(months), cfg)
     targets = range(cfg.level1_warmup_months, len(months))
-    runs = _runs(targets, [idx - level1_window_start(idx, cfg) for idx in targets])
-    chunks = _map_months(level1_chunk, [(streams, actuals, run, cfg) for run in runs])
+    cells = _map_runs(functools.partial(level1_chunk, streams, actuals, cfg=cfg), targets,
+                      [idx - level1_window_start(idx, cfg) for idx in targets])
     entries: list[LogEntry] = []
-    for idx, (values, notes) in zip(targets, [cell for chunk in chunks for cell in chunk]):
+    for idx, (values, notes) in zip(targets, cells):
         entries += _log_cells(vaccine, months[idx], values, notes, float(actuals[idx]),
                               months[level1_window_start(idx, cfg)], months[idx - 1])
     return PredictionLog(tuple(entries))

@@ -27,24 +27,33 @@ ROOT = Path(__file__).resolve().parents[1]
 
 MUTANTS = [
     (
-        # The level-0 runs handed to the pool in reverse and the result
-        # reversed back: every log is kept, but the later month's error wins.
+        # The forked runs settled last first: the later run's error wins.
         "src/uptakecast/backtest.py",
-        "chunks = _map_months(level0_chunk, [(series, panel, run, cfg) for run in runs])",
-        "chunks = _map_months(level0_chunk, [(series, panel, run, cfg) for run in runs][::-1])[::-1]",
+        "for run, status, message in zip(runs, statuses, messages):",
+        "for run, status, message in reversed(list(zip(runs, statuses, messages))):",
         [
             "tests/test_backtest.py::TestMonthPool"
             "::test_the_earliest_failing_level0_month_over_the_runs_is_raised",
+            "tests/test_backtest.py::TestMonthPool"
+            "::test_the_earliest_failing_month_over_the_chunks_is_raised",
         ],
     ),
     (
-        # The map's results child by child instead of in task order.
+        # Each forked run's cells put before the earlier runs' cells.
         "src/uptakecast/backtest.py",
-        "return [outcomes[i % w][0][i // w] for i in range(len(tasks))]",
-        "return [r for results, _ in outcomes for r in results]",
+        "cells += result",
+        "cells[:0] = result",
+        ["tests/test_backtest.py::TestMonthPool::test_parallel_equals_serial"],
+    ),
+    (
+        # Any run whose worker died decides the error, before an earlier
+        # run's own error.
+        "src/uptakecast/backtest.py",
+        "if status != 0:",
+        "if any(statuses):",
         [
-            "tests/test_backtest.py::TestMonthPool::test_the_first_failing_task_wins_over_the_workers",
-            "tests/test_backtest.py::TestMonthPool::test_pool_size[2-5]",
+            "tests/test_backtest.py::TestMonthPool"
+            "::test_an_earlier_runs_error_wins_over_a_later_killed_worker",
         ],
     ),
     (
@@ -82,14 +91,6 @@ MUTANTS = [
             "tests/test_web.py::TestLasso::test_a_batch_joins_drops_and_falls_back_at_one_breakpoint",
             "tests/test_web.py::TestLasso::test_batched_path_matches_the_candidate_loop_bit_for_bit",
         ],
-    ),
-    (
-        # The level-1 runs handed to the pool in reverse and the result
-        # reversed back: every log is kept, but the later month's error wins.
-        "src/uptakecast/backtest.py",
-        "chunks = _map_months(level1_chunk, [(streams, actuals, run, cfg) for run in runs])",
-        "chunks = _map_months(level1_chunk, [(streams, actuals, run, cfg) for run in runs][::-1])[::-1]",
-        ["tests/test_backtest.py::TestMonthPool::test_the_earliest_failing_month_over_the_chunks_is_raised"],
     ),
     (
         # The last instead of the first of tied candidates in a pair step.
@@ -197,8 +198,8 @@ MUTANTS = [
     (
         # Each SVR design fitted with the other kernel.
         "src/uptakecast/backtest.py",
-        "tuple(_SVR_KERNELS.values())",
-        "tuple(_SVR_KERNELS.values())[::-1]",
+        "svr_steps(X, y, _SVR_KERNELS,",
+        "svr_steps(X, y, _SVR_KERNELS[::-1],",
         ["tests/test_backtest.py::TestLevel1Reference::test_equals_the_reference[None]"],
     ),
     (

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import os
 import signal
 import subprocess
@@ -501,7 +502,7 @@ class TestMonthPool:
         # earlier month's error, and so must the pooled one.
         months = tuple(MonthStamp(2013, 1).plus(k) for k in range(20))
         log0 = fabricate_level0_log(BacktestConfig(), months)
-        fit, map_months = stacking.fit_stack_ols, backtest._map_months
+        fit = stacking.fit_stack_ols
         failing, runs = (), []
 
         def failing_fit(X, y):
@@ -509,12 +510,8 @@ class TestMonthPool:
                 raise ValueError(f"window of {len(y)}")
             return fit(X, y)
 
-        def recording(fn, tasks):
-            runs.append([list(task[2]) for task in tasks])
-            return map_months(fn, tasks)
-
         monkeypatch.setattr(stacking, "fit_stack_ols", failing_fit)
-        monkeypatch.setattr(backtest, "_map_months", recording)
+        monkeypatch.setattr(backtest, "_runs", recording_runs(runs))
         split = {1: [12, 20], 2: [12, 16, 20], 3: [12, 15, 17, 20]}
         for cpus, failing in ((1, (15, 16)), (2, (15, 16)), (3, (14, 15))):
             monkeypatch.setattr(backtest, "_usable_cpus", lambda: cpus)
@@ -529,15 +526,12 @@ class TestMonthPool:
         # 1..15 months. On 15 CPUs the windows of 9 months and more each
         # outweigh a fifteenth of the total (8), so three pairs of cuts
         # coincide and their three empty runs are dropped.
+        # The runs are fitted in-process here; test_pool_size forks them.
         _, _, log0 = level0_run
         cfg = dataclasses.replace(CFG, level1_warmup_months=1)
         runs = []
-
-        def in_process(fn, tasks):
-            runs.append([list(task[2]) for task in tasks])
-            return [fn(*task) for task in tasks]
-
-        monkeypatch.setattr(backtest, "_map_months", in_process)
+        monkeypatch.setattr(backtest, "_runs", recording_runs(runs))
+        monkeypatch.delattr(os, "fork")
         logs = []
         for cpus in (1, 2, 3, 15):
             monkeypatch.setattr(backtest, "_usable_cpus", lambda: cpus)
@@ -552,14 +546,11 @@ class TestMonthPool:
         # Level 0 has months 24..39, each costing k + 40 (its history plus
         # the series length). 1, 2, 3 and 15 CPUs cut them into that many
         # runs, and every cut gives the same log bytes.
+        # The runs are fitted in-process here; test_pool_size forks them.
         E, Q, log0 = level0_run
         runs = []
-
-        def in_process(fn, tasks):
-            runs.append([list(task[2]) for task in tasks])
-            return [fn(*task) for task in tasks]
-
-        monkeypatch.setattr(backtest, "_map_months", in_process)
+        monkeypatch.setattr(backtest, "_runs", recording_runs(runs))
+        monkeypatch.delattr(os, "fork")
         logs = []
         for cpus in (1, 2, 3, 15):
             monkeypatch.setattr(backtest, "_usable_cpus", lambda: cpus)
@@ -591,7 +582,7 @@ class TestMonthPool:
         # its failure first. A serial run raises the earlier month's error,
         # and so must the pooled one.
         E, Q, _ = level0_run
-        fit, map_months = clinical.fit_holt_winters, backtest._map_months
+        fit = clinical.fit_holt_winters
         failing, runs = (), []
 
         def failing_fit(hist, season_length):
@@ -599,12 +590,8 @@ class TestMonthPool:
                 raise RuntimeError(f"history of {len(hist)}")
             return fit(hist, season_length)
 
-        def recording(fn, tasks):
-            runs.append([list(task[2]) for task in tasks])
-            return map_months(fn, tasks)
-
         monkeypatch.setattr(clinical, "fit_holt_winters", failing_fit)
-        monkeypatch.setattr(backtest, "_map_months", recording)
+        monkeypatch.setattr(backtest, "_runs", recording_runs(runs))
         split = {1: [24, 40], 2: [24, 32, 40], 3: [24, 29, 35, 40]}
         for cpus, failing in ((1, (31, 32)), (2, (31, 32)), (3, (28, 29))):
             monkeypatch.setattr(backtest, "_usable_cpus", lambda: cpus)
@@ -679,37 +666,49 @@ class TestMonthPool:
         )
         assert run_python(code) == "False\n128 144 False\n"
 
-    @pytest.mark.parametrize("cpus, n_tasks", [(1, 5), (2, 1), (2, 5), (8, 3)])
-    def test_pool_size(self, monkeypatch, cpus, n_tasks):
-        fork, forks = os.fork, []
+    @pytest.mark.parametrize(
+        "cpus, n_months, n_runs",
+        [(1, 5, 1), (2, 1, 1), (2, 5, 2), (8, 3, 3), (15, 15, 12)],
+        ids=["1-5", "2-1", "2-5", "8-3", "15-15"],
+    )
+    def test_pool_size(self, monkeypatch, cpus, n_months, n_runs):
+        # One fork per run, none for a single run. Month k costs k, as a
+        # level-1 month does with a one-month warm-up and a growing window,
+        # so 15 months make 12 runs on 15 CPUs.
+        fork, forks, runs = os.fork, [], []
 
         def counting():
             forks.append(1)
             return fork()
 
         monkeypatch.setattr(backtest, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(backtest, "_runs", recording_runs(runs))
         monkeypatch.setattr(os, "fork", counting)
-        tasks = [(k, 2) for k in range(n_tasks)]
-        assert backtest._map_months(pow, tasks) == [k**2 for k in range(n_tasks)]
-        workers = min(cpus, n_tasks)
-        assert len(forks) == (0 if workers == 1 else workers)
-        assert_no_child()
-
-    def test_the_first_failing_task_wins_over_the_workers(self, monkeypatch):
-        # 5 tasks on 2 workers: one runs tasks 0, 2, 4 and the other 1, 3.
-        # Task 4 fails first in the first worker's order, task 3 in task order.
-        monkeypatch.setattr(backtest, "_usable_cpus", lambda: 2)
-        tasks = [(k, frozenset()) for k in range(5)]
-        assert backtest._map_months(_fail_at, tasks) == list(range(5))
-        tasks = [(k, frozenset((3, 4))) for k in range(5)]
-        with pytest.raises(ValueError, match="^task 3$"):
-            backtest._map_months(_fail_at, tasks)
+        months = range(1, n_months + 1)
+        assert backtest._map_runs(_months_of, months, months) == list(months)
+        assert len(runs.pop()) == n_runs
+        assert len(forks) == (0 if n_runs == 1 else n_runs)
         assert_no_child()
 
     def test_a_killed_worker_raises_and_leaves_no_child(self, monkeypatch):
+        # Months 0..2 on 2 CPUs make the runs 0 and 1..2. The first run that
+        # failed or lost its worker, in month order, decides the error.
         monkeypatch.setattr(backtest, "_usable_cpus", lambda: 2)
-        with pytest.raises(RuntimeError, match="^the worker from task 1 ended without a result"):
-            backtest._map_months(_killed_at, [(k, 1) for k in range(3)])
+        with pytest.raises(RuntimeError, match=r"^the worker of months 1\.\.2 ended without a result"):
+            backtest._map_runs(functools.partial(_months_of, killed=1), range(3), [1, 1, 1])
+        assert_no_child()
+        with pytest.raises(RuntimeError, match=r"^the worker of months 0\.\.0 ended without a result"):
+            backtest._map_runs(functools.partial(_months_of, failing={2}, killed=0), range(3),
+                               [1, 1, 1])
+        assert_no_child()
+
+    def test_an_earlier_runs_error_wins_over_a_later_killed_worker(self, monkeypatch):
+        # Run 0's month fails and run 1's worker is killed: a serial run
+        # raises month 0's error and never reaches the later run.
+        monkeypatch.setattr(backtest, "_usable_cpus", lambda: 2)
+        with pytest.raises(ValueError, match="^month 0$"):
+            backtest._map_runs(functools.partial(_months_of, failing={0}, killed=2), range(3),
+                               [1, 1, 1])
         assert_no_child()
 
     def test_an_interrupted_map_kills_and_reaps_its_workers(self, monkeypatch):
@@ -724,7 +723,7 @@ class TestMonthPool:
         try:
             signal.setitimer(signal.ITIMER_REAL, 0.5)
             with pytest.raises(KeyboardInterrupt):
-                backtest._map_months(time.sleep, [(60,), (60,)])
+                backtest._map_runs(functools.partial(_months_of, sleep=60), range(2), [1, 1])
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
@@ -752,16 +751,29 @@ class TestMonthPool:
         assert run_python(code) == "no child\n128 144 1 []\n"
 
 
-def _fail_at(k, failing):
-    if k in failing:
-        raise ValueError(f"task {k}")
-    return k
+def _months_of(run, failing=(), killed=None, sleep=0):
+    """A chunk for `backtest._map_runs`: the months of ``run``. Month
+    ``killed`` kills its process, a month in ``failing`` raises an error, and
+    each month sleeps ``sleep`` seconds first."""
+    for k in run:
+        time.sleep(sleep)
+        if k == killed:
+            os.kill(os.getpid(), signal.SIGKILL)
+        if k in failing:
+            raise ValueError(f"month {k}")
+    return list(run)
 
 
-def _killed_at(k, killed):
-    if k == killed:
-        os.kill(os.getpid(), signal.SIGKILL)
-    return k
+def recording_runs(runs):
+    """`backtest._runs`, appending each cut it makes to ``runs`` as lists of months."""
+    cut = backtest._runs
+
+    def recording(targets, costs):
+        made = cut(targets, costs)
+        runs.append([list(run) for run in made])
+        return made
+
+    return recording
 
 
 def run_python(code):
